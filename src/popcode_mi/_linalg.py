@@ -4,6 +4,13 @@ Log-determinants go through Cholesky factorizations: a failed
 factorization means the matrix is not positive-definite and the
 log-determinant is reported as ``-inf`` instead of being silently
 regularized.  Matrix square roots use symmetric eigendecompositions.
+
+Stacks of matrices, shape (M, K, K), are factored by one stacked LAPACK
+call over the whole array.  A stacked Cholesky call fails as a whole when
+any node is not positive-definite, so only then are the nodes factored
+one by one, which keeps the per-node ``-inf`` values and lets callers
+name the first node at fault.  The stacked and per-node calls run the
+same LAPACK routine on each matrix, so their factors are identical.
 """
 
 from __future__ import annotations
@@ -11,39 +18,67 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "cholesky_stack",
     "chol_logdet",
     "is_pd",
     "logdet_grid",
+    "factor_logdets",
     "sym_sqrt",
     "sym_inv_sqrt",
 ]
 
 
-def chol_logdet(a: np.ndarray) -> float:
-    """Log-determinant of a symmetric matrix via Cholesky.
+def cholesky_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack of symmetric matrices, shape (M, K, K).
 
-    Returns ``-inf`` when the factorization fails or when a pivot sits at
-    rounding-noise scale — the matrix is then singular to working
-    precision even though rounding let it factor.  No eigenvalue clipping
-    is applied; values are exact or ``-inf``.
+    Returns ``(factors, failed)``: ``failed[i]`` is True where node i does
+    not factor, and that node's factor is filled with NaN.
     """
-    a = np.asarray(a, dtype=float)
+    failed = np.zeros(mats.shape[0], dtype=bool)
     try:
-        chol = np.linalg.cholesky(a)
+        return np.linalg.cholesky(mats), failed
     except np.linalg.LinAlgError:
-        return -np.inf
-    diag = np.diagonal(chol)
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
-        return -np.inf
+        pass
+    chol = np.full(mats.shape, np.nan)
+    for i, mat in enumerate(mats):
+        try:
+            chol[i] = np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            failed[i] = True
+    return chol, failed
+
+
+def factor_logdets(mats: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Log-determinants of a stack from its Cholesky factors.
+
+    A node is ``-inf`` when its factor has a non-positive or non-finite
+    pivot, or when its smallest pivot sits at rounding-noise scale: the
+    matrix is then singular to working precision even though rounding let
+    it factor.  No eigenvalue clipping is applied; values are exact or
+    ``-inf``.
+    """
+    diag = np.diagonal(chol, axis1=1, axis2=2)
     # An exactly singular matrix can slip through when rounding nudges a
     # zero pivot positive.  Such pivots land within a small factor of
     # K * eps * max(diag) (squared), about ten orders of magnitude below
     # any healthy pivot, so the factor of 64 cannot misclassify.
-    k = a.shape[0]
-    tol = 64.0 * k * np.finfo(float).eps * float(np.max(np.diagonal(a)))
-    if float(np.min(diag)) ** 2 <= tol:
-        return -np.inf
-    return float(2.0 * np.sum(np.log(diag)))
+    k = mats.shape[1]
+    tol = 64.0 * k * np.finfo(float).eps * np.max(np.diagonal(mats, axis1=1, axis2=2), axis=1)
+    good = (np.all(diag > 0.0, axis=1) & np.all(np.isfinite(diag), axis=1)
+            & ~(np.min(diag, axis=1) ** 2 <= tol))
+    out = np.full(mats.shape[0], -np.inf)
+    out[good] = 2.0 * np.sum(np.log(diag[good]), axis=1)
+    return out
+
+
+def chol_logdet(a: np.ndarray) -> float:
+    """Log-determinant of a symmetric matrix via Cholesky.
+
+    ``-inf`` when the matrix is not positive-definite to working
+    precision; see :func:`factor_logdets` for the pivot rule.
+    """
+    a = np.asarray(a, dtype=float)[None]
+    return float(factor_logdets(a, cholesky_stack(a)[0])[0])
 
 
 def is_pd(a: np.ndarray) -> bool:
@@ -55,7 +90,10 @@ def logdet_grid(mats: np.ndarray) -> np.ndarray:
     """Log-determinants of a stack of symmetric matrices, shape (M, K, K).
 
     Entries for non-positive-definite matrices come back as ``-inf``.
-    A scalar fast path handles K = 1 without per-node factorizations.
+    A scalar fast path handles K = 1 without factorizations; larger K
+    takes one stacked Cholesky factorization of the whole array, falling
+    back to node-by-node factorization only when some node fails, with
+    the same pivot rule as :func:`chol_logdet` applied to every node.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -66,13 +104,17 @@ def logdet_grid(mats: np.ndarray) -> np.ndarray:
         pos = vals > 0.0
         out[pos] = np.log(vals[pos])
         return out
-    return np.array([chol_logdet(m) for m in mats])
+    return factor_logdets(mats, cholesky_stack(mats)[0])
 
 
 def _eigh_pd(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(np.asarray(a, dtype=float))
-    if np.any(vals <= 0.0):
-        raise ValueError(f"{what} is not positive-definite (min eigenvalue {vals.min():.3e})")
+    bad = np.any(vals <= 0.0, axis=-1)
+    if np.any(bad):
+        node = int(np.argmax(bad))
+        where = f" at node {node}" if vals.ndim > 1 else ""
+        low = np.atleast_2d(vals)[node].min()
+        raise ValueError(f"{what} is not positive-definite{where} (min eigenvalue {low:.3e})")
     return vals, vecs
 
 
@@ -83,6 +125,10 @@ def sym_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def sym_inv_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric positive-definite inverse square root A^(-1/2)."""
+    """Symmetric positive-definite inverse square root A^(-1/2).
+
+    ``a`` may be one matrix or a stack (M, K, K), which is decomposed by
+    one stacked call; a stack's error names the first node at fault.
+    """
     vals, vecs = _eigh_pd(a, "matrix")
-    return (vecs / np.sqrt(vals)) @ vecs.T
+    return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)

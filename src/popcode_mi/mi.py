@@ -233,18 +233,15 @@ def gap_bounds(j, prior, xs=None) -> GapBounds:
         frob = np.abs(ratio)
         traces_plus = pp[0, 0] / jvals
     else:
-        traces = np.empty(m)
-        frob = np.empty(m)
-        traces_plus = np.empty(m)
-        for i in range(m):
-            try:
-                root = sym_inv_sqrt(stack[i])
-            except ValueError:
-                raise ValueError(f"degenerate J: not positive-definite at node {i}") from None
-            w = root @ p[i] @ root
-            traces[i] = np.trace(w)
-            frob[i] = np.linalg.norm(w, "fro")
-            traces_plus[i] = np.trace(root @ pp @ root)
+        try:
+            root = sym_inv_sqrt(stack)
+        except ValueError as exc:
+            raise ValueError(f"degenerate J: {exc}") from None
+        w = root @ p @ root
+        traces = np.trace(w, axis1=1, axis2=2)
+        flat = w.reshape(m, 1, k * k)
+        frob = np.sqrt((flat @ np.swapaxes(flat, 1, 2))[:, 0, 0])
+        traces_plus = np.trace(root @ pp @ root, axis1=1, axis2=2)
     return GapBounds(
         varsigma=float(np.dot(weights, traces)),
         varsigma1=float(np.dot(weights, frob)),

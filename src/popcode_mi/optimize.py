@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize_scalar
 
-from ._linalg import chol_logdet, sym_sqrt
+# chol_logdet stays importable here: perfbench wraps it by module attribute.
+from ._linalg import chol_logdet, cholesky_stack, logdet_grid, sym_sqrt  # noqa: F401
 from .fisher import GridPrior
 from .mi import LOG_2PI_E
 from .models import VonMisesTuning
@@ -196,11 +196,9 @@ def objective(alpha, prob: OptimizationProblem) -> float:
     else:
         g = _g_stack(alpha, prob)
         k = g.shape[1]
-        logdets = np.empty(g.shape[0])
-        for i in range(g.shape[0]):
-            logdets[i] = chol_logdet(g[i])
-            if logdets[i] == -math.inf:
-                return -math.inf
+        logdets = logdet_grid(g)
+        if np.any(np.isneginf(logdets)):
+            return -math.inf
         mean = float(np.dot(prob.weights, logdets))
     return 0.5 * (mean - k * LOG_2PI_E) + prob.h_x
 
@@ -215,14 +213,12 @@ def gradient(alpha, prob: OptimizationProblem) -> np.ndarray:
             raise ValueError(f"G is singular at node {idx}; gradient undefined on the boundary")
         return 0.5 * prob.n * ((prob.weights / g) @ prob.s_values)
     g = _g_stack(alpha, prob)
-    out = np.zeros(prob.k1)
-    for i in range(g.shape[0]):
-        try:
-            c = cho_factor(g[i], lower=True)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"G is singular at node {i}; gradient undefined on the boundary") from None
-        for k in range(prob.k1):
-            out[k] += prob.weights[i] * np.trace(cho_solve(c, prob.s_values[i, k]))
+    _, failed = cholesky_stack(g)
+    if np.any(failed):
+        idx = int(np.argmax(failed))
+        raise ValueError(f"G is singular at node {idx}; gradient undefined on the boundary")
+    # Tr(G^{-1} S_k) summed against the weights, for every k at once.
+    out = np.einsum("m,mab,mkba->k", prob.weights, np.linalg.inv(g), prob.s_values)
     return 0.5 * prob.n * out
 
 
@@ -463,12 +459,11 @@ def capacity_prior(j, nodes, support_length: float):
             raise ValueError(f"determinant not positive at node {idx}: {dets[idx]!r}")
         log_root = 0.5 * np.log(dets)
     else:
-        log_root = np.empty(nodes.size)
-        for i in range(nodes.size):
-            ld = chol_logdet(mats[i])
-            if ld == -math.inf:
-                raise ValueError(f"determinant not positive at node {i}")
-            log_root[i] = 0.5 * ld
+        logdets = logdet_grid(mats)
+        if np.any(np.isneginf(logdets)):
+            idx = int(np.argmax(np.isneginf(logdets)))
+            raise ValueError(f"determinant not positive at node {idx}")
+        log_root = 0.5 * logdets
     shift = log_root.max()
     z = float(np.sum(np.exp(log_root - shift)) * dx)
     if z == 0.0:

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from ._linalg import chol_logdet, sym_inv_sqrt
+from ._linalg import chol_logdet, cholesky_stack, factor_logdets, logdet_grid, sym_inv_sqrt
 from .mi import LOG_2PI_E
 
 __all__ = [
@@ -410,11 +409,32 @@ class ReductionCheck:
     relative: float
 
 
-def _chol_or_raise(mat: np.ndarray, what: str, node: int):
-    try:
-        return cho_factor(mat, lower=True)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"{what} is not positive-definite at node {node}") from None
+def _reduction_check(blocked: BlockedInfo, second: np.ndarray, what: str,
+                     inner_of) -> ReductionCheck:
+    """Shared kernel of the two block-reduction checks.
+
+    Per node, ``coupling = G21 G11^{-1} G12``; the trace term is
+    ``Tr(second^{-1} inner_of(coupling))`` and the factored value uses
+    ``ln det G11 + ln det second``.  Both blocks must be positive-definite
+    on every node; the error names the first node at fault.
+    """
+    k = blocked.k
+    g11, g12 = blocked.g11, blocked.g12
+    l11, bad11 = cholesky_stack(g11)
+    l2, bad2 = cholesky_stack(second)
+    bad = bad11 | bad2
+    if np.any(bad):
+        node = int(np.argmax(bad))
+        raise ValueError(f"{'G11' if bad11[node] else what} is not positive-definite at node {node}")
+    coupling = np.swapaxes(g12, 1, 2) @ np.linalg.solve(g11, g12)
+    traces = np.trace(np.linalg.solve(second, inner_of(coupling)), axis1=1, axis2=2)
+    logdets = (2.0 * np.sum(np.log(np.diagonal(l11, axis1=1, axis2=2)), axis=1)
+               + 2.0 * np.sum(np.log(np.diagonal(l2, axis1=1, axis2=2)), axis=1))
+    trace_mean = float(np.dot(blocked.weights, traces))
+    mean_logdet = float(np.dot(blocked.weights, logdets))
+    value = 0.5 * (mean_logdet - k * LOG_2PI_E) + blocked.h_x
+    relative = abs(trace_mean) / abs(mean_logdet) if mean_logdet != 0.0 else math.inf
+    return ReductionCheck(trace_mean=trace_mean, value=value, relative=relative)
 
 
 def reduce_check_A(blocked: BlockedInfo) -> ReductionCheck:
@@ -425,25 +445,7 @@ def reduce_check_A(blocked: BlockedInfo) -> ReductionCheck:
     ``I_G1 = (1/2)<ln det(G11/2 pi e)> + (1/2)<ln det(G22/2 pi e)> + H(X)``,
     which equals I_G exactly iff the coupling term vanishes.
     """
-    m, k = blocked.g.shape[0], blocked.k
-    traces = np.empty(m)
-    logdets = np.empty(m)
-    for i in range(m):
-        g11 = blocked.g11[i]
-        g12 = blocked.g12[i]
-        g22 = blocked.g22[i]
-        c11 = _chol_or_raise(g11, "G11", i)
-        coupling = g12.T @ cho_solve(c11, g12)
-        c22 = _chol_or_raise(g22, "G22", i)
-        traces[i] = np.trace(cho_solve(c22, coupling))
-        ld11 = 2.0 * np.sum(np.log(np.diag(c11[0])))
-        ld22 = 2.0 * np.sum(np.log(np.diag(c22[0])))
-        logdets[i] = ld11 + ld22
-    trace_mean = float(np.dot(blocked.weights, traces))
-    mean_logdet = float(np.dot(blocked.weights, logdets))
-    value = 0.5 * (mean_logdet - k * LOG_2PI_E) + blocked.h_x
-    relative = abs(trace_mean) / abs(mean_logdet) if mean_logdet != 0.0 else math.inf
-    return ReductionCheck(trace_mean=trace_mean, value=value, relative=relative)
+    return _reduction_check(blocked, blocked.g22, "G22", lambda coupling: coupling)
 
 
 def reduce_check_B(blocked: BlockedInfo) -> ReductionCheck:
@@ -454,26 +456,7 @@ def reduce_check_B(blocked: BlockedInfo) -> ReductionCheck:
     by the prior block, ``I_G2 = (1/2)<ln det(G11/2 pi e)> +
     (1/2)<ln det(P22/2 pi e)> + H(X)``, exact iff C_x = 0.
     """
-    m, k = blocked.g.shape[0], blocked.k
-    traces = np.empty(m)
-    logdets = np.empty(m)
-    for i in range(m):
-        g11 = blocked.g11[i]
-        g12 = blocked.g12[i]
-        p22 = blocked.p22[i]
-        c11 = _chol_or_raise(g11, "G11", i)
-        coupling = g12.T @ cho_solve(c11, g12)
-        c_x = blocked.j22[i] - coupling
-        cp = _chol_or_raise(p22, "P22", i)
-        traces[i] = np.trace(cho_solve(cp, c_x))
-        ld11 = 2.0 * np.sum(np.log(np.diag(c11[0])))
-        ldp = 2.0 * np.sum(np.log(np.diag(cp[0])))
-        logdets[i] = ld11 + ldp
-    trace_mean = float(np.dot(blocked.weights, traces))
-    mean_logdet = float(np.dot(blocked.weights, logdets))
-    value = 0.5 * (mean_logdet - k * LOG_2PI_E) + blocked.h_x
-    relative = abs(trace_mean) / abs(mean_logdet) if mean_logdet != 0.0 else math.inf
-    return ReductionCheck(trace_mean=trace_mean, value=value, relative=relative)
+    return _reduction_check(blocked, blocked.p22, "P22", lambda coupling: blocked.j22 - coupling)
 
 
 def select_k1(j, eps_dr: float = 0.01, weights=None) -> int:
@@ -495,12 +478,17 @@ def select_k1(j, eps_dr: float = 0.01, weights=None) -> int:
         weights = np.asarray(weights, dtype=float)
     diag_means = np.tensordot(weights, np.diagonal(j, axis1=1, axis2=2), axes=(0, 0))
     total_trace = float(np.sum(diag_means))
-    eye = np.eye(k)
+    # The Cholesky factor of a leading block is the leading block of the
+    # full factor, so one factorization of J + I serves every K1.  Nodes
+    # whose full matrix does not factor may still have factorable leading
+    # blocks; those are factored block by block.
+    a = j + np.eye(k)
+    chol, failed = cholesky_stack(a)
     for k1 in range(1, k):
         tail_trace = total_trace - float(np.sum(diag_means[:k1]))
-        gammas = np.empty(m)
-        for i in range(m):
-            gammas[i] = chol_logdet(j[i, :k1, :k1] + eye[:k1, :k1])
+        gammas = factor_logdets(a[:, :k1, :k1], chol[:, :k1, :k1])
+        if np.any(failed):
+            gammas[failed] = logdet_grid(a[failed, :k1, :k1])
         gamma = float(np.dot(weights, gammas))
         if tail_trace <= eps_dr * gamma:
             return k1
