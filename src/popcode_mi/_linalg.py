@@ -52,20 +52,25 @@ def factor_logdets(mats: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """Log-determinants of a stack from its Cholesky factors.
 
     A node is ``-inf`` when its factor has a non-positive or non-finite
-    pivot, or when its smallest pivot sits at rounding-noise scale: the
-    matrix is then singular to working precision even though rounding let
-    it factor.  No eigenvalue clipping is applied; values are exact or
-    ``-inf``.
+    pivot, or when any pivot sits at rounding-noise scale: the matrix is
+    then singular to working precision even though rounding let it
+    factor.  Each pivot is judged against its own diagonal entry,
+    ``L_ii^2 <= 64 K eps A_ii``.  ``L_ii^2 / A_ii`` is the squared pivot of
+    the Jacobi-equilibrated matrix ``D^-1/2 A D^-1/2`` (``D = diag A``),
+    read off the existing factor, so the decision does not depend on the
+    units or scaling of the coordinates.  No eigenvalue clipping is
+    applied; values are exact or ``-inf``.
     """
     diag = np.diagonal(chol, axis1=1, axis2=2)
     # An exactly singular matrix can slip through when rounding nudges a
-    # zero pivot positive.  Such pivots land within a small factor of
-    # K * eps * max(diag) (squared), about ten orders of magnitude below
-    # any healthy pivot, so the factor of 64 cannot misclassify.
+    # zero pivot positive.  The Schur complement behind pivot i is A_ii
+    # minus a sum that cancels it, so such a pivot is rounding noise on
+    # the scale of K * eps * A_ii (squared pivot), whatever the scale of
+    # the other coordinates.
     k = mats.shape[1]
-    tol = 64.0 * k * np.finfo(float).eps * np.max(np.diagonal(mats, axis1=1, axis2=2), axis=1)
+    tol = 64.0 * k * np.finfo(float).eps * np.diagonal(mats, axis1=1, axis2=2)
     good = (np.all(diag > 0.0, axis=1) & np.all(np.isfinite(diag), axis=1)
-            & ~(np.min(diag, axis=1) ** 2 <= tol))
+            & ~np.any(diag**2 <= tol, axis=1))
     out = np.full(mats.shape[0], -np.inf)
     out[good] = 2.0 * np.sum(np.log(diag[good]), axis=1)
     return out

@@ -32,6 +32,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .fisher import GridPrior
@@ -240,11 +241,28 @@ def _write_sidecar(out_path: str, experiment: str, cfg: dict, wall_time: float, 
         "units": "bits" if cfg["bits"] else "nats",
         "version": __version__,
         "wall_time_s": wall_time,
+        "environment": _environment(cfg),
     }
     payload.update(extra)
     with open(out_path + ".json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
+
+
+def _environment(cfg: dict) -> dict:
+    """Library versions the output's bits rest on, and the worker count used.
+
+    The Monte Carlo columns depend on numpy's ``exp``/``log1p`` and on the
+    BLAS behind the likelihood matmul, so both are recorded with the run.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "workers": _worker_count(cfg),
+    }
 
 
 def _jsonable(value):

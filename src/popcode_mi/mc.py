@@ -14,6 +14,16 @@ j_max x M log-likelihood matrix is never materialized; additive terms that
 cancel between numerator and marginal (the Poisson ``ln r!`` sum, the
 Gaussian ``|r|^2`` term and normalization constant) are dropped before the
 subtraction, which leaves every intermediate well-scaled.
+
+One (chunk, M) buffer serves every chunk: the likelihood matmul writes
+into it, and :func:`logsumexp` reduces it in place.  That kernel is the
+accurate log-sum-exp of Blanchard, Higham and Higham ("Accurately
+computing the log-sum-exp and softmax functions", IMA J. Numer. Anal.
+2021), the form ``scipy.special.logsumexp`` uses: the row maxima are
+taken out of the sum, which then enters through ``log1p``.  It performs
+scipy's floating-point operations in scipy's order, so its results match
+``scipy.special.logsumexp(core + log_masses, axis=1)`` bit for bit on
+every row whose result is finite, without scipy's full-size temporaries.
 """
 
 from __future__ import annotations
@@ -21,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .fisher import GridPrior
 
@@ -66,18 +75,53 @@ class MCResult:
     di_std: float
 
 
-def _log_lik_core(model, responses: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """x-dependent part of ln p(r | x) for a block of responses.
+def logsumexp(buf: np.ndarray, log_masses: np.ndarray) -> np.ndarray:
+    """Row-wise ``ln sum_m exp(buf[j, m] + log_masses[m])``, overwriting ``buf``.
 
-    Shape (chunk, M): row j holds the core terms for response j against
-    every grid stimulus.  Terms constant in x are omitted; they cancel in
-    the estimator's log-ratio.
+    Ties for a row's maximum are all taken out of the sum and counted, as
+    scipy does; zero-mass nodes (``-inf`` log-masses) add nothing.  Rows
+    whose maximum is not finite come back non-finite, without a warning.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        buf += log_masses
+        a_max = buf.max(axis=1)
+        ismax = buf == a_max[:, None]
+        count = ismax.sum(axis=1).astype(float)
+        buf -= a_max[:, None]
+        np.exp(buf, out=buf)
+        buf[ismax] = 0.0
+        s = buf.sum(axis=1)
+        s = np.where(s == 0, s, s / count)
+        return np.log1p(s) + np.log(count) + a_max
+
+
+def _loglik_terms(model, rates: np.ndarray):
+    """Grid-only factors of the x-dependent part of ln p(r | x).
+
+    Returns ``(weights, offset, scale)`` such that the core terms of a
+    block of responses are ``(responses @ weights - offset) / scale``
+    (``scale`` is None when there is no division).  Terms constant in x
+    are omitted; they cancel in the estimator's log-ratio.
     """
     if model.response_kind == "poisson":
         # sum_n [r_n ln f_n(x) - f_n(x)]; the -ln r_n! sum is x-free.
-        return responses @ np.log(rates).T - np.sum(rates, axis=1)
+        return np.log(rates).T, np.sum(rates, axis=1), None
     # Gaussian: -(|r|^2 - 2 r.f(x) + |f(x)|^2) / (2 sigma^2) up to x-free terms.
-    return (responses @ rates.T - 0.5 * np.sum(rates**2, axis=1)) / model.sigma**2
+    return rates.T, 0.5 * np.sum(rates**2, axis=1), model.sigma**2
+
+
+def _log_lik_core(responses: np.ndarray, terms, out: np.ndarray) -> np.ndarray:
+    """Core log-likelihood terms of a block of responses, written into ``out``.
+
+    Shape (chunk, M): row j holds the core terms for response j against
+    every grid stimulus; ``terms`` comes from :func:`_loglik_terms`.
+    """
+    weights, offset, scale = terms
+    np.matmul(responses, weights, out=out)
+    out -= offset
+    if scale is not None:
+        out /= scale
+    return out
 
 
 def _sample_responses_block(model, rates_block: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -109,15 +153,16 @@ def mc_mutual_information(model, prior: GridPrior, cfg: MCConfig) -> MCResult:
 
     n = rates.shape[1]
     chunk = max(256, (1 << 22) // max(cfg.m, n))
+    loglik = _loglik_terms(model, rates)
+    buf = np.empty((min(chunk, cfg.j_max), cfg.m))
     terms = np.empty(cfg.j_max)
     for lo in range(0, cfg.j_max, chunk):
         hi = min(lo + chunk, cfg.j_max)
         idx = stim_idx[lo:hi]
         responses = _sample_responses_block(model, rates[idx], resp_rng)
-        core = _log_lik_core(model, responses, rates)
+        core = _log_lik_core(responses, loglik, buf[: hi - lo])
         numerator = core[np.arange(hi - lo), idx]
-        marginal = logsumexp(core + log_masses, axis=1)
-        terms[lo:hi] = numerator - marginal
+        terms[lo:hi] = numerator - logsumexp(core, log_masses)
         if not np.all(np.isfinite(terms[lo:hi])):
             bad = lo + int(np.argmin(np.isfinite(terms[lo:hi])))
             raise ValueError(f"non-finite log-likelihood ratio at sample {bad}")

@@ -335,10 +335,10 @@ def _line_search(alpha: np.ndarray, direction: np.ndarray, upper: float,
 
     res = minimize_scalar(lambda g: -phi(g), bounds=(0.0, upper),
                           method="bounded", options={"xatol": 1e-12})
-    gamma = float(res.x)
-    if phi(upper) >= phi(gamma):
+    # res.fun is -phi at exactly res.x, so the maximum need not be re-evaluated.
+    if phi(upper) >= -res.fun:
         return upper
-    return gamma
+    return float(res.x)
 
 
 def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
@@ -410,21 +410,23 @@ def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
         # Domain safeguard: with an indefinite prior-curvature term the
         # objective is -inf outside an open subset of the simplex, and a
         # fixed-schedule step can land there.  The current iterate is
-        # finite and the domain is open, so halving always recovers.
-        candidate = alpha + gamma * direction
+        # finite and the domain is open, so halving always recovers.  Each
+        # candidate is clipped back onto the simplex before it is evaluated,
+        # so the accepted value is the trace entry for the new iterate.
         for _ in range(200):
-            if objective(candidate, prob) > -math.inf:
+            candidate = np.clip(alpha + gamma * direction, 0.0, None)
+            candidate /= candidate.sum()
+            value = objective(candidate, prob)
+            if value > -math.inf:
                 break
             gamma *= 0.5
-            candidate = alpha + gamma * direction
         else:
             raise ValueError(
                 f"objective is not finite near the iterate at step {t}; "
                 "the feasible region may contain no positive-definite point"
             )
-        alpha = np.clip(candidate, 0.0, None)
-        alpha /= alpha.sum()
-        trace.append(objective(alpha, prob))
+        alpha = candidate
+        trace.append(value)
     report = kkt_check(alpha, prob)
     return FWResult(alpha=alpha, report=report, trace=np.array(trace),
                     gap=gap, iterations=len(trace) - 1, converged=converged)

@@ -2,10 +2,13 @@
 
 import json
 import math
+import os
 import struct
+import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from popcode_mi.cli import _build_parser, _resolve, main
 
@@ -143,6 +146,14 @@ class TestSidecar:
         assert sidecar["seed"] == 3
         assert sidecar["units"] == "nats"
         assert sidecar["wall_time_s"] >= 0.0
+
+    def test_environment_is_recorded(self, sidecar):
+        env = sidecar["environment"]
+        assert env["python"] == sys.version.split()[0]
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert set(env["blas"]) == {"name", "version"} and env["blas"]["name"]
+        assert env["workers"] == (os.cpu_count() or 1)
 
     def test_config_is_fully_resolved(self, sidecar):
         assert sidecar["config"]["n"] == 5

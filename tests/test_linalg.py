@@ -16,7 +16,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from popcode_mi._linalg import chol_logdet, cholesky_stack, logdet_grid
 from popcode_mi.fisher import GaussianPrior
-from popcode_mi.mi import LOG_2PI_E, gap_bounds
+from popcode_mi.mi import LOG_2PI_E, gap_bounds, i_f, i_g
 from popcode_mi.optimize import OptimizationProblem, capacity_prior, gradient, objective
 from popcode_mi.transform import partition_info, reduce_check_A, reduce_check_B, select_k1
 
@@ -24,7 +24,7 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 def looped_logdet(a):
-    """Per-matrix Cholesky log-det with the rounding-noise pivot rule."""
+    """Per-matrix Cholesky log-det with the per-pivot rounding-noise rule."""
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -32,9 +32,10 @@ def looped_logdet(a):
     diag = np.diagonal(chol)
     if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
         return -np.inf
-    tol = 64.0 * a.shape[0] * np.finfo(float).eps * float(np.max(np.diagonal(a)))
-    if float(np.min(diag)) ** 2 <= tol:
-        return -np.inf
+    eps = np.finfo(float).eps
+    for i in range(a.shape[0]):
+        if diag[i] ** 2 <= 64.0 * a.shape[0] * eps * a[i, i]:
+            return -np.inf
     return float(2.0 * np.sum(np.log(diag)))
 
 
@@ -85,14 +86,19 @@ def looped_select_k1(j, eps_dr=0.01):
 
 
 def looped_reduction(blocked, second, inner_of):
+    """Per-node reduction; the log-dets take numpy's Cholesky, as the kernel does.
+
+    scipy's ``cho_factor`` may run a different LAPACK build, whose factors
+    can differ from numpy's in the last bit.
+    """
     traces, logdets = [], []
     for i in range(blocked.g.shape[0]):
         c11 = cho_factor(blocked.g11[i], lower=True)
         coupling = blocked.g12[i].T @ cho_solve(c11, blocked.g12[i])
         c2 = cho_factor(second[i], lower=True)
         traces.append(np.trace(cho_solve(c2, inner_of(i, coupling))))
-        logdets.append(2.0 * np.sum(np.log(np.diag(c11[0])))
-                       + 2.0 * np.sum(np.log(np.diag(c2[0]))))
+        logdets.append(2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(blocked.g11[i]))))
+                       + 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(second[i])))))
     return np.dot(blocked.weights, traces), np.dot(blocked.weights, logdets)
 
 
@@ -116,6 +122,40 @@ class TestLogdetGrid:
         got = logdet_grid(stack)
         assert np.isneginf(got[2])
         assert np.all(np.isfinite(np.delete(got, 2)))
+
+
+class TestScaleInvariantPivotRule:
+    @settings(max_examples=40)
+    @given(seeds, st.integers(2, 8), st.integers(1, 30))
+    def test_diagonal_rescaling_keeps_status_and_shifts_logdet(self, seed, k, m):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([spd(rng, k) for _ in range(m)])
+        d = 10.0 ** rng.uniform(-8.0, 8.0, size=(m, k))
+        scaled = stack * d[:, :, None] * d[:, None, :]
+        base, got = logdet_grid(stack), logdet_grid(scaled)
+        assert np.array_equal(np.isfinite(got), np.isfinite(base))
+        want = base + 2.0 * np.sum(np.log(d), axis=1)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+    def test_wide_dynamic_range_is_not_singular(self):
+        assert chol_logdet(np.diag([1e6, 1e-8])) == pytest.approx(math.log(1e-2), rel=1e-12)
+
+    def test_i_g_stays_above_i_f(self):
+        j = np.diag([1.0, 1e-9])
+        prior = GaussianPrior(np.zeros(2), np.diag([1e-8, 1e6]))
+        ig, if_ = i_g(j, prior), i_f(j, prior)
+        assert not ig.degenerate and np.isfinite(ig.value)
+        assert ig.value >= if_.value
+
+    @pytest.mark.parametrize("mat", [
+        np.diag([1.0, 0.0]),
+        np.diag([0.0, 1e6, 1e-8]),
+        np.ones((2, 2)),
+        np.ones((2, 2)) * np.outer([1e4, 1e-4], [1e4, 1e-4]),
+    ])
+    def test_exactly_singular_is_still_neg_inf(self, mat):
+        assert chol_logdet(mat) == -math.inf
+        assert logdet_grid(np.stack([mat, mat]))[1] == -math.inf
 
 
 class TestGradient:

@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
+from popcode_mi import mc
 from popcode_mi.fisher import GaussianPrior, GridPrior
 from popcode_mi.mc import MCConfig, MCResult, mc_mutual_information, relative_error
 from popcode_mi.mi import exact_gaussian_mi, i_g
-from popcode_mi.models import LinearGaussianModel, PoissonPopulation, VonMisesTuning
+from popcode_mi.models import (GaussianNoisePopulation, LinearGaussianModel, PoissonPopulation,
+                               VonMisesTuning)
 
 from conftest import ring_population
 
@@ -122,11 +127,81 @@ class TestRelativeError:
 
 class TestGaussianNoisePath:
     def test_gaussian_population_runs_and_is_finite(self):
-        from popcode_mi.models import GaussianNoisePopulation
-
         tuning = [VonMisesTuning(amplitude=20.0, width=0.5, period=math.pi, center=c)
                   for c in (-0.25, 0.0, 0.25)]
         pop = GaussianNoisePopulation(tuning, sigma=1.5)
         prior = GridPrior.von_mises(m=128)
         out = mc_mutual_information(pop, prior, MCConfig(j_max=3_000, i_max=20, m=128))
         assert np.isfinite(out.i_mc) and out.i_mc > 0.0
+
+
+def reference_mc(model, prior, cfg):
+    """The estimator as a chunk loop over scipy's log-sum-exp, kept as the oracle."""
+    rates = np.asarray(model.rate_matrix(prior.nodes), dtype=float)
+    stim_rng, resp_rng, boot_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
+    )
+    log_masses = np.log(prior.masses)
+    stim_idx = stim_rng.choice(cfg.m, size=cfg.j_max, p=prior.masses)
+    chunk = max(256, (1 << 22) // max(cfg.m, rates.shape[1]))
+    terms = np.empty(cfg.j_max)
+    for lo in range(0, cfg.j_max, chunk):
+        hi = min(lo + chunk, cfg.j_max)
+        idx = stim_idx[lo:hi]
+        if model.response_kind == "poisson":
+            responses = resp_rng.poisson(rates[idx]).astype(float)
+            core = responses @ np.log(rates).T - np.sum(rates, axis=1)
+        else:
+            responses = rates[idx] + model.sigma * resp_rng.standard_normal(rates[idx].shape)
+            core = (responses @ rates.T - 0.5 * np.sum(rates**2, axis=1)) / model.sigma**2
+        terms[lo:hi] = core[np.arange(hi - lo), idx] - scipy_logsumexp(core + log_masses, axis=1)
+    replicates = np.array([np.mean(terms[boot_rng.integers(0, cfg.j_max, size=cfg.j_max)])
+                           for _ in range(cfg.i_max)])
+    i_mc, i_std = float(np.mean(replicates)), float(np.std(replicates))
+    return MCResult(i_mc_star=float(np.mean(terms)), i_mc=i_mc, i_std=i_std,
+                    di_std=i_std / i_mc)
+
+
+class TestLogSumExpKernel:
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(2, 60),
+           st.sampled_from([1e-3, 1.0, 30.0, 1e4]), st.booleans(), st.booleans())
+    def test_matches_scipy_bit_for_bit(self, seed, rows, m, spread, ties, zero_mass):
+        rng = np.random.default_rng(seed)
+        if ties:
+            # Few distinct values and equal masses: rows tie at their maximum.
+            core = spread * rng.integers(-2, 3, size=(rows, m)).astype(float)
+            log_masses = np.full(m, -math.log(m))
+        else:
+            core = spread * rng.standard_normal((rows, m))
+            log_masses = np.log(rng.dirichlet(np.ones(m)))
+        if zero_mass:
+            log_masses[rng.random(m) < 0.3] = -np.inf
+            log_masses[rng.integers(m)] = -math.log(m)
+        want = scipy_logsumexp(core + log_masses, axis=1)
+        got = mc.logsumexp(core.copy(), log_masses)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestEstimatorMatchesReference:
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("make", [
+        lambda: ring_population(12),
+        lambda: GaussianNoisePopulation(ring_population(8).tuning, sigma=0.5),
+    ], ids=["poisson", "gaussian"])
+    def test_bit_identical_to_scipy_chunk_loop(self, make, seed, prior_small):
+        # j_max spans two chunks and a partial third.
+        cfg = MCConfig(j_max=50_000, i_max=10, m=200, seed=seed)
+        model = make()
+        assert mc_mutual_information(model, prior_small, cfg) == reference_mc(model, prior_small, cfg)
+
+    def test_nan_rate_names_the_sample(self, prior_small):
+        class NaNRates(GaussianNoisePopulation):
+            def rate_matrix(self, x):
+                rates = super().rate_matrix(x)
+                rates[7, 1] = np.nan
+                return rates
+
+        pop = NaNRates(ring_population(3).tuning, sigma=1.0)
+        with pytest.raises(ValueError, match=r"non-finite log-likelihood ratio at sample 0"):
+            mc_mutual_information(pop, prior_small, MCConfig(j_max=500, i_max=5, m=200))
