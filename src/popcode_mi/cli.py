@@ -122,18 +122,29 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` load as bools, which are ints in Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate(experiment: str, cfg: dict):
     def pos(key):
-        _require(isinstance(cfg[key], (int, float)) and cfg[key] > 0,
+        _require(isinstance(cfg[key], (int, float)) and not isinstance(cfg[key], bool)
+                 and cfg[key] > 0,
                  f"{key} must be a positive number, got {cfg[key]!r}")
 
     def pos_int(key):
-        _require(isinstance(cfg[key], int) and cfg[key] >= 1,
+        _require(_is_int(cfg[key]) and cfg[key] >= 1,
                  f"{key} must be a positive integer, got {cfg[key]!r}")
+
+    def pos_int_list(key):
+        _require(isinstance(cfg[key], list) and cfg[key]
+                 and all(_is_int(v) and v >= 1 for v in cfg[key]),
+                 f"{key} must be a nonempty list of positive integers, got {cfg[key]!r}")
 
     for key in ("period", "center_span", "amplitude", "width", "prior_width"):
         pos(key)
-    _require(isinstance(cfg["seed"], int) and 0 <= cfg["seed"] < 2**64,
+    _require(_is_int(cfg["seed"]) and 0 <= cfg["seed"] < 2**64,
              f"seed must be an unsigned 64-bit integer, got {cfg['seed']!r}")
     if cfg["workers"] is not None:
         pos_int("workers")
@@ -141,16 +152,10 @@ def _validate(experiment: str, cfg: dict):
         for key in ("j_max", "i_max", "m", "repeats"):
             pos_int(key)
         _require(cfg["m"] >= 2, f"m must be at least 2, got {cfg['m']}")
-        _require(isinstance(cfg["n_list"], list) and cfg["n_list"]
-                 and all(isinstance(n, int) and n >= 1 for n in cfg["n_list"]),
-                 f"n_list must be a nonempty list of positive integers, got {cfg['n_list']!r}")
+        pos_int_list("n_list")
     elif experiment == "fig2":
-        _require(isinstance(cfg["widths"], list) and cfg["widths"]
-                 and all(isinstance(w, int) and w >= 1 for w in cfg["widths"]),
-                 f"widths must be a nonempty list of positive integers, got {cfg['widths']!r}")
-        _require(isinstance(cfg["n_list"], list) and cfg["n_list"]
-                 and all(isinstance(n, int) and n >= 1 for n in cfg["n_list"]),
-                 f"n_list must be a nonempty list of positive integers, got {cfg['n_list']!r}")
+        pos_int_list("widths")
+        pos_int_list("n_list")
         pos("spectrum_exponent")
         if cfg["patch_file"] is not None:
             _require(isinstance(cfg["patch_file"], str), "patch_file must be a path string")
@@ -204,13 +209,14 @@ def _resolve(experiment: str, args: argparse.Namespace) -> dict:
 
 
 def _config_hash(experiment: str, cfg: dict) -> str:
-    """Hash of the resolved configuration, minus output path and seed.
+    """Hash of the resolved configuration, minus output path, seed and workers.
 
-    The seed rides alongside in its own column, and the output location
-    does not affect the numbers, so reruns of one experiment at a new
-    seed or path share their hash lineage only when the science matches.
+    The seed rides alongside in its own column, and neither the output
+    location nor the worker count affects the numbers, so reruns of one
+    experiment at a new seed, path or worker count share their hash
+    lineage only when the science matches.
     """
-    hashed = {k: v for k, v in cfg.items() if k not in ("out", "seed")}
+    hashed = {k: v for k, v in cfg.items() if k not in ("out", "seed", "workers")}
     hashed["experiment"] = experiment
     blob = json.dumps(hashed, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -372,14 +378,18 @@ def _run_fig2(cfg: dict) -> tuple[list, list, dict]:
     seed_rng = np.random.default_rng(cfg["seed"])
     cell_seeds = seed_rng.integers(0, 2**63, size=len(cells))
 
-    def one_cell(idx: int):
+    def one_cell(idx: int, pool: ThreadPoolExecutor):
         w, n = cells[idx]
         rng = np.random.default_rng(int(cell_seeds[idx]))
-        gram = random_mixing_gram(w * w, n, rng)
+        gram = random_mixing_gram(w * w, n, rng, pool=pool)
         return fig2_gap_from_gram(gram, spectra[w])
 
+    # Largest cells (N K^2 flops) first: idle threads then help the cells
+    # still running with their remaining column blocks.
+    order = sorted(range(len(cells)), key=lambda i: cells[i][1] * cells[i][0] ** 4, reverse=True)
     with ThreadPoolExecutor(max_workers=_worker_count(cfg)) as pool:
-        gaps = list(pool.map(one_cell, range(len(cells))))
+        futures = {i: pool.submit(one_cell, i, pool) for i in order}
+        gaps = [futures[i].result() for i in range(len(cells))]
 
     bits = cfg["bits"]
     chash = _config_hash("fig2", cfg)

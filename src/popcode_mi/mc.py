@@ -142,8 +142,13 @@ def mc_mutual_information(model, prior: GridPrior, cfg: MCConfig) -> MCResult:
     if prior.m != cfg.m:
         raise ValueError(f"prior has {prior.m} nodes but config expects m = {cfg.m}")
     rates = np.asarray(model.rate_matrix(prior.nodes), dtype=float)
-    if model.response_kind == "poisson" and np.any(rates <= 0):
-        raise ValueError("Poisson rates must be positive on the whole stimulus grid")
+    poisson = model.response_kind == "poisson"
+    ok = np.isfinite(rates) & (rates > 0) if poisson else np.isfinite(rates)
+    if not np.all(ok):
+        node, neuron = np.argwhere(~ok)[0]
+        need = "positive and finite" if poisson else "finite"
+        raise ValueError(f"{'Poisson' if poisson else 'Gaussian-noise'} rates must be {need}: "
+                         f"node {node}, neuron {neuron} has rate {float(rates[node, neuron])!r}")
 
     stim_rng, resp_rng, boot_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)

@@ -23,6 +23,8 @@ M*K little-endian float32, row-major) or a plain CSV matrix.
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -239,20 +241,96 @@ def random_mixing_matrix(k: int, n: int, rng: np.random.Generator) -> np.ndarray
     return a / np.linalg.norm(a, axis=0)
 
 
-def random_mixing_gram(k: int, n: int, rng: np.random.Generator, block: int = 4096) -> np.ndarray:
+def random_mixing_gram(k: int, n: int, rng: np.random.Generator, block: int = 4096,
+                       pool: Optional[Executor] = None) -> np.ndarray:
     """Gram matrix A A^T of a random normalized mixing matrix.
 
     Columns are generated in blocks so A itself (K x N, possibly hundreds
-    of MB) is never held; the draw order is per-column, making the result
-    identical to ``random_mixing_matrix`` for any block size.
+    of MB) is never held.  The draw order is per-column, so the columns are
+    those of ``random_mixing_matrix``; the Gram's last bits depend on
+    ``block``, through the order in which block products are summed (the
+    CLI fixes ``block`` at 4096).
+
+    With a ``pool``, blocks are also multiplied by helper tasks on its
+    threads.  Blocks are still drawn from ``rng`` in order and their
+    products summed in block order, so ``pool`` never changes the bits.
+    The call waits only for blocks that running threads have claimed, so
+    it may itself run as a task of ``pool``.
     """
-    gram = np.zeros((k, k))
-    for lo in range(0, n, block):
-        cols = min(block, n - lo)
-        a = rng.standard_normal((cols, k)).T
-        a /= np.linalg.norm(a, axis=0)
-        gram += a @ a.T
-    return gram
+    stream = _GramStream(k, n, rng, block)
+    if pool is not None:
+        for _ in range(stream.n_blocks - 1):
+            pool.submit(stream.work)
+    stream.work()
+    return stream.result()
+
+
+class _GramStream:
+    """Shared state of one streaming Gram.
+
+    Any number of threads run :meth:`work`.  A block is claimed and drawn
+    under ``_draw``, so ``rng`` yields the blocks in order; normalisation
+    and the product run outside it, and finished products are added into
+    ``gram`` in block order under ``_done``.
+    """
+
+    def __init__(self, k: int, n: int, rng: np.random.Generator, block: int):
+        self.k, self.n, self.rng, self.block = k, n, rng, block
+        self.n_blocks = -(-n // block)
+        self.gram = np.zeros((k, k))
+        self._draw = threading.Lock()
+        self._claimed = 0
+        self._done = threading.Condition()
+        self._ready = {}  # finished products waiting for an earlier block
+        self._folded = 0
+        self._error = None
+
+    def work(self):
+        """Claim and process blocks until none is left; keep any error for :meth:`result`."""
+        try:
+            while self._error is None:
+                with self._draw:
+                    i = self._claimed
+                    if i == self.n_blocks:
+                        return
+                    self._claimed += 1
+                    lo = i * self.block
+                    a = self.rng.standard_normal((min(self.block, self.n - lo), self.k)).T
+                a /= _column_norms(a)
+                product = a @ a.T
+                del a  # free the columns before the next draw
+                self._fold(i, product)
+        except Exception as exc:
+            with self._done:
+                if self._error is None:
+                    self._error = exc
+                self._done.notify_all()
+
+    def _fold(self, i: int, product: np.ndarray):
+        with self._done:
+            self._ready[i] = product
+            while self._folded in self._ready:
+                self.gram += self._ready.pop(self._folded)
+                self._folded += 1
+            if self._folded == self.n_blocks:
+                self._done.notify_all()
+
+    def result(self) -> np.ndarray:
+        """Wait until every block is summed, then return the Gram; or raise the first error."""
+        with self._done:
+            self._done.wait_for(lambda: self._folded == self.n_blocks or self._error is not None)
+        if self._error is not None:
+            raise self._error
+        return self.gram
+
+
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=0)`` bit for bit, squaring 256 columns at a time."""
+    out = np.empty(a.shape[1])
+    for lo in range(0, a.shape[1], 256):
+        sub = a[:, lo:lo + 256]
+        np.sqrt(np.add.reduce(sub * sub, axis=0), out=out[lo:lo + 256])
+    return out
 
 
 def power_law_spectrum(k: int, exponent: float = 2.0) -> np.ndarray:

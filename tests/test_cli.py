@@ -87,6 +87,18 @@ class TestExitCodes:
         assert main(["capacity", "--config", cfg]) == 2
         assert "'fig1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, payload", [
+        ("widths", {"widths": [True]}),
+        ("n_list", {"n_list": [True, 50]}),
+        ("workers", {"workers": True}),
+        ("seed", {"seed": True}),
+        ("amplitude", {"amplitude": True}),
+    ])
+    def test_json_booleans_are_not_numbers(self, key, payload, tmp_path, capsys):
+        cfg = write_config(tmp_path / "f2.json", dict({"widths": [2], "n_list": [50]}, **payload))
+        assert main(["fig2", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
     def test_negative_seed_is_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cap.json", TINY_CAPACITY)
         assert main(["capacity", "--config", cfg, "--seed", "-1"]) == 2
@@ -165,13 +177,14 @@ class TestSidecar:
         hashes = {}
         for name, seed, payload in (("a", "1", TINY_CAPACITY),
                                     ("b", "2", TINY_CAPACITY),
-                                    ("c", "1", dict(TINY_CAPACITY, amplitude=25.0))):
+                                    ("c", "1", dict(TINY_CAPACITY, amplitude=25.0)),
+                                    ("d", "1", dict(TINY_CAPACITY, workers=1))):
             path = write_config(tmp_path / f"{name}.json", payload)
             out = tmp_path / f"{name}.csv"
             main(["capacity", "--config", path, "--seed", seed, "--out", str(out)])
             with open(str(out) + ".json") as fh:
                 hashes[name] = json.load(fh)["config_hash"]
-        assert hashes["a"] == hashes["b"]
+        assert hashes["a"] == hashes["b"] == hashes["d"]
         assert hashes["a"] != hashes["c"]
         assert len(hashes["a"]) == 16
 
@@ -258,6 +271,17 @@ class TestFig2:
                            {"widths": [3], "n_list": [100], "patch_file": patches})
         assert main(["fig2", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
         assert "w^2 = K" in capsys.readouterr().err
+
+    def test_csv_bytes_do_not_depend_on_workers(self, tmp_path):
+        # N = 9000 spans three column blocks, so pool threads share cells.
+        outputs = set()
+        for workers in (1, 3):
+            cfg = write_config(tmp_path / f"w{workers}.json",
+                               {"widths": [2, 4], "n_list": [100, 9000], "workers": workers})
+            out = tmp_path / f"w{workers}.csv"
+            assert main(["fig2", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
 
     def test_truncated_patch_file_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "trunc.bin"

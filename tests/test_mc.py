@@ -195,13 +195,22 @@ class TestEstimatorMatchesReference:
         model = make()
         assert mc_mutual_information(model, prior_small, cfg) == reference_mc(model, prior_small, cfg)
 
-    def test_nan_rate_names_the_sample(self, prior_small):
-        class NaNRates(GaussianNoisePopulation):
+
+class TestRateValidation:
+    @pytest.mark.parametrize("noise, rate", [
+        ("poisson", np.nan), ("poisson", 0.0), ("poisson", -2.0), ("poisson", np.inf),
+        ("gaussian", np.nan), ("gaussian", -np.inf),
+    ])
+    def test_bad_rate_names_node_and_neuron(self, noise, rate, prior_small):
+        base = PoissonPopulation if noise == "poisson" else GaussianNoisePopulation
+
+        class BadRate(base):
             def rate_matrix(self, x):
                 rates = super().rate_matrix(x)
-                rates[7, 1] = np.nan
+                rates[7, 1] = rate
                 return rates
 
-        pop = NaNRates(ring_population(3).tuning, sigma=1.0)
-        with pytest.raises(ValueError, match=r"non-finite log-likelihood ratio at sample 0"):
+        tuning = ring_population(3).tuning
+        pop = BadRate(tuning) if noise == "poisson" else BadRate(tuning, sigma=1.0)
+        with pytest.raises(ValueError, match=rf"node 7, neuron 1 has rate {rate!r}$"):
             mc_mutual_information(pop, prior_small, MCConfig(j_max=500, i_max=5, m=200))

@@ -2,6 +2,8 @@
 
 import math
 import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -183,6 +185,82 @@ class TestFig2Gap:
     def test_mixing_matrix_has_unit_columns(self):
         a = random_mixing_matrix(4, 100, np.random.default_rng(10))
         np.testing.assert_allclose(np.linalg.norm(a, axis=0), 1.0, rtol=1e-12)
+
+
+def looped_gram(k, n, rng, block):
+    """The serial streaming Gram, kept as the oracle for the pooled one."""
+    gram = np.zeros((k, k))
+    for lo in range(0, n, block):
+        a = rng.standard_normal((min(block, n - lo), k)).T
+        a /= np.linalg.norm(a, axis=0)
+        gram += a @ a.T
+    return gram
+
+
+class FailingRNG:
+    """Draws like ``default_rng(seed)`` but raises on draw number ``fail_at``."""
+
+    def __init__(self, seed, fail_at):
+        self.rng, self.calls, self.fail_at = np.random.default_rng(seed), 0, fail_at
+
+    def standard_normal(self, shape):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise FloatingPointError("draw failed")
+        return self.rng.standard_normal(shape)
+
+
+class TestRandomMixingGram:
+    BLOCK = 64
+
+    @pytest.mark.parametrize("workers", [None, 1, 2, 4])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+    def test_threads_match_the_serial_loop_bit_for_bit(self, n, workers):
+        k = 7
+        want = looped_gram(k, n, np.random.default_rng(n), self.BLOCK).tobytes()
+        if workers is None:
+            got = random_mixing_gram(k, n, np.random.default_rng(n), self.BLOCK)
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                got = random_mixing_gram(k, n, np.random.default_rng(n), self.BLOCK, pool=pool)
+        assert got.tobytes() == want
+
+    def test_column_norms_match_numpy_on_a_full_block(self):
+        # K = 900 and 4096 columns: the widest fig2 block, normalised in slices.
+        k, n = 900, 4096
+        want = looped_gram(k, n, np.random.default_rng(3), 4096)
+        assert random_mixing_gram(k, n, np.random.default_rng(3)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_cells_sharing_a_pool_neither_deadlock_nor_change_bits(self, workers):
+        # Each cell runs as a task of the pool its helpers are queued on, as
+        # in the CLI; a deadlock times out instead of hanging the suite.
+        cells = [(5, 3 * self.BLOCK + 17), (3, 5 * self.BLOCK), (6, self.BLOCK + 1), (2, 1)] * 3
+        want = [looped_gram(k, n, np.random.default_rng(i), self.BLOCK) for i, (k, n) in enumerate(cells)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        pool, futures = ThreadPoolExecutor(workers), []
+        try:
+            futures = [pool.submit(random_mixing_gram, k, n, np.random.default_rng(i), self.BLOCK, pool=pool)
+                       for i, (k, n) in enumerate(cells)]
+            got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=all(f.done() for f in futures), cancel_futures=True)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_draw_is_raised_by_the_caller(self, workers):
+        # With one worker the caller draws every block itself; with two a
+        # helper may be the one that fails.
+        pool = ThreadPoolExecutor(workers)
+        try:
+            call = pool.submit(random_mixing_gram, 4, 6 * self.BLOCK, FailingRNG(0, fail_at=3),
+                               self.BLOCK, pool=pool)
+            with pytest.raises(FloatingPointError, match="draw failed"):
+                call.result(timeout=60)
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
 
 
 class TestPatchIO:
