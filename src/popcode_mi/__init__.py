@@ -9,8 +9,8 @@ tuning parameters as a concave program over the probability simplex.
 
 Submodules
 ----------
-models     tuning curves, response models, per-neuron Fisher kernels
-fisher     priors and assembly of the information matrices J, P, P+, G, G+
+models     von Mises tuning curves, Poisson and Gaussian-noise populations
+fisher     priors: entropy, curvature P(x) and score covariance P+
 mi         the approximation formulas, exact Gaussian MI, gap bounds
 mc         Monte Carlo reference estimator with bootstrap error bars
 transform  input transforms, whitening, block dimensionality reduction

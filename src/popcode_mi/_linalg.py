@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "cholesky_stack",
     "chol_logdet",
-    "is_pd",
     "logdet_grid",
     "factor_logdets",
     "sym_sqrt",
@@ -84,11 +83,6 @@ def chol_logdet(a: np.ndarray) -> float:
     """
     a = np.asarray(a, dtype=float)[None]
     return float(factor_logdets(a, cholesky_stack(a)[0])[0])
-
-
-def is_pd(a: np.ndarray) -> bool:
-    """True when the symmetric matrix admits a Cholesky factorization."""
-    return np.isfinite(chol_logdet(a))
 
 
 def logdet_grid(mats: np.ndarray) -> np.ndarray:

@@ -130,8 +130,8 @@ def _is_int(value) -> bool:
 def _validate(experiment: str, cfg: dict):
     def pos(key):
         _require(isinstance(cfg[key], (int, float)) and not isinstance(cfg[key], bool)
-                 and cfg[key] > 0,
-                 f"{key} must be a positive number, got {cfg[key]!r}")
+                 and 0 < cfg[key] < math.inf,
+                 f"{key} must be a positive finite number, got {cfg[key]!r}")
 
     def pos_int(key):
         _require(_is_int(cfg[key]) and cfg[key] >= 1,
@@ -290,6 +290,13 @@ def _centers(n: int, span: float) -> np.ndarray:
     return np.arange(n) * span / (n - 1) - span / 2.0
 
 
+def _ring_population(cfg: dict, n: int) -> PoissonPopulation:
+    """``n`` Poisson neurons with the configured tuning, centers spread by ``_centers``."""
+    return PoissonPopulation(tuple(
+        VonMisesTuning(cfg["amplitude"], cfg["width"], cfg["period"], c)
+        for c in _centers(n, cfg["center_span"])))
+
+
 def _worker_count(cfg: dict) -> int:
     return cfg["workers"] or os.cpu_count() or 1
 
@@ -299,11 +306,7 @@ def _run_fig1(cfg: dict) -> tuple[list, list, dict]:
     seed_rng = np.random.default_rng(cfg["seed"])
     run_seeds = seed_rng.integers(0, 2**63, size=(len(cfg["n_list"]), cfg["repeats"]))
 
-    populations = {}
-    for n in cfg["n_list"]:
-        tuning = [VonMisesTuning(cfg["amplitude"], cfg["width"], cfg["period"], c)
-                  for c in _centers(n, cfg["center_span"])]
-        populations[n] = PoissonPopulation(tuple(tuning))
+    populations = {n: _ring_population(cfg, n) for n in cfg["n_list"]}
 
     def one_mc(n: int, rep: int):
         mc_cfg = MCConfig(j_max=cfg["j_max"], i_max=cfg["i_max"], m=cfg["m"],
@@ -447,10 +450,7 @@ def _run_optimize(cfg: dict) -> tuple[list, list, dict]:
 
 def _run_capacity(cfg: dict) -> tuple[list, list, dict]:
     prior = GridPrior.von_mises(cfg["period"], cfg["prior_width"], cfg["m"])
-    tuning = [VonMisesTuning(cfg["amplitude"], cfg["width"], cfg["period"], c)
-              for c in _centers(cfg["n"], cfg["center_span"])]
-    pop = PoissonPopulation(tuple(tuning))
-    j_values = pop.fisher_values(prior.nodes)
+    j_values = _ring_population(cfg, cfg["n"]).fisher_values(prior.nodes)
     pstar, cap = capacity_prior(j_values, prior.nodes, cfg["period"])
     value = i_g(j_values, prior).value
     bits = cfg["bits"]

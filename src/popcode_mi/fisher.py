@@ -1,15 +1,11 @@
-"""Priors, population densities, and information-matrix assembly.
+"""Stimulus priors and the prior terms of the information formulas.
 
 Two prior families are supported: an analytic multivariate Gaussian and a
 grid-tabulated 1-D density on a periodic interval ``[-T/2, T/2)``.  Both
 expose the quantities the approximation formulas consume: the entropy
 H(X), the log-density curvature ``P(x) = -d^2 ln p / dx dx^T``, and the
 prior-averaged score outer product ``P_plus = <(d ln p/dx)(d ln p/dx)^T>``.
-
-:func:`fisher_matrix` builds the population Fisher matrix
-``J(x) = N sum_k alpha_k S(x; theta_k)`` from a weighted grid of tuning
-parameters, and :func:`assemble` bundles J with the prior terms into the
-regularized matrices ``G = J + P`` and ``G_plus = J + P_plus``.
+:mod:`popcode_mi.mi` adds them to the Fisher information J(x).
 """
 
 from __future__ import annotations
@@ -21,19 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import i0
 
-from ._linalg import is_pd
-
-__all__ = [
-    "GaussianPrior",
-    "GridPrior",
-    "PopulationDensity",
-    "InfoMatrices",
-    "fisher_matrix",
-    "prior_curvature",
-    "p_plus",
-    "assemble",
-    "DEFAULT_GRID_SIZE",
-]
+__all__ = ["GaussianPrior", "GridPrior", "p_plus", "DEFAULT_GRID_SIZE"]
 
 #: Default number of quadrature nodes for grid priors.
 DEFAULT_GRID_SIZE = 1000
@@ -83,9 +67,6 @@ class GaussianPrior:
         """P_plus = cov^{-1} (score covariance of a Gaussian)."""
         return self.precision()
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.multivariate_normal(self.mean, self.cov, size=size)
-
 
 def _central_diff4(values: np.ndarray, dx: float) -> np.ndarray:
     """Fourth-order central first derivative on a periodic grid."""
@@ -127,7 +108,6 @@ class GridPrior:
     log_pdf_d2: np.ndarray
     period: float
     curvature_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
-    score_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("nodes", "log_pdf", "log_pdf_d1", "log_pdf_d2"):
@@ -173,7 +153,6 @@ class GridPrior:
             log_pdf_d2=-kappa * omega**2 * np.cos(phase),
             period=period,
             curvature_fn=lambda x: kappa * omega**2 * np.cos(omega * np.asarray(x, dtype=float)),
-            score_fn=lambda x: -kappa * omega * np.sin(omega * np.asarray(x, dtype=float)),
         )
 
     @classmethod
@@ -191,7 +170,6 @@ class GridPrior:
             log_pdf_d2=zeros,
             period=period,
             curvature_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            score_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         )
 
     @classmethod
@@ -230,10 +208,6 @@ class GridPrior:
         return self.period / self.nodes.size
 
     @property
-    def pdf(self) -> np.ndarray:
-        return np.exp(self.log_pdf)
-
-    @property
     def masses(self) -> np.ndarray:
         """Per-node probability masses, normalized to sum exactly to 1."""
         raw = np.exp(self.log_pdf) * self.spacing
@@ -254,10 +228,6 @@ class GridPrior:
         """P(x_m) = -d^2 ln p / dx^2 at every node, shape (M,)."""
         return -self.log_pdf_d2
 
-    def score_values(self) -> np.ndarray:
-        """d ln p / dx at every node, shape (M,)."""
-        return self.log_pdf_d1
-
     def _check_domain(self, x):
         x = np.asarray(x, dtype=float)
         half = self.period / 2.0
@@ -270,19 +240,9 @@ class GridPrior:
         x = self._check_domain(x)
         if self.curvature_fn is not None:
             return np.asarray(self.curvature_fn(x), dtype=float)
-        return self._interp(x, -self.log_pdf_d2)
-
-    def score(self, x) -> np.ndarray:
-        """Scalar d ln p/dx at x."""
-        x = self._check_domain(x)
-        if self.score_fn is not None:
-            return np.asarray(self.score_fn(x), dtype=float)
-        return self._interp(x, self.log_pdf_d1)
-
-    def _interp(self, x, values: np.ndarray) -> np.ndarray:
-        ext_nodes = np.append(self.nodes, self.nodes[0] + self.period)
-        ext_values = np.append(values, values[0])
-        return np.interp(x, ext_nodes, ext_values)
+        values = -self.log_pdf_d2
+        return np.interp(x, np.append(self.nodes, self.nodes[0] + self.period),
+                         np.append(values, values[0]))
 
     def p_plus(self) -> float:
         """P_plus = <(d ln p/dx)^2> by quadrature over the grid."""
@@ -291,107 +251,9 @@ class GridPrior:
             raise ValueError("score quadrature diverged: non-finite d ln p/dx on the grid")
         return self.average(integrand)
 
-    def sample_nodes(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Indices of i.i.d. draws from the node masses."""
-        return rng.choice(self.m, size=size, p=self.masses)
-
-
-@dataclass(frozen=True)
-class PopulationDensity:
-    """Simplex weights alpha over a grid of tuning-parameter vectors.
-
-    ``thetas[k]`` is the parameter of subclass k (a scalar center for 1-D
-    problems, a vector in general) and ``weights[k]`` its population
-    fraction; weights must be nonnegative and sum to 1.
-    """
-
-    thetas: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "weights", weights)
-        if weights.ndim != 1 or thetas.shape[0] != weights.size:
-            raise ValueError(f"need one weight per theta, got {thetas.shape} thetas, {weights.shape} weights")
-        if np.any(weights < 0):
-            raise ValueError(f"weights must be nonnegative, got min {weights.min()}")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {float(weights.sum())!r}")
-
-    @classmethod
-    def uniform(cls, thetas) -> "PopulationDensity":
-        thetas = np.asarray(thetas, dtype=float)
-        k1 = thetas.shape[0]
-        return cls(thetas=thetas, weights=np.full(k1, 1.0 / k1))
-
-    @property
-    def size(self) -> int:
-        return self.weights.size
-
-
-@dataclass(frozen=True)
-class InfoMatrices:
-    """The information-matrix bundle at one stimulus value.
-
-    ``g = j + p`` and ``g_plus = j + p_plus`` hold exactly by
-    construction; ``g_is_pd`` records whether a Cholesky factorization of
-    G succeeded (near-singular G is reported, never regularized).
-    """
-
-    j: np.ndarray
-    p: np.ndarray
-    p_plus: np.ndarray
-    g: np.ndarray
-    g_plus: np.ndarray
-    g_is_pd: bool
-
-
-def fisher_matrix(pop: PopulationDensity, kernel: Callable, x, n: int) -> np.ndarray:
-    """Population Fisher matrix J(x) = N sum_k alpha_k S(x; theta_k).
-
-    Parameters
-    ----------
-    pop : PopulationDensity
-        Subclass parameters and simplex weights.
-    kernel : callable
-        Per-neuron Fisher kernel ``kernel(x, theta) -> (K, K) ndarray``.
-    x : array_like
-        Stimulus value.
-    n : int
-        Population size N (J scales linearly with it).
-    """
-    total = None
-    for theta, alpha in zip(pop.thetas, pop.weights):
-        s = np.atleast_2d(np.asarray(kernel(x, theta), dtype=float))
-        total = alpha * s if total is None else total + alpha * s
-    return n * total
-
-
-def prior_curvature(prior, x) -> np.ndarray:
-    """P(x) = -d^2 ln p / dx dx^T as a K x K matrix."""
-    if isinstance(prior, GaussianPrior):
-        return prior.curvature(x)
-    return np.atleast_2d(np.asarray(prior.curvature(x), dtype=float))
-
 
 def p_plus(prior) -> np.ndarray:
     """P_plus = <(d ln p/dx)(d ln p/dx)^T> as a K x K matrix."""
     value = prior.p_plus()
     return np.atleast_2d(np.asarray(value, dtype=float))
 
-
-def assemble(j, prior, x) -> InfoMatrices:
-    """Bundle J(x) with the prior terms into G and G_plus.
-
-    The sums are exact; whether G is positive-definite is reported as a
-    flag (via a Cholesky attempt), not raised as an error.
-    """
-    j = np.atleast_2d(np.asarray(j, dtype=float))
-    p = prior_curvature(prior, x)
-    pp = p_plus(prior)
-    if p.shape != j.shape or pp.shape != j.shape:
-        raise ValueError(f"shape mismatch: J {j.shape}, P {p.shape}, P_plus {pp.shape}")
-    g = j + p
-    return InfoMatrices(j=j, p=p, p_plus=pp, g=g, g_plus=j + pp, g_is_pd=is_pd(g))

@@ -26,13 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import chol_logdet, logdet_grid, sym_inv_sqrt, sym_sqrt
-from .fisher import GaussianPrior, GridPrior, p_plus as _p_plus_matrix
+from .fisher import GridPrior, p_plus as _p_plus_matrix
 
 __all__ = [
     "MIApproximation",
     "GapBounds",
     "LOG_2PI_E",
-    "entropy",
     "i_f",
     "i_g",
     "i_g_plus",
@@ -71,11 +70,6 @@ class GapBounds:
     varsigma: float
     varsigma1: float
     varsigma_plus: float
-
-
-def entropy(prior) -> float:
-    """Prior entropy H(X) in nats (closed form or grid quadrature)."""
-    return prior.entropy()
 
 
 def _materialize(j, prior, xs):
@@ -141,13 +135,33 @@ def _curvature_stack(prior, pts, on_nodes, m: int, k: int) -> np.ndarray:
     return np.broadcast_to(p, (m,) + p.shape)
 
 
-def _mean_logdet(stack: np.ndarray, weights: np.ndarray):
-    """Weighted average log-determinant; (-inf, True) on any bad node."""
-    logdets = logdet_grid(stack)
-    bad = np.isneginf(logdets) & (weights > 0)
-    if np.any(bad):
-        return -math.inf, True
-    return float(np.dot(weights, logdets)), False
+def _log_det_mi(kind: str, j, prior, xs) -> MIApproximation:
+    """``(1/2)(<ln det(J + R)> - K ln 2 pi e) + H(X)``, the formula of every kind.
+
+    The regularizer R is zero for ``I_F``, the curvature P(x) for ``I_G``
+    and the constant P_plus for ``I_Gplus`` and ``I_VT``; ``I_VT`` takes
+    the log-determinant of the averaged matrix instead of averaging
+    log-determinants.  A degenerate node with positive weight gives
+    ``-inf`` with the ``degenerate`` flag.
+    """
+    stack, weights, pts, on_nodes = _materialize(j, prior, xs)
+    m, k = stack.shape[0], stack.shape[1]
+    reg = None
+    if kind == "I_G":
+        reg = _curvature_stack(prior, pts, on_nodes, m, k)
+    elif kind != "I_F":
+        reg = _p_plus_matrix(prior)
+        if reg.shape != (k, k):
+            raise ValueError(f"P_plus has shape {reg.shape}, J blocks are {k}x{k}")
+    if kind == "I_VT":
+        logdet = chol_logdet(np.tensordot(weights, stack, axes=(0, 0)) + reg)
+    else:
+        logdets = logdet_grid(stack if reg is None else stack + reg)
+        bad = np.isneginf(logdets) & (weights > 0)
+        logdet = -math.inf if np.any(bad) else float(np.dot(weights, logdets))
+    if logdet == -math.inf:
+        return MIApproximation(value=-math.inf, kind=kind, degenerate=True)
+    return MIApproximation(value=0.5 * (logdet - k * LOG_2PI_E) + prior.entropy(), kind=kind)
 
 
 def i_f(j, prior, xs=None) -> MIApproximation:
@@ -157,13 +171,7 @@ def i_f(j, prior, xs=None) -> MIApproximation:
     constant matrix, or a callable ``x -> J(x)``; see :func:`i_g` for the
     averaging convention.
     """
-    stack, weights, _, _ = _materialize(j, prior, xs)
-    k = stack.shape[1]
-    mean, degenerate = _mean_logdet(stack, weights)
-    if degenerate:
-        return MIApproximation(value=-math.inf, kind="I_F", degenerate=True)
-    value = 0.5 * (mean - k * LOG_2PI_E) + entropy(prior)
-    return MIApproximation(value=value, kind="I_F")
+    return _log_det_mi("I_F", j, prior, xs)
 
 
 def i_g(j, prior, xs=None) -> MIApproximation:
@@ -173,28 +181,12 @@ def i_g(j, prior, xs=None) -> MIApproximation:
     passing explicit ``xs`` switches to a uniform sample average over
     those points instead.  Gaussian priors accept a constant J directly.
     """
-    stack, weights, pts, on_nodes = _materialize(j, prior, xs)
-    m, k = stack.shape[0], stack.shape[1]
-    g = stack + _curvature_stack(prior, pts, on_nodes, m, k)
-    mean, degenerate = _mean_logdet(g, weights)
-    if degenerate:
-        return MIApproximation(value=-math.inf, kind="I_G", degenerate=True)
-    value = 0.5 * (mean - k * LOG_2PI_E) + entropy(prior)
-    return MIApproximation(value=value, kind="I_G")
+    return _log_det_mi("I_G", j, prior, xs)
 
 
 def i_g_plus(j, prior, xs=None) -> MIApproximation:
     """Approximation with the x-independent regularizer G+ = J + P_plus."""
-    stack, weights, _, _ = _materialize(j, prior, xs)
-    k = stack.shape[1]
-    pp = _p_plus_matrix(prior)
-    if pp.shape != (k, k):
-        raise ValueError(f"P_plus has shape {pp.shape}, J blocks are {k}x{k}")
-    mean, degenerate = _mean_logdet(stack + pp, weights)
-    if degenerate:
-        return MIApproximation(value=-math.inf, kind="I_Gplus", degenerate=True)
-    value = 0.5 * (mean - k * LOG_2PI_E) + entropy(prior)
-    return MIApproximation(value=value, kind="I_Gplus")
+    return _log_det_mi("I_Gplus", j, prior, xs)
 
 
 def exact_gaussian_mi(model) -> float:
@@ -254,12 +246,4 @@ def van_trees_bound(j, prior, xs=None) -> MIApproximation:
 
     By concavity of the log-determinant this never falls below I_G+.
     """
-    stack, weights, _, _ = _materialize(j, prior, xs)
-    k = stack.shape[1]
-    pp = _p_plus_matrix(prior)
-    mean_g_plus = np.tensordot(weights, stack, axes=(0, 0)) + pp
-    logdet = chol_logdet(mean_g_plus)
-    if logdet == -math.inf:
-        return MIApproximation(value=-math.inf, kind="I_VT", degenerate=True)
-    value = 0.5 * (logdet - k * LOG_2PI_E) + entropy(prior)
-    return MIApproximation(value=value, kind="I_VT")
+    return _log_det_mi("I_VT", j, prior, xs)

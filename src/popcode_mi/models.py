@@ -1,10 +1,11 @@
-"""Encoding models: tuning curves, Fisher kernels, and response sampling.
+"""Encoding models: von Mises tuning curves and their populations.
 
 The stimulus ``x`` lives on a periodic interval ``[-T/2, T/2)``.  Each
 neuron's mean response is a circular-normal (von Mises) tuning curve, and
-the response noise is either Poisson or additive Gaussian.  The per-neuron
-Fisher kernel ``S(x; theta)`` is the rank-one contribution of a single
-neuron to the population Fisher information.
+the response noise is either Poisson or additive Gaussian.  One vectorised
+kernel evaluates every curve's rate and derivative on a stimulus grid; the
+populations and the density optimizer both call it.  Response sampling and
+likelihoods live in :mod:`popcode_mi.mc`.
 
 A linear-Gaussian channel and a uniformly-correlated Gaussian population
 are included as analytically tractable references; the latter carries the
@@ -13,11 +14,11 @@ closed-form decorrelation transform ``Sigma^(-1/2)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "VonMisesTuning",
@@ -25,18 +26,52 @@ __all__ = [
     "GaussianNoisePopulation",
     "LinearGaussianModel",
     "CorrelatedGaussianPopulation",
-    "eval_tuning",
-    "poisson_fisher_kernel",
-    "gaussian_fisher_kernel",
     "decorrelation_transform",
-    "sample_responses",
-    "log_likelihood",
-    "DEFAULT_RATE_FLOOR",
 ]
 
-#: Rates are floored at this value before divisions and logs in the Fisher
-#: kernels and likelihoods; exact zeros are still rejected as underflow.
-DEFAULT_RATE_FLOOR = 1e-12
+
+def _positive(name: str, value) -> float:
+    """``value`` as a float; raises unless it is positive and finite (NaN fails)."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def _tuning_params(amplitude, width, period, centers):
+    """Validated von Mises parameters: ``(amplitude, concentration, centers)``.
+
+    Amplitude, width and period must be positive and finite, and every
+    center finite.  When several centers are given, the error names the
+    index of the first one at fault.
+    """
+    amplitude = _positive("amplitude", amplitude)
+    conc = (_positive("period", period) / (2.0 * math.pi * _positive("width", width))) ** 2
+    centers = np.asarray(centers, dtype=float)
+    flat = np.atleast_1d(centers)
+    if not np.all(np.isfinite(flat)):
+        idx = int(np.argmin(np.isfinite(flat)))
+        where = f" at theta index {idx}" if centers.ndim else ""
+        raise ValueError(f"center must be finite, got {float(flat[idx])!r}{where}")
+    return amplitude, conc, centers
+
+
+def _von_mises(amp, conc, centers, period, xs):
+    """Rates, derivatives and Poisson slopes of von Mises curves on a grid.
+
+    ``amp``, ``conc`` and ``centers`` hold one value per curve (or a
+    scalar shared by all); each result has shape (len(xs), N).  The rate
+    is ``amp exp(-conc (1 - cos phi))`` with ``phi = omega (x - center)``
+    and ``omega = 2 pi / T``, the derivative ``-rate conc omega sin phi``,
+    and the slope ``conc omega sin phi = -f'/f``.  Slope and derivative
+    are formed separately, because ``sum rate slope^2`` and
+    ``sum f'^2 / f`` differ in their last bits.
+    """
+    omega = 2.0 * np.pi / period
+    phase = omega * (np.asarray(xs, dtype=float)[:, None] - centers)
+    rates = amp * np.exp(-conc * (1.0 - np.cos(phase)))
+    sin = np.sin(phase)
+    return rates, -rates * conc * omega * sin, conc * omega * sin
 
 
 @dataclass(frozen=True)
@@ -63,54 +98,29 @@ class VonMisesTuning:
     width: float
     period: float
     center: float
+    #: Exponent scale (T / (2 pi sigma_f))^2 of the tuning curve.
+    concentration: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
-        if self.width <= 0:
-            raise ValueError(f"width must be positive, got {self.width}")
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
-
-    @property
-    def concentration(self) -> float:
-        """Exponent scale (T / (2 pi sigma_f))^2 of the tuning curve."""
-        return (self.period / (2.0 * np.pi * self.width)) ** 2
-
-    @property
-    def angular_frequency(self) -> float:
-        """2 pi / T."""
-        return 2.0 * np.pi / self.period
-
-    def rate(self, x):
-        """Mean rate f(x; theta).  Accepts scalars or arrays."""
-        phase = self.angular_frequency * (np.asarray(x, dtype=float) - self.center)
-        return self.amplitude * np.exp(-self.concentration * (1.0 - np.cos(phase)))
-
-    def rate_deriv(self, x):
-        """Analytic derivative df/dx, same shape as ``x``."""
-        phase = self.angular_frequency * (np.asarray(x, dtype=float) - self.center)
-        return -self.rate(x) * self.concentration * self.angular_frequency * np.sin(phase)
+        _, conc, _ = _tuning_params(self.amplitude, self.width, self.period, self.center)
+        object.__setattr__(self, "concentration", conc)
 
 
-def eval_tuning(curve: VonMisesTuning, x) -> float:
-    """Evaluate a tuning curve at a scalar stimulus."""
-    return float(curve.rate(x))
-
-
-def _tuning_arrays(tuning):
-    """Stack per-neuron tuning parameters into flat arrays."""
-    amp = np.array([c.amplitude for c in tuning])
-    conc = np.array([c.concentration for c in tuning])
-    centers = np.array([c.center for c in tuning])
-    return amp, conc, centers
-
-
-def _check_shared_period(tuning):
+def _stack_tuning(pop) -> None:
+    """Check a population's curves and stack them into kernel arrays once."""
+    tuning = tuple(pop.tuning)
+    if not tuning:
+        raise ValueError("population needs at least one neuron")
     periods = {c.period for c in tuning}
     if len(periods) != 1:
         raise ValueError(f"all tuning curves must share one period, got {sorted(periods)}")
-    return periods.pop()
+    object.__setattr__(pop, "tuning", tuning)
+    object.__setattr__(pop, "_bank", (
+        np.array([c.amplitude for c in tuning]),
+        np.array([c.concentration for c in tuning]),
+        np.array([c.center for c in tuning]),
+        tuning[0].period,
+    ))
 
 
 @dataclass(frozen=True)
@@ -122,14 +132,12 @@ class PoissonPopulation:
     """
 
     tuning: tuple
+    _bank: tuple = field(init=False, repr=False, compare=False)
 
     response_kind = "poisson"
 
     def __post_init__(self):
-        object.__setattr__(self, "tuning", tuple(self.tuning))
-        if len(self.tuning) < 1:
-            raise ValueError("population needs at least one neuron")
-        _check_shared_period(self.tuning)
+        _stack_tuning(self)
 
     @property
     def size(self) -> int:
@@ -139,41 +147,14 @@ class PoissonPopulation:
     def period(self) -> float:
         return self.tuning[0].period
 
-    def rates(self, x) -> np.ndarray:
-        """Mean rates of all neurons at a scalar stimulus, shape (N,)."""
-        return self.rate_matrix(np.atleast_1d(np.asarray(x, dtype=float)))[0]
-
     def rate_matrix(self, xs) -> np.ndarray:
         """Mean rates on a stimulus grid, shape (len(xs), N)."""
-        xs = np.asarray(xs, dtype=float)
-        amp, conc, centers = _tuning_arrays(self.tuning)
-        phase = (2.0 * np.pi / self.period) * (xs[:, None] - centers[None, :])
-        return amp * np.exp(-conc * (1.0 - np.cos(phase)))
+        return _von_mises(*self._bank, xs)[0]
 
     def fisher_values(self, xs) -> np.ndarray:
-        """Scalar population Fisher information J(x) on a grid, shape (len(xs),).
-
-        Sums the per-neuron kernels f'(x)^2 / f(x) in vectorized form.
-        """
-        xs = np.asarray(xs, dtype=float)
-        amp, conc, centers = _tuning_arrays(self.tuning)
-        omega = 2.0 * np.pi / self.period
-        phase = omega * (xs[:, None] - centers[None, :])
-        rates = amp * np.exp(-conc * (1.0 - np.cos(phase)))
-        slope_factor = conc * omega * np.sin(phase)
-        return np.sum(rates * slope_factor**2, axis=1)
-
-    def sample(self, x, rng: np.random.Generator) -> np.ndarray:
-        """Draw one response vector r ~ Poisson(f(x; theta)) per neuron."""
-        return rng.poisson(self.rates(x))
-
-    def log_likelihood(self, r, x, rate_floor: float = DEFAULT_RATE_FLOOR) -> float:
-        """Sum of Poisson log-pmf over neurons, in nats."""
-        r = np.asarray(r)
-        if np.any(r < 0):
-            raise ValueError(f"Poisson counts must be nonnegative, got min {r.min()}")
-        f = np.maximum(self.rates(x), rate_floor)
-        return float(np.sum(r * np.log(f) - f - gammaln(np.asarray(r, dtype=float) + 1.0)))
+        """Scalar population Fisher information J(x) = sum_n f_n'^2 / f_n, shape (len(xs),)."""
+        rates, _, slope = _von_mises(*self._bank, xs)
+        return np.sum(rates * slope**2, axis=1)
 
 
 @dataclass(frozen=True)
@@ -186,16 +167,13 @@ class GaussianNoisePopulation:
 
     tuning: tuple
     sigma: float
+    _bank: tuple = field(init=False, repr=False, compare=False)
 
     response_kind = "gaussian"
 
     def __post_init__(self):
-        object.__setattr__(self, "tuning", tuple(self.tuning))
-        if len(self.tuning) < 1:
-            raise ValueError("population needs at least one neuron")
-        if self.sigma <= 0:
-            raise ValueError(f"noise sigma must be positive, got {self.sigma}")
-        _check_shared_period(self.tuning)
+        _stack_tuning(self)
+        _positive("noise sigma", self.sigma)
 
     @property
     def size(self) -> int:
@@ -205,33 +183,13 @@ class GaussianNoisePopulation:
     def period(self) -> float:
         return self.tuning[0].period
 
-    def rates(self, x) -> np.ndarray:
-        return self.rate_matrix(np.atleast_1d(np.asarray(x, dtype=float)))[0]
-
     def rate_matrix(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        amp, conc, centers = _tuning_arrays(self.tuning)
-        phase = (2.0 * np.pi / self.period) * (xs[:, None] - centers[None, :])
-        return amp * np.exp(-conc * (1.0 - np.cos(phase)))
+        """Mean rates on a stimulus grid, shape (len(xs), N)."""
+        return _von_mises(*self._bank, xs)[0]
 
     def fisher_values(self, xs) -> np.ndarray:
         """Scalar J(x) = sum_n f'(x; theta_n)^2 / sigma^2 on a grid."""
-        xs = np.asarray(xs, dtype=float)
-        amp, conc, centers = _tuning_arrays(self.tuning)
-        omega = 2.0 * np.pi / self.period
-        phase = omega * (xs[:, None] - centers[None, :])
-        rates = amp * np.exp(-conc * (1.0 - np.cos(phase)))
-        deriv = -rates * conc * omega * np.sin(phase)
-        return np.sum(deriv**2, axis=1) / self.sigma**2
-
-    def sample(self, x, rng: np.random.Generator) -> np.ndarray:
-        return self.rates(x) + self.sigma * rng.standard_normal(self.size)
-
-    def log_likelihood(self, r, x) -> float:
-        r = np.asarray(r, dtype=float)
-        resid = r - self.rates(x)
-        n = self.size
-        return float(-0.5 * np.dot(resid, resid) / self.sigma**2 - 0.5 * n * np.log(2.0 * np.pi * self.sigma**2))
+        return np.sum(_von_mises(*self._bank, xs)[1] ** 2, axis=1) / self.sigma**2
 
 
 @dataclass(frozen=True)
@@ -287,16 +245,6 @@ class LinearGaussianModel:
         xs = np.asarray(xs, dtype=float)
         return xs[:, None] * self.mixing[0][None, :]
 
-    def sample(self, x, rng: np.random.Generator) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.mixing.T @ x + rng.standard_normal(self.size)
-
-    def log_likelihood(self, r, x) -> float:
-        r = np.asarray(r, dtype=float)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        resid = r - self.mixing.T @ x
-        return float(-0.5 * np.dot(resid, resid) - 0.5 * self.size * np.log(2.0 * np.pi))
-
 
 @dataclass(frozen=True)
 class CorrelatedGaussianPopulation:
@@ -332,32 +280,6 @@ class CorrelatedGaussianPopulation:
         a, c = self.scale, self.correlation
         return a * ((1.0 - c) * np.eye(n) + c * np.ones((n, n)))
 
-    def sample(self, x, rng: np.random.Generator, n: int) -> np.ndarray:
-        chol = np.linalg.cholesky(self.covariance(n))
-        return np.asarray(self.mean_fn(x), dtype=float) + chol @ rng.standard_normal(n)
-
-
-def poisson_fisher_kernel(curve: VonMisesTuning, x, rate_floor: float = DEFAULT_RATE_FLOOR) -> np.ndarray:
-    """Fisher kernel of a single Poisson neuron, S = f' f'^T / f.
-
-    Equivalently S = g' g'^T with g = 2 sqrt(f).  The result is symmetric
-    positive-semidefinite with rank at most one; for the 1-D tuning curves
-    here it is a 1 x 1 matrix.
-    """
-    f = float(curve.rate(x))
-    if f == 0.0:
-        raise ValueError(f"rate underflow: f(x; theta) = 0 at x = {x!r}")
-    df = np.atleast_1d(np.asarray(curve.rate_deriv(x), dtype=float))
-    return np.outer(df, df) / max(f, rate_floor)
-
-
-def gaussian_fisher_kernel(curve: VonMisesTuning, sigma: float, x) -> np.ndarray:
-    """Fisher kernel of a single Gaussian-noise neuron, S = f' f'^T / sigma^2."""
-    if sigma <= 0:
-        raise ValueError(f"noise sigma must be positive, got {sigma}")
-    df = np.atleast_1d(np.asarray(curve.rate_deriv(x), dtype=float))
-    return np.outer(df, df) / sigma**2
-
 
 def decorrelation_transform(pop: CorrelatedGaussianPopulation, n: int) -> np.ndarray:
     """Closed-form inverse square root of the uniform-correlation covariance.
@@ -378,16 +300,3 @@ def decorrelation_transform(pop: CorrelatedGaussianPopulation, n: int) -> np.nda
     b1 = (1.0 - np.sqrt((1.0 - c) / ((n - 1) * c + 1.0))) / n
     return b0 * (np.eye(n) - b1 * np.ones((n, n)))
 
-
-def sample_responses(model, x, rng: np.random.Generator) -> np.ndarray:
-    """Draw one response vector from a population model at stimulus x.
-
-    Deterministic given the generator state; the generator is the only
-    thing mutated.
-    """
-    return model.sample(x, rng)
-
-
-def log_likelihood(model, r, x) -> float:
-    """Log-likelihood ln p(r | x) of a response under a population model."""
-    return model.log_likelihood(r, x)

@@ -32,7 +32,7 @@ from scipy.optimize import minimize_scalar
 from ._linalg import chol_logdet, cholesky_stack, logdet_grid, sym_sqrt  # noqa: F401
 from .fisher import GridPrior
 from .mi import LOG_2PI_E
-from .models import VonMisesTuning
+from .models import _positive, _tuning_params, _von_mises
 
 __all__ = [
     "OptimizationProblem",
@@ -132,33 +132,21 @@ def build_problem(thetas, prior: GridPrior, n: int, *, kind: str = "I_G",
     average-power budget becomes the knapsack constraint with per-class
     cost <f(x; theta_k)> (Poisson) or <f^2> (Gaussian noise).
     """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if peak_power is not None:
-        if peak_power <= 0:
-            raise ValueError(f"peak power must be positive, got {peak_power}")
-        amplitude = peak_power
+        amplitude = _positive("peak power", peak_power)
     if response_kind not in ("poisson", "gaussian"):
         raise ValueError(f"response_kind must be 'poisson' or 'gaussian', got {response_kind!r}")
-    rates = np.empty((prior.m, thetas.size))
-    derivs = np.empty_like(rates)
-    for idx, theta in enumerate(thetas):
-        curve = VonMisesTuning(amplitude=amplitude, width=width,
-                               period=prior.period, center=theta)
-        rates[:, idx] = curve.rate(prior.nodes)
-        derivs[:, idx] = curve.rate_deriv(prior.nodes)
+    amplitude, conc, thetas = _tuning_params(amplitude, width, prior.period, np.atleast_1d(thetas))
+    rates, derivs, _ = _von_mises(amplitude, conc, thetas, prior.period, prior.nodes)
     if response_kind == "poisson":
         s_values = derivs**2 / rates
         cost = prior.masses @ rates
     else:
-        if noise_sigma <= 0:
-            raise ValueError(f"noise sigma must be positive, got {noise_sigma}")
-        s_values = derivs**2 / noise_sigma**2
+        s_values = derivs**2 / _positive("noise sigma", noise_sigma) ** 2
         cost = prior.masses @ rates**2
     power_cost = power_budget = None
     if avg_power is not None:
-        if avg_power <= 0:
-            raise ValueError(f"average power budget must be positive, got {avg_power}")
-        power_cost, power_budget = cost, avg_power
+        power_cost, power_budget = cost, _positive("average power budget", avg_power)
     return OptimizationProblem(
         kind=kind, thetas=thetas, n=n, s_values=s_values,
         p_values=prior.curvature_values(), weights=prior.masses,

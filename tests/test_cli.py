@@ -93,10 +93,18 @@ class TestExitCodes:
         ("workers", {"workers": True}),
         ("seed", {"seed": True}),
         ("amplitude", {"amplitude": True}),
+        ("amplitude", {"amplitude": math.inf}),
+        ("width", {"width": math.inf}),
+        ("period", {"period": math.inf}),
+        ("peak_power", {"peak_power": math.inf}),
+        ("tol", {"tol": math.inf}),
     ])
     def test_json_booleans_are_not_numbers(self, key, payload, tmp_path, capsys):
-        cfg = write_config(tmp_path / "f2.json", dict({"widths": [2], "n_list": [50]}, **payload))
-        assert main(["fig2", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        """JSON ``true`` and ``Infinity`` are rejected where a number is expected."""
+        experiment, base = (("optimize", {}) if key in ("peak_power", "tol")
+                            else ("fig2", {"widths": [2], "n_list": [50]}))
+        cfg = write_config(tmp_path / "cfg.json", dict(base, **payload))
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
         assert f"{key} must be" in capsys.readouterr().err
 
     def test_negative_seed_is_rejected(self, tmp_path, capsys):

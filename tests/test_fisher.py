@@ -1,4 +1,4 @@
-"""Priors, their curvature/score summaries, and Fisher-matrix assembly."""
+"""Priors, their curvature/score summaries, and how J and the prior terms combine."""
 
 import math
 
@@ -9,16 +9,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import i0
 
-from popcode_mi.fisher import (
-    GaussianPrior,
-    GridPrior,
-    PopulationDensity,
-    assemble,
-    fisher_matrix,
-    p_plus,
-    prior_curvature,
-)
-from popcode_mi.models import VonMisesTuning, poisson_fisher_kernel
+from popcode_mi.fisher import GaussianPrior, GridPrior, p_plus
+from popcode_mi.mi import LOG_2PI_E, i_g, i_g_plus, van_trees_bound
+from popcode_mi.models import PoissonPopulation, VonMisesTuning
+from popcode_mi.optimize import build_problem
 
 PERIOD = math.pi
 PRIOR_WIDTH = math.pi / 4
@@ -142,86 +136,73 @@ class TestGridPriorQuadrature:
         with pytest.raises(ValueError, match="outside the prior support"):
             prior.curvature(PERIOD)
         with pytest.raises(ValueError, match="outside the prior support"):
-            prior.score(-PERIOD)
-
-    def test_sample_nodes_follow_masses(self, prior):
-        rng = np.random.default_rng(5)
-        idx = prior.sample_nodes(rng, 20000)
-        sampled_mean = prior.nodes[idx].mean()
-        assert abs(sampled_mean) < 0.02  # symmetric density, sd/sqrt(n) ~ 0.005
-        top = int(np.argmax(prior.masses))
-        freq = np.mean(idx == top)
-        assert freq == pytest.approx(prior.masses[top], abs=5e-4)
+            prior.curvature(-PERIOD)
 
 
-class TestPopulationDensity:
-    def test_uniform(self):
-        pop = PopulationDensity.uniform(np.array([-0.5, 0.0, 0.5]))
-        np.testing.assert_allclose(pop.weights, 1.0 / 3.0, rtol=1e-15)
-        assert pop.size == 3
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            PopulationDensity(np.array([0.0, 1.0]), np.array([-0.1, 1.1]))
-
-    def test_rejects_unnormalized_weights(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            PopulationDensity(np.array([0.0, 1.0]), np.array([0.3, 0.3]))
+def density_fisher(thetas, alpha, prior, n):
+    """J(x) = N sum_k alpha_k S(x; theta_k) on the prior's nodes, from build_problem."""
+    prob = build_problem(np.asarray(thetas), prior, n)
+    return prob.n * (prob.s_values @ np.asarray(alpha))
 
 
-def ring_kernel(x, theta):
-    curve = VonMisesTuning(amplitude=20.0, width=0.5, period=PERIOD, center=theta)
-    return poisson_fisher_kernel(curve, x)
+def population_fisher(thetas, prior):
+    """J(x) of one Poisson neuron per center, each with the default tuning."""
+    tuning = [VonMisesTuning(amplitude=20.0, width=0.5, period=PERIOD, center=t) for t in thetas]
+    return PoissonPopulation(tuning).fisher_values(prior.nodes)
 
 
 class TestFisherMatrix:
-    def test_single_subclass(self):
+    def test_single_subclass(self, prior):
         """K1 = 1, alpha = 1: J = N S(x; theta)."""
-        pop = PopulationDensity(np.array([0.2]), np.array([1.0]))
-        j = fisher_matrix(pop, ring_kernel, 0.7, n=50)
-        np.testing.assert_allclose(j, 50 * ring_kernel(0.7, 0.2), rtol=1e-14)
+        j = density_fisher([0.2], [1.0], prior, n=50)
+        np.testing.assert_allclose(j, 50 * population_fisher([0.2], prior), rtol=1e-12)
 
     @given(st.floats(0.0, 1.0))
-    def test_linear_in_weights(self, lam):
+    def test_linear_in_weights(self, prior, lam):
         """J(lam a + (1-lam) b) = lam J(a) + (1-lam) J(b)."""
         thetas = np.array([-0.4, 0.0, 0.4])
         a = np.array([0.5, 0.25, 0.25])
         b = np.array([0.1, 0.2, 0.7])
         mix = lam * a + (1 - lam) * b
         mix = mix / mix.sum()
-        ja = fisher_matrix(PopulationDensity(thetas, a), ring_kernel, 0.3, n=10)
-        jb = fisher_matrix(PopulationDensity(thetas, b), ring_kernel, 0.3, n=10)
-        jm = fisher_matrix(PopulationDensity(thetas, mix), ring_kernel, 0.3, n=10)
-        np.testing.assert_allclose(jm, lam * ja + (1 - lam) * jb,
-                                   rtol=1e-12, atol=1e-12)
+        ja = density_fisher(thetas, a, prior, n=10)
+        jb = density_fisher(thetas, b, prior, n=10)
+        jm = density_fisher(thetas, mix, prior, n=10)
+        np.testing.assert_allclose(jm, lam * ja + (1 - lam) * jb, rtol=1e-12, atol=1e-12)
 
-    def test_scales_with_population_size(self):
-        pop = PopulationDensity.uniform(np.array([-0.3, 0.3]))
-        j1 = fisher_matrix(pop, ring_kernel, 0.1, n=7)
-        j2 = fisher_matrix(pop, ring_kernel, 0.1, n=14)
-        np.testing.assert_allclose(j2, 2.0 * j1, rtol=1e-14)
+    def test_scales_with_population_size(self, prior):
+        """Uniform weights over N/2 copies of each class are the explicit population."""
+        thetas = [-0.3, 0.3]
+        j2 = density_fisher(thetas, [0.5, 0.5], prior, n=2)
+        j4 = density_fisher(thetas, [0.5, 0.5], prior, n=4)
+        np.testing.assert_allclose(j2, population_fisher(thetas, prior), rtol=1e-12)
+        np.testing.assert_allclose(j4, population_fisher(thetas * 2, prior), rtol=1e-12)
+        np.testing.assert_allclose(j4, 2.0 * j2, rtol=1e-14)
 
 
 class TestAssemble:
     def test_sums_are_exact(self, prior):
-        j = np.array([[3.0]])
-        info = assemble(j, prior, 0.25)
-        assert info.g[0, 0] == j[0, 0] + prior.curvature(0.25)
-        assert info.g_plus[0, 0] == j[0, 0] + prior.p_plus()
-        assert info.g_is_pd
+        """I_G and I_G+ add P(x) and P_plus to J exactly before the log-det."""
+        j = np.full(prior.m, 3.0)
+        mean_g = float(np.dot(prior.masses, np.log(j + prior.curvature_values())))
+        mean_g_plus = float(np.dot(prior.masses, np.log(j + prior.p_plus())))
+        assert i_g(j, prior).value == 0.5 * (mean_g - LOG_2PI_E) + prior.entropy()
+        assert i_g_plus(j, prior).value == 0.5 * (mean_g_plus - LOG_2PI_E) + prior.entropy()
 
     def test_pd_flag_reports_indefinite_g(self, prior):
-        info = assemble(np.array([[-5.0]]), prior, 0.0)
-        assert not info.g_is_pd
+        for approx in (i_g(np.full(prior.m, -5.0), prior), i_g_plus(np.full(prior.m, -5.0), prior)):
+            assert approx.degenerate and approx.value == -math.inf
 
     def test_gaussian_prior_matrices(self):
+        """P = P_plus = cov^-1 for a Gaussian, so I_G = I_G+ = I_VT for a constant J."""
         gp = GaussianPrior(np.zeros(2), np.diag([4.0, 1.0]))
         j = np.array([[1.0, 0.0], [0.0, 2.0]])
-        info = assemble(j, gp, np.zeros(2))
-        np.testing.assert_allclose(info.p, np.diag([0.25, 1.0]), rtol=1e-14)
-        np.testing.assert_allclose(info.p, info.p_plus, rtol=1e-14)
-        np.testing.assert_allclose(info.g, j + np.diag([0.25, 1.0]), rtol=1e-14)
+        g = j + np.diag([0.25, 1.0])
+        want = 0.5 * (math.log(np.linalg.det(g)) - 2 * LOG_2PI_E) + gp.entropy()
+        assert i_g(j, gp).value == pytest.approx(want, rel=1e-14)
+        assert i_g_plus(j, gp).value == pytest.approx(want, rel=1e-14)
+        assert van_trees_bound(j, gp).value == pytest.approx(want, rel=1e-14)
 
     def test_wrappers_promote_to_matrix(self, prior):
-        assert prior_curvature(prior, 0.1).shape == (1, 1)
         assert p_plus(prior).shape == (1, 1)
+        assert p_plus(GaussianPrior(np.zeros(2), np.eye(2))).shape == (2, 2)

@@ -12,7 +12,6 @@ from scipy.special import i0
 from popcode_mi.fisher import GaussianPrior, GridPrior
 from popcode_mi.mi import (
     LOG_2PI_E,
-    entropy,
     exact_gaussian_mi,
     gap_bounds,
     i_f,
@@ -107,10 +106,15 @@ class TestScalarAnchors:
         approx = i_f(np.full(uni.m, 2 * math.pi * math.e), uni)
         assert approx.value == pytest.approx(math.log(length), rel=1e-12)
 
-    def test_entropy_wrapper(self, prior):
-        assert entropy(prior) == prior.entropy()
+    def test_entropy_wrapper(self):
+        """Every formula adds the prior's own H(X): here each log-det term is zero."""
+        uni = GridPrior.uniform(period=2.5, m=400)
         gp = GaussianPrior(np.zeros(1), np.eye(1))
-        assert entropy(gp) == pytest.approx(0.5 * LOG_2PI_E, rel=1e-14)
+        for fn in (i_f, i_g, i_g_plus, van_trees_bound):
+            assert fn(np.full(uni.m, 2 * math.pi * math.e), uni).value == pytest.approx(
+                uni.entropy(), rel=1e-14)
+        assert i_f(2 * math.pi * math.e * np.eye(1), gp).value == pytest.approx(
+            0.5 * LOG_2PI_E, rel=1e-14)
 
 
 class TestRingPopulationOracle:
@@ -214,6 +218,10 @@ class TestVanTrees:
         outer = van_trees_bound(j, prior)
         assert outer.kind == "I_VT"
         assert inner <= outer.value + 1e-12
+        mean_g_plus = prior.average(j) + prior.p_plus()
+        assert outer.value == pytest.approx(
+            0.5 * (math.log(mean_g_plus) - LOG_2PI_E) + prior.entropy(), rel=1e-12)
+        assert outer.value - inner > 1e-3
 
     def test_tight_for_constant_fisher(self):
         """With J constant the Jensen step is an equality."""
@@ -235,3 +243,36 @@ class TestMonotonicity:
         u = rng.standard_normal((k, 1))
         bigger = j + u @ u.T
         assert i_g(bigger, prior).value >= i_g(j, prior).value - 1e-12
+
+
+class TestDiagonalPushforward:
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1))
+    def test_invariant_under_diagonal_rescaling(self, seed):
+        """y = D x maps J to D^-1 J D^-1 and cov to D cov D; the information is unchanged.
+
+        Scales span D = diag(10^u), u in [-8, 8].  Half the stacks have one
+        node whose trailing stimulus directions carry no information, so
+        that node's J is exactly singular and the flag must agree.  A
+        singularity present only up to rounding sits on the pivot rule's
+        decision boundary, where rescaling can flip the flag; the other
+        factors have K + 2 columns so J is well conditioned.
+        """
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 7))
+        m = int(rng.integers(1, 9))
+        a = rng.standard_normal((m, k, k + 2))
+        if rng.random() < 0.5:
+            a[rng.integers(m), int(rng.integers(1, k)):] = 0.0
+        j = a @ np.swapaxes(a, 1, 2)
+        q = rng.standard_normal((k, k))
+        cov = q @ q.T + 0.1 * np.eye(k)
+        d = 10.0 ** rng.uniform(-8, 8, size=k)
+        j_y = j / np.outer(d, d)
+        cov_y = cov * np.outer(d, d)
+        for fn in (i_f, i_g, i_g_plus, van_trees_bound):
+            x_side = fn(j, GaussianPrior(np.zeros(k), cov))
+            y_side = fn(j_y, GaussianPrior(np.zeros(k), cov_y))
+            assert x_side.degenerate == y_side.degenerate, fn.__name__
+            if not x_side.degenerate:
+                assert abs(x_side.value - y_side.value) <= 1e-9, fn.__name__

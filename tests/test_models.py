@@ -1,4 +1,8 @@
-"""Tuning curves, noise models, Fisher kernels, and the decorrelating map."""
+"""Tuning curves, populations, parameter validation, and the decorrelating map.
+
+Likelihood and sampling checks go through :mod:`popcode_mi.mc`, where the
+noise models live.
+"""
 
 import math
 
@@ -6,7 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import gammaln
+from scipy.stats import norm
+from scipy.stats import poisson as sp_poisson
 
+from popcode_mi import mc
+from popcode_mi.mc import MCConfig, mc_mutual_information
 from popcode_mi.models import (
     CorrelatedGaussianPopulation,
     GaussianNoisePopulation,
@@ -14,14 +23,11 @@ from popcode_mi.models import (
     PoissonPopulation,
     VonMisesTuning,
     decorrelation_transform,
-    eval_tuning,
-    gaussian_fisher_kernel,
-    log_likelihood,
-    poisson_fisher_kernel,
-    sample_responses,
 )
 
 from conftest import ring_population
+
+GRID = np.linspace(-1.5, 1.5, 7)
 
 
 def bump(center: float = 0.0, amplitude: float = 20.0, width: float = 0.5,
@@ -29,14 +35,34 @@ def bump(center: float = 0.0, amplitude: float = 20.0, width: float = 0.5,
     return VonMisesTuning(amplitude=amplitude, width=width, period=period, center=center)
 
 
+def rate(curve: VonMisesTuning, x) -> np.ndarray:
+    """One curve's rates at ``x`` through the population kernel."""
+    return PoissonPopulation([curve]).rate_matrix(np.atleast_1d(x))[:, 0]
+
+
+def closed_form(curve: VonMisesTuning, x):
+    """Rate and derivative of one curve, written out from the formula."""
+    omega = 2 * np.pi / curve.period
+    phase = omega * (np.asarray(x, dtype=float) - curve.center)
+    f = curve.amplitude * np.exp(-curve.concentration * (1.0 - np.cos(phase)))
+    return f, -f * curve.concentration * omega * np.sin(phase)
+
+
+def core_terms(model, responses, xs) -> np.ndarray:
+    """The estimator's x-dependent log-likelihood terms, shape (len(responses), len(xs))."""
+    responses = np.atleast_2d(np.asarray(responses, dtype=float))
+    terms = mc._loglik_terms(model, np.asarray(model.rate_matrix(xs), dtype=float))
+    return mc._log_lik_core(responses, terms, np.empty((responses.shape[0], len(xs))))
+
+
 class TestVonMisesTuning:
     def test_peak_value(self):
         """The curve attains its amplitude at the center."""
-        assert eval_tuning(bump(), 0.0) == 20.0
+        assert rate(bump(), 0.0)[0] == 20.0
 
     def test_quarter_period_value(self):
         """One cosine trough away the rate is A exp(-2 kappa (.. = 1))."""
-        f = eval_tuning(bump(), np.pi / 2)
+        f = rate(bump(), np.pi / 2)[0]
         assert f == pytest.approx(20.0 * math.exp(-2.0), rel=1e-15)
         assert f == pytest.approx(2.706705664732254, rel=1e-13)
 
@@ -49,62 +75,92 @@ class TestVonMisesTuning:
     def test_periodicity(self):
         curve = bump(center=0.3)
         x = np.linspace(-2, 2, 41)
-        np.testing.assert_allclose(curve.rate(x), curve.rate(x + np.pi), rtol=1e-12)
+        np.testing.assert_allclose(rate(curve, x), rate(curve, x + np.pi), rtol=1e-12)
 
     @given(st.floats(-10, 10))
     def test_positive_everywhere(self, x):
-        assert eval_tuning(bump(), x) > 0.0
+        assert rate(bump(), x)[0] > 0.0
 
     def test_derivative_matches_finite_difference(self):
-        """Analytic f' agrees with a central difference to 1e-6 relative."""
+        """fisher_values agrees with central differences of rate_matrix."""
         curve = bump(center=0.2)
+        poisson, gauss = PoissonPopulation([curve]), GaussianNoisePopulation([curve], sigma=1.0)
         xs = np.linspace(-1.5, 1.5, 25)
         h = 1e-6
-        fd = (curve.rate(xs + h) - curve.rate(xs - h)) / (2 * h)
-        np.testing.assert_allclose(curve.rate_deriv(xs), fd, rtol=1e-6, atol=1e-8)
+        fd = (poisson.rate_matrix(xs + h) - poisson.rate_matrix(xs - h))[:, 0] / (2 * h)
+        np.testing.assert_allclose(gauss.fisher_values(xs), fd**2, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(poisson.fisher_values(xs), fd**2 / rate(curve, xs),
+                                   rtol=1e-6, atol=1e-8)
 
     def test_derivative_zero_at_peak(self):
-        assert bump(center=0.4).rate_deriv(0.4) == 0.0
+        assert GaussianNoisePopulation([bump(center=0.4)], sigma=1.0).fisher_values([0.4])[0] == 0.0
+
+
+class TestParameterValidation:
+    BASE = dict(amplitude=20.0, width=0.5, period=np.pi, center=0.0)
+
+    @pytest.mark.parametrize("param, value", [
+        ("amplitude", math.nan), ("amplitude", math.inf), ("amplitude", 0.0),
+        ("width", math.nan), ("width", math.inf), ("width", -0.5),
+        ("period", math.nan), ("period", math.inf),
+    ])
+    def test_tuning_needs_positive_finite(self, param, value):
+        with pytest.raises(ValueError, match=rf"^{param} must be positive and finite, got {value!r}$"):
+            VonMisesTuning(**dict(self.BASE, **{param: value}))
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_center_must_be_finite(self, value):
+        with pytest.raises(ValueError, match=rf"^center must be finite, got {value!r}$"):
+            VonMisesTuning(**dict(self.BASE, center=value))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_noise_sigma_needs_positive_finite(self, value):
+        with pytest.raises(ValueError, match=r"^noise sigma must be positive and finite"):
+            GaussianNoisePopulation([bump()], sigma=value)
 
 
 class TestFisherKernels:
     def test_poisson_kernel_zero_at_peak(self):
         """S = f'^2 / f vanishes where the tuning curve peaks."""
-        assert poisson_fisher_kernel(bump(center=0.1), 0.1).item() == 0.0
+        assert PoissonPopulation([bump(center=0.1)]).fisher_values([0.1])[0] == 0.0
 
     def test_poisson_kernel_value(self):
         """S(x) = f(x) (kappa omega sin(omega(x - theta)))^2 for one bump."""
         curve = bump()
         x = 0.37
         omega = 2 * np.pi / np.pi
-        expected = curve.rate(x) * (curve.concentration * omega * np.sin(omega * x)) ** 2
-        assert poisson_fisher_kernel(curve, x).item() == pytest.approx(expected, rel=1e-12)
+        expected = closed_form(curve, x)[0] * (curve.concentration * omega * np.sin(omega * x)) ** 2
+        assert PoissonPopulation([curve]).fisher_values([x])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_gaussian_kernel_value(self):
         curve = bump(center=-0.2)
         x = 0.11
-        expected = curve.rate_deriv(x) ** 2 / 0.3**2
-        assert gaussian_fisher_kernel(curve, 0.3, x).item() == pytest.approx(expected, rel=1e-12)
+        expected = closed_form(curve, x)[1] ** 2 / 0.3**2
+        got = GaussianNoisePopulation([curve], sigma=0.3).fisher_values([x])[0]
+        assert got == pytest.approx(expected, rel=1e-12)
 
     @given(st.floats(-1.5, 1.5), st.floats(-0.5, 0.5))
     def test_kernels_nonnegative(self, x, center):
-        assert poisson_fisher_kernel(bump(center=center), x).item() >= 0.0
-        assert gaussian_fisher_kernel(bump(center=center), 1.0, x).item() >= 0.0
+        assert PoissonPopulation([bump(center=center)]).fisher_values([x])[0] >= 0.0
+        assert GaussianNoisePopulation([bump(center=center)], sigma=1.0).fisher_values([x])[0] >= 0.0
 
-    def test_rate_underflow_raises(self):
+    def test_rate_underflow_raises(self, prior_small):
         """A rate that underflows to exactly zero is an error, not a flooring case."""
         narrow = bump(width=0.01)  # concentration 2500: exp(-5000) underflows
-        assert narrow.rate(np.pi / 2) == 0.0
-        with pytest.raises(ValueError, match="rate underflow"):
-            poisson_fisher_kernel(narrow, np.pi / 2)
+        assert rate(narrow, np.pi / 2)[0] == 0.0
+        with pytest.raises(ValueError, match=r"Poisson rates must be positive and finite: node 0, "):
+            mc_mutual_information(PoissonPopulation([narrow]), prior_small,
+                                  MCConfig(j_max=500, i_max=5, m=200))
 
-    def test_tiny_rate_is_floored_not_raised(self):
-        """Subnormal-but-positive rates go through the configurable floor."""
+    def test_tiny_rate_is_accepted_not_raised(self, prior_small):
+        """Subnormal-scale but positive rates give finite Fisher and MC values."""
         narrow = bump(width=1.0 / (2.0 * math.sqrt(350.0)))  # exp(-700) ~ 1e-304
-        f = narrow.rate(np.pi / 2)
+        f = rate(narrow, np.pi / 2)[0]
         assert 0.0 < f < 1e-12
-        value = poisson_fisher_kernel(narrow, np.pi / 2).item()
-        assert np.isfinite(value)
+        assert np.isfinite(PoissonPopulation([narrow]).fisher_values([np.pi / 2])[0])
+        out = mc_mutual_information(PoissonPopulation([narrow]), prior_small,
+                                    MCConfig(j_max=500, i_max=5, m=200))
+        assert np.isfinite(out.i_mc)
 
 
 class TestPoissonPopulation:
@@ -113,44 +169,37 @@ class TestPoissonPopulation:
         rates = pop10.rate_matrix(xs)
         assert rates.shape == (7, 10)
         for j, curve in enumerate(pop10.tuning):
-            np.testing.assert_allclose(rates[:, j], curve.rate(xs), rtol=1e-14)
+            np.testing.assert_allclose(rates[:, j], closed_form(curve, xs)[0], rtol=1e-14)
 
     def test_fisher_values_sum_of_kernels(self, pop10):
         xs = np.array([-0.4, 0.0, 0.9])
         total = pop10.fisher_values(xs)
-        manual = np.array([
-            sum(poisson_fisher_kernel(c, x).item() for c in pop10.tuning) for x in xs
-        ])
+        manual = sum(PoissonPopulation([c]).fisher_values(xs) for c in pop10.tuning)
         np.testing.assert_allclose(total, manual, rtol=1e-12)
 
     def test_log_likelihood_zero_count(self, pop10):
-        """ln p(0 | x) = -sum_n f_n(x)."""
-        x = 0.25
-        rates = pop10.rates(x)
-        r = np.zeros(10)
-        assert log_likelihood(pop10, r, x) == pytest.approx(-rates.sum(), rel=1e-14)
+        """ln p(0 | x) = -sum_n f_n(x), and the core terms drop nothing from it."""
+        core = core_terms(pop10, np.zeros(10), GRID)[0]
+        np.testing.assert_allclose(core, -pop10.rate_matrix(GRID).sum(axis=1), rtol=1e-14)
 
     def test_log_likelihood_unit_rate_unit_count(self):
         """A single unit-rate cell observing one spike has ln p = -1."""
-        curve = VonMisesTuning(amplitude=1.0, width=0.5, period=np.pi, center=0.0)
-        pop = PoissonPopulation([curve])
-        assert log_likelihood(pop, np.array([1.0]), 0.0) == pytest.approx(-1.0, abs=1e-15)
+        pop = PoissonPopulation([VonMisesTuning(amplitude=1.0, width=0.5, period=np.pi, center=0.0)])
+        assert core_terms(pop, [1.0], [0.0])[0, 0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_log_likelihood_elementwise_oracle(self, pop10):
-        """Matches sum of scipy Poisson log-pmfs cell by cell."""
-        from scipy.stats import poisson as sp_poisson
-
+        """Differs from the sum of scipy Poisson log-pmfs by sum ln r!, whatever x."""
         rng = np.random.default_rng(3)
-        x = -0.3
-        r = rng.poisson(pop10.rates(x)).astype(float)
-        expected = sp_poisson.logpmf(r.astype(int), pop10.rates(x)).sum()
-        assert log_likelihood(pop10, r, x) == pytest.approx(expected, abs=1e-12)
+        r = rng.poisson(pop10.rate_matrix([-0.3])[0]).astype(float)
+        scipy_sum = sp_poisson.logpmf(r.astype(int), pop10.rate_matrix(GRID)).sum(axis=1)
+        np.testing.assert_allclose(core_terms(pop10, r, GRID)[0] - scipy_sum,
+                                   gammaln(r + 1.0).sum(), rtol=0, atol=1e-12)
 
     def test_sampling_mean_tracks_rate(self, pop10):
         rng = np.random.default_rng(11)
-        x = 0.1
-        draws = np.array([sample_responses(pop10, x, rng) for _ in range(4000)])
-        np.testing.assert_allclose(draws.mean(axis=0), pop10.rates(x), rtol=0.1)
+        rates = pop10.rate_matrix([0.1])
+        draws = mc._sample_responses_block(pop10, np.repeat(rates, 4000, axis=0), rng)
+        np.testing.assert_allclose(draws.mean(axis=0), rates[0], rtol=0.1)
 
     def test_mixed_periods_rejected(self):
         with pytest.raises(ValueError, match="period"):
@@ -161,17 +210,16 @@ class TestGaussianNoisePopulation:
     def test_fisher_values(self):
         pop = GaussianNoisePopulation([bump(center=-0.1), bump(center=0.2)], sigma=0.7)
         xs = np.array([0.0, 0.5])
-        manual = np.array([
-            sum(c.rate_deriv(x) ** 2 for c in pop.tuning) / 0.49 for x in xs
-        ])
+        manual = sum(closed_form(c, xs)[1] ** 2 for c in pop.tuning) / 0.49
         np.testing.assert_allclose(pop.fisher_values(xs), manual, rtol=1e-12)
 
     def test_log_likelihood_is_gaussian(self):
+        """Differs from scipy's normal log-density by an x-free constant."""
         pop = GaussianNoisePopulation([bump()], sigma=2.0)
-        x, r = 0.3, np.array([19.0])
-        f = pop.rates(x)[0]
-        expected = -0.5 * math.log(2 * math.pi * 4.0) - (19.0 - f) ** 2 / 8.0
-        assert log_likelihood(pop, r, x) == pytest.approx(expected, rel=1e-13)
+        r = 19.0
+        scipy_sum = norm.logpdf(r, loc=pop.rate_matrix(GRID)[:, 0], scale=2.0)
+        constant = -0.5 * math.log(2 * math.pi * 4.0) - r**2 / 8.0
+        np.testing.assert_allclose(scipy_sum - core_terms(pop, [r], GRID)[0], constant, rtol=1e-13)
 
 
 class TestLinearGaussianModel:
@@ -182,11 +230,12 @@ class TestLinearGaussianModel:
         np.testing.assert_allclose(model.fisher(), a @ a.T, rtol=1e-14)
 
     def test_log_likelihood_standard_normal(self):
-        """With A = 0 the response is pure unit noise."""
-        model = LinearGaussianModel(np.zeros((2, 3)), np.zeros(2), np.eye(2))
+        """Differs from scipy's unit-normal log-density of r - A^T x by an x-free constant."""
+        model = LinearGaussianModel(np.array([[0.3, -1.2, 2.0]]), np.zeros(1), np.eye(1))
         r = np.array([0.5, -1.0, 2.0])
-        expected = -1.5 * math.log(2 * math.pi) - 0.5 * float(r @ r)
-        assert log_likelihood(model, r, np.zeros(2)) == pytest.approx(expected, rel=1e-13)
+        scipy_sum = norm.logpdf(r, loc=model.rate_matrix(GRID)).sum(axis=1)
+        constant = -1.5 * math.log(2 * math.pi) - 0.5 * float(r @ r)
+        np.testing.assert_allclose(scipy_sum - core_terms(model, r, GRID)[0], constant, rtol=1e-13)
 
     def test_rejects_non_spd_covariance(self):
         with pytest.raises(ValueError, match="positive-definite"):

@@ -219,6 +219,25 @@ class TestPowerConstraints:
             assert res.report.power_multiplier >= 0.0
 
 
+class TestBuildProblemValidation:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(amplitude=math.nan), "amplitude must be positive and finite, got nan"),
+        (dict(amplitude=math.inf), "amplitude must be positive and finite, got inf"),
+        (dict(width=math.nan), "width must be positive and finite, got nan"),
+        (dict(peak_power=math.nan), "peak power must be positive and finite, got nan"),
+        (dict(response_kind="gaussian", noise_sigma=math.nan),
+         "noise sigma must be positive and finite, got nan"),
+        (dict(avg_power=math.nan), "average power budget must be positive and finite, got nan"),
+    ])
+    def test_rejects_non_finite_parameter(self, toy_prior, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_problem(np.array([-0.2, 0.2]), toy_prior, n=5, **kwargs)
+
+    def test_rejects_non_finite_theta_by_index(self, toy_prior):
+        with pytest.raises(ValueError, match=r"^center must be finite, got nan at theta index 1$"):
+            build_problem(np.array([0.0, math.nan, 0.3]), toy_prior, n=5)
+
+
 class TestCapacity:
     def test_constant_fisher_gives_uniform_density(self):
         nodes = np.linspace(-1.0, 1.0, 400, endpoint=False) + 1.0 / 400
