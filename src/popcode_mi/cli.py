@@ -421,6 +421,9 @@ def _run_optimize(cfg: dict) -> tuple[list, list, dict]:
         peak_power=cfg["peak_power"], avg_power=cfg["avg_power"],
     )
     result = maximize(prob, tol=cfg["tol"], max_iters=cfg["max_iters"])
+    if not result.converged:
+        print(f"popcode-mi optimize: not converged within max_iters = {cfg['max_iters']}; "
+              f"duality gap {result.gap:.3g}", file=sys.stderr)
     bits = cfg["bits"]
     chash = _config_hash("optimize", cfg)
     rows = [
@@ -530,3 +533,7 @@ def main(argv=None) -> int:
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

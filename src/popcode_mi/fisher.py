@@ -51,17 +51,13 @@ class GaussianPrior:
         return self.mean.size
 
     def precision(self) -> np.ndarray:
-        """Inverse covariance."""
+        """Inverse covariance, the constant log-density curvature P(x)."""
         return np.linalg.inv(self.cov)
 
     def entropy(self) -> float:
         """Differential entropy, (1/2) ln det(2 pi e cov)."""
         sign, logdet = np.linalg.slogdet(self.cov)
         return 0.5 * (self.k * (math.log(2.0 * math.pi) + 1.0) + logdet)
-
-    def curvature(self, x=None) -> np.ndarray:
-        """P(x) = cov^{-1}, independent of x."""
-        return self.precision()
 
     def p_plus(self) -> np.ndarray:
         """P_plus = cov^{-1} (score covariance of a Gaussian)."""

@@ -7,12 +7,14 @@ ln det is concave on the PD cone, the objective
 
     I[alpha] = (1/2) <ln det((N sum_k alpha_k S(x; theta_k) + P(x)) / 2 pi e)> + H(X)
 
-is concave, so a Frank-Wolfe scheme converges to the global optimum and
-its duality gap doubles as a stopping certificate.  Two power constraints
-are supported: a peak-rate cap (handled by construction — the optimal
-tuning amplitude saturates it, so amplitudes are set to the cap) and an
-average-power budget, which restricts the linear subproblem to a
-half-space-cut simplex solved exactly as a two-coordinate knapsack.
+is concave, so pairwise Frank-Wolfe on the simplex converges to the
+global optimum, linearly, and its duality gap doubles as a stopping
+certificate.  Two power constraints are supported: a peak-rate cap
+(handled by construction — the optimal tuning amplitude saturates it, so
+amplitudes are set to the cap) and an average-power budget c.alpha <= B,
+priced by its Lagrange multiplier mu: each fixed-mu problem
+max I - mu c.alpha is again a simplex problem, mu is found by a secant
+search on the budget's slack, and gap + mu * slack certifies the result.
 
 Channel capacity on a stimulus grid comes from the square-root-
 determinant (Jeffreys-type) prior; the redundancy of any given prior is
@@ -129,8 +131,8 @@ def build_problem(thetas, prior: GridPrior, n: int, *, kind: str = "I_G",
     Candidate subclasses are von Mises curves centered at ``thetas`` with
     a common amplitude and width.  A peak-power cap replaces the
     amplitude outright (the optimum always saturates it); an
-    average-power budget becomes the knapsack constraint with per-class
-    cost <f(x; theta_k)> (Poisson) or <f^2> (Gaussian noise).
+    average-power budget bounds c.alpha, with per-class cost
+    c_k = <f(x; theta_k)> (Poisson) or <f^2> (Gaussian noise).
     """
     if peak_power is not None:
         amplitude = _positive("peak power", peak_power)
@@ -154,108 +156,53 @@ def build_problem(thetas, prior: GridPrior, n: int, *, kind: str = "I_G",
     )
 
 
-def _weights_of(alpha) -> np.ndarray:
-    return np.asarray(getattr(alpha, "weights", alpha), dtype=float)
-
-
-def _g_scalar(alpha: np.ndarray, prob: OptimizationProblem) -> np.ndarray:
-    g = prob.n * (prob.s_values @ alpha)
-    if prob.kind == "I_G":
-        g = g + prob.p_values
-    return g
-
-
-def _g_stack(alpha: np.ndarray, prob: OptimizationProblem) -> np.ndarray:
-    g = prob.n * np.einsum("mkab,k->mab", prob.s_values, alpha)
-    if prob.kind == "I_G":
-        g = g + prob.p_values
-    return g
+def _g(alpha: np.ndarray, prob: OptimizationProblem) -> np.ndarray:
+    """G(x) = N sum_k alpha_k S(x; theta_k), plus P(x) for I_G, at every node."""
+    if prob.scalar:
+        g = prob.n * (prob.s_values @ alpha)
+    else:
+        g = prob.n * np.einsum("mkab,k->mab", prob.s_values, alpha)
+    return g + prob.p_values if prob.kind == "I_G" else g
 
 
 def objective(alpha, prob: OptimizationProblem) -> float:
     """The information value I[alpha] in nats; -inf outside the PD region."""
-    alpha = _weights_of(alpha)
+    g = _g(np.asarray(alpha, dtype=float), prob)
     if prob.scalar:
-        g = _g_scalar(alpha, prob)
         if np.any(g <= 0):
             return -math.inf
-        mean = float(np.dot(prob.weights, np.log(g)))
-        k = 1
+        mean, k = float(np.dot(prob.weights, np.log(g))), 1
     else:
-        g = _g_stack(alpha, prob)
-        k = g.shape[1]
         logdets = logdet_grid(g)
         if np.any(np.isneginf(logdets)):
             return -math.inf
-        mean = float(np.dot(prob.weights, logdets))
+        mean, k = float(np.dot(prob.weights, logdets)), g.shape[1]
     return 0.5 * (mean - k * LOG_2PI_E) + prob.h_x
 
 
-def gradient(alpha, prob: OptimizationProblem) -> np.ndarray:
-    """d I / d alpha_k = (N/2) <Tr(G(x)^{-1} S(x; theta_k))>."""
-    alpha = _weights_of(alpha)
+def gradient(alpha, prob: OptimizationProblem, mu: float = 0.0) -> np.ndarray:
+    """d I / d alpha_k = (N/2) <Tr(G(x)^{-1} S(x; theta_k))>, minus mu c_k."""
+    g = _g(np.asarray(alpha, dtype=float), prob)
+    singular = g <= 0 if prob.scalar else cholesky_stack(g)[1]
+    if np.any(singular):
+        raise ValueError(f"G is singular at node {int(np.argmax(singular))}; "
+                         "gradient undefined on the boundary")
     if prob.scalar:
-        g = _g_scalar(alpha, prob)
-        if np.any(g <= 0):
-            idx = int(np.argmax(g <= 0))
-            raise ValueError(f"G is singular at node {idx}; gradient undefined on the boundary")
-        return 0.5 * prob.n * ((prob.weights / g) @ prob.s_values)
-    g = _g_stack(alpha, prob)
-    _, failed = cholesky_stack(g)
-    if np.any(failed):
-        idx = int(np.argmax(failed))
-        raise ValueError(f"G is singular at node {idx}; gradient undefined on the boundary")
-    # Tr(G^{-1} S_k) summed against the weights, for every k at once.
-    out = np.einsum("m,mab,mkba->k", prob.weights, np.linalg.inv(g), prob.s_values)
-    return 0.5 * prob.n * out
-
-
-def _linear_argmax(grad: np.ndarray, prob: OptimizationProblem) -> np.ndarray:
-    """Exact solution of the Frank-Wolfe linear subproblem.
-
-    Unconstrained simplex: the best vertex (ties -> lowest index).  With
-    an average-power budget the feasible set is the simplex cut by one
-    half-space; the LP optimum then uses at most two coordinates and is
-    found by scanning vertices and in-budget two-coordinate mixes.
-    """
-    if prob.power_cost is None:
-        s = np.zeros(grad.size)
-        s[int(np.argmax(grad))] = 1.0
-        return s
-    cost, budget = prob.power_cost, prob.power_budget
-    best_val, best = -math.inf, None
-    for i in range(grad.size):
-        if cost[i] <= budget and grad[i] > best_val:
-            best_val, best = grad[i], (i,)
-    for i in range(grad.size):
-        if cost[i] >= budget:
-            continue
-        for j in range(grad.size):
-            if cost[j] <= budget:
-                continue
-            t = (budget - cost[i]) / (cost[j] - cost[i])
-            val = (1.0 - t) * grad[i] + t * grad[j]
-            if val > best_val:
-                best_val, best = val, (i, j, t)
-    if best is None:
-        raise ValueError(f"infeasible power constraint: min cost {float(cost.min())!r} exceeds budget {budget!r}")
-    s = np.zeros(grad.size)
-    if len(best) == 1:
-        s[best[0]] = 1.0
+        grad = 0.5 * prob.n * ((prob.weights / g) @ prob.s_values)
     else:
-        i, j, t = best
-        s[i], s[j] = 1.0 - t, t
-    return s
+        # Tr(G^{-1} S_k) summed against the weights, for every k at once.
+        out = np.einsum("m,mab,mkba->k", prob.weights, np.linalg.inv(g), prob.s_values)
+        grad = 0.5 * prob.n * out
+    return grad - mu * prob.power_cost if mu else grad
 
 
 @dataclass(frozen=True)
 class KKTReport:
     """First-order optimality certificate for a weight vector.
 
-    On the active set the gradient must be flat at the level lambda1
-    (plus ``power_multiplier * cost`` when the power budget binds);
-    off the active set it must not exceed that level.  The two violation
-    numbers are the maximum deviations from those conditions.
+    On the active set the information's ``gradient`` must be flat at the
+    level ``lambda1 + power_multiplier * cost``; off it, it must not exceed
+    that level.  The violations are the maximum deviations from both.
     """
 
     lambda1: float
@@ -265,41 +212,34 @@ class KKTReport:
     inequality_violation: float
 
 
-def kkt_check(alpha, prob: OptimizationProblem, active_tol: float = 1e-6) -> KKTReport:
-    """Measure how far alpha is from satisfying the KKT conditions."""
-    alpha = _weights_of(alpha)
+def kkt_check(alpha, prob: OptimizationProblem, active_tol: float = 1e-6,
+              mu: float = 0.0) -> KKTReport:
+    """Measure how far alpha is from the KKT conditions at the power multiplier
+    ``mu`` the solver found (0 without a binding budget); ``lambda1`` is the
+    alpha-weighted mean of ``grad - mu c`` on the active set."""
+    alpha = np.asarray(alpha, dtype=float)
     grad = gradient(alpha, prob)
     active = alpha > active_tol
     if not np.any(active):
         raise ValueError(f"degenerate density: no weight exceeds active_tol = {active_tol}")
-    power_mult = 0.0
-    if prob.power_cost is not None:
-        slack = prob.power_budget - float(prob.power_cost @ alpha)
-        binding = slack <= 1e-8 * max(1.0, prob.power_budget)
-    else:
-        binding = False
-    if binding:
-        # Stationarity with a binding budget: g_k = lambda1 + mu c_k on
-        # the active set; fit both multipliers by least squares.
-        design = np.column_stack([np.ones(int(active.sum())), prob.power_cost[active]])
-        coef, *_ = np.linalg.lstsq(design, grad[active], rcond=None)
-        lambda1, power_mult = float(coef[0]), float(coef[1])
-        level = lambda1 + power_mult * prob.power_cost
-    else:
-        lambda1 = float(np.dot(alpha[active], grad[active]) / np.sum(alpha[active]))
-        level = np.full(grad.size, lambda1)
-    equality = float(np.max(np.abs(grad[active] - level[active])))
-    if np.all(active):
-        inequality = 0.0
-    else:
-        inequality = float(max(0.0, np.max(grad[~active] - level[~active])))
-    return KKTReport(lambda1=lambda1, power_multiplier=power_mult, gradient=grad,
+    shifted = grad - mu * prob.power_cost if mu else grad
+    lambda1 = float(np.dot(alpha[active], shifted[active]) / np.sum(alpha[active]))
+    equality = float(np.max(np.abs(shifted[active] - lambda1)))
+    off = shifted[~active] - lambda1
+    inequality = float(max(0.0, np.max(off))) if off.size else 0.0
+    return KKTReport(lambda1=lambda1, power_multiplier=mu, gradient=grad,
                      equality_violation=equality, inequality_violation=inequality)
 
 
 @dataclass(frozen=True)
 class FWResult:
-    """Optimizer output: the weights, their certificate, and the path."""
+    """Optimizer output: the weights, their certificate, and the path.
+
+    ``gap`` bounds ``I* - objective(alpha)``; ``iterations`` counts the
+    Frank-Wolfe steps of every inner solve.  ``trace`` holds the
+    information at the start and after each step, then that of ``alpha``
+    if the path did not end there, so ``trace[-1]`` is the value at alpha.
+    """
 
     alpha: np.ndarray
     report: KKTReport
@@ -310,8 +250,8 @@ class FWResult:
 
 
 def _line_search(alpha: np.ndarray, direction: np.ndarray, upper: float,
-                 prob: OptimizationProblem) -> float:
-    """Maximize the concave 1-D slice objective(alpha + gamma*direction).
+                 prob: OptimizationProblem, mu: float) -> float:
+    """Maximize the concave 1-D slice of ``I - mu c.alpha`` along direction.
 
     Returns the exact upper bound when the slice is still increasing
     there, so steps that should remove a weight remove it exactly
@@ -319,67 +259,32 @@ def _line_search(alpha: np.ndarray, direction: np.ndarray, upper: float,
     """
 
     def phi(gamma: float) -> float:
-        return objective(alpha + gamma * direction, prob)
+        point = alpha + gamma * direction
+        value = objective(point, prob)
+        return value - mu * float(prob.power_cost @ point) if mu else value
 
     res = minimize_scalar(lambda g: -phi(g), bounds=(0.0, upper),
                           method="bounded", options={"xatol": 1e-12})
     # res.fun is -phi at exactly res.x, so the maximum need not be re-evaluated.
-    if phi(upper) >= -res.fun:
-        return upper
-    return float(res.x)
+    return upper if phi(upper) >= -res.fun else float(res.x)
 
 
-def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
-             max_iters: int = 10_000, line_search: bool = True) -> FWResult:
-    """Globally maximize the concave objective over the feasible weights.
-
-    Runs Frank-Wolfe with the exact linear subproblem; the duality gap
-    ``grad . (s - alpha)`` upper-bounds the remaining suboptimality, so
-    iteration stops once it falls below ``tol``.  With ``line_search``
-    (default) steps are pairwise — mass moves from the worst supported
-    subclass to the best one with an exact 1-D search — which converges
-    linearly and leaves no stray support, so the returned weights satisfy
-    the KKT conditions tightly.  Without it, the classic step 2/(t+2)
-    toward the subproblem optimum is used.  Hitting the iteration cap
-    returns the best iterate with its gap reported (``converged=False``).
-    """
-    if init is None:
-        alpha = np.full(prob.k1, 1.0 / prob.k1)
-        if prob.power_cost is not None and prob.power_cost @ alpha > prob.power_budget:
-            cheapest = float(prob.power_cost.min())
-            if cheapest > prob.power_budget:
-                raise ValueError(
-                    f"infeasible power constraint: min cost {cheapest!r} "
-                    f"exceeds budget {prob.power_budget!r}"
-                )
-            # Cost is linear, so blend the uniform point toward the cheapest
-            # vertex exactly as far as the budget requires; keeping every
-            # class supported keeps the start inside the objective's domain.
-            uniform_cost = float(prob.power_cost @ alpha)
-            vertex = np.zeros(prob.k1)
-            vertex[int(np.argmin(prob.power_cost))] = 1.0
-            t = (uniform_cost - prob.power_budget) / (uniform_cost - cheapest)
-            alpha = (1.0 - t) * alpha + t * vertex
-    else:
-        alpha = _weights_of(init).copy()
-        if abs(alpha.sum() - 1.0) > 1e-9 or np.any(alpha < 0):
-            raise ValueError("initial weights must lie on the simplex")
-        if prob.power_cost is not None and prob.power_cost @ alpha > prob.power_budget + 1e-12:
-            raise ValueError("initial weights violate the power budget")
-
-    trace = [objective(alpha, prob)]
+def _frank_wolfe(prob: OptimizationProblem, alpha: np.ndarray, mu: float, tol: float,
+                 max_iters: int, line_search: bool, trace: list):
+    """Maximize ``I - mu c.alpha`` over the simplex from alpha (see ``maximize``),
+    appending each new iterate's information to ``trace``.  Returns
+    ``(alpha, gap, steps, converged)``, with the gap of the last gradient."""
     gap = math.inf
-    converged = False
-    pairwise = line_search and prob.power_cost is None
     for t in range(max_iters):
-        grad = gradient(alpha, prob)
-        s = _linear_argmax(grad, prob)
+        grad = gradient(alpha, prob, mu)
+        s = np.zeros(prob.k1)
+        best = int(np.argmax(grad))
+        s[best] = 1.0
         gap = float(grad @ (s - alpha))
         if gap < tol:
-            converged = True
-            break
-        if pairwise:
-            best = int(np.argmax(s))
+            return alpha, gap, t, True
+        if line_search:
+            # Pairwise step from the worst supported subclass to the best one.
             support = np.flatnonzero(alpha > 0)
             worst = int(support[np.argmin(grad[support])])
             if worst == best:
@@ -388,19 +293,14 @@ def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
                 direction = np.zeros(prob.k1)
                 direction[best], direction[worst] = 1.0, -1.0
                 upper = float(alpha[worst])
-            gamma = _line_search(alpha, direction, upper, prob)
+            gamma = _line_search(alpha, direction, upper, prob, mu)
         else:
             direction = s - alpha
-            if line_search:
-                gamma = _line_search(alpha, direction, 1.0, prob)
-            else:
-                gamma = 2.0 / (t + 2.0)
+            gamma = 2.0 / (t + 2.0)
         # Domain safeguard: with an indefinite prior-curvature term the
-        # objective is -inf outside an open subset of the simplex, and a
-        # fixed-schedule step can land there.  The current iterate is
-        # finite and the domain is open, so halving always recovers.  Each
-        # candidate is clipped back onto the simplex before it is evaluated,
-        # so the accepted value is the trace entry for the new iterate.
+        # objective is -inf outside an open subset of the simplex, which a
+        # fixed-schedule step can reach; halving from the finite iterate
+        # recovers.  The clipped candidate's value is the new trace entry.
         for _ in range(200):
             candidate = np.clip(alpha + gamma * direction, 0.0, None)
             candidate /= candidate.sum()
@@ -409,15 +309,107 @@ def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
                 break
             gamma *= 0.5
         else:
-            raise ValueError(
-                f"objective is not finite near the iterate at step {t}; "
-                "the feasible region may contain no positive-definite point"
-            )
+            raise ValueError(f"objective is not finite near the iterate at step {t}; "
+                             "the feasible region may contain no positive-definite point")
         alpha = candidate
         trace.append(value)
-    report = kkt_check(alpha, prob)
+    return alpha, gap, max_iters, False
+
+
+def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
+             max_iters: int = 10_000, line_search: bool = True) -> FWResult:
+    """Globally maximize the concave objective over the feasible weights.
+
+    With ``line_search`` (default) Frank-Wolfe steps are pairwise — mass
+    moves from the worst supported subclass to the best one with an exact
+    1-D search — which converges linearly and leaves no stray support;
+    without it, the classic step 2/(t+2) is used.  A solve stops once the
+    duality gap ``grad . (s - alpha)`` falls below ``tol``.
+
+    An average-power budget ``c.alpha <= B`` is priced by its multiplier
+    mu >= 0.  A free optimum within budget (up to the rounding of c.alpha)
+    is the answer, with mu = 0.  Otherwise a safeguarded secant search on
+    the slack ``B - c.alpha(mu)`` solves ``I - mu c.alpha`` per trial mu,
+    each solve starting from the previous one's iterate.  It returns the
+    last feasible iterate, or its mix with the last over-budget one, as
+    soon as the certificate ``gap_mu + mu * slack >= I* - I(alpha)`` of
+    either falls below ``tol``.  ``max_iters`` caps the steps of all
+    solves together; hitting it returns the last feasible iterate (or the
+    last iterate with an infinite gap if none met the budget yet).
+    """
+    if init is None:
+        alpha = np.full(prob.k1, 1.0 / prob.k1)
+    else:
+        alpha = np.array(init, dtype=float)
+        if abs(alpha.sum() - 1.0) > 1e-9 or np.any(alpha < 0):
+            raise ValueError("initial weights must lie on the simplex")
+    cost, budget = prob.power_cost, prob.power_budget
+    if cost is not None and float(cost.min()) > budget:
+        raise ValueError(f"infeasible power constraint: min cost {float(cost.min())!r} "
+                         f"exceeds budget {budget!r}")
+    trace = [objective(alpha, prob)]
+    alpha, gap, steps, converged = _frank_wolfe(prob, alpha, 0.0, tol, max_iters,
+                                                line_search, trace)
+    mu, eps = 0.0, np.finfo(float).eps
+    # c carries rounding of order eps c, so a smaller overshoot is within budget.
+    if cost is not None and float(cost @ alpha) - budget > 4.0 * prob.k1 * eps * budget:
+        # (mu, alpha, slack) of the last over-budget solve; hi adds the
+        # information and the certificate of the last feasible one.
+        lo, hi = (0.0, alpha, budget - float(cost @ alpha)), None
+        prev = (lo[0], lo[2])  # (mu, slack) of the last solve, for the secant
+        # First guess: the free optimum's marginal information per unit cost.
+        mu = float(gradient(alpha, prob) @ alpha) / float(cost @ alpha)
+        # Beyond mu_max the rounding of mu c swamps a certificate of size tol.
+        mu_max = 0.25 * tol / (eps * prob.k1 * float(cost.max()))
+        while converged:
+            if not 0.0 < mu < mu_max:
+                raise ValueError(f"power multiplier search failed at mu = {mu!r}: the budget sits "
+                                 "within rounding of the cheapest cost or at the domain's edge")
+            alpha, gap, taken, converged = _frank_wolfe(
+                prob, alpha, mu, 0.5 * tol, max_iters - steps, line_search, trace)
+            steps += taken
+            slack = budget - float(cost @ alpha)
+            if not converged:
+                break
+            if slack >= 0.0:
+                hi = (mu, alpha, slack, trace[-1], gap + mu * slack)
+                if hi[4] < tol:
+                    break
+            else:
+                lo = (mu, alpha, slack)
+            # Aim at the slack tol / (4 mu): positive, so the root is approached
+            # from the feasible side, and small enough for the certificate.
+            target = 0.25 * tol / mu
+            if hi is not None and hi[2] > target:
+                # Where the objective is flat, inexact solves pin the slack down poorly;
+                # the mix of both sides' iterates at the target slack is certified instead.
+                t = (hi[2] - target) / (hi[2] - lo[2])
+                mix, mu_t = hi[1] + t * (lo[1] - hi[1]), hi[0] + t * (lo[0] - hi[0])
+                grad, slack_t = gradient(mix, prob, mu_t), budget - float(cost @ mix)
+                cert = float(np.max(grad) - grad @ mix) + mu_t * slack_t
+                if slack_t >= 0.0 and cert < tol:
+                    hi = (mu_t, mix, slack_t, objective(mix, prob), cert)
+                    break
+            (mu0, slack0), prev = prev, (mu, slack)
+            root = (mu - (slack - target) * (mu - mu0) / (slack - slack0)
+                    if slack != slack0 else math.nan)
+            if hi is None:
+                mu = 1.25 * root if root > mu else 2.0 * mu
+            elif lo[0] < root < hi[0] and abs(slack - target) <= 0.5 * abs(slack0 - target):
+                mu = root
+            elif hi[0] - lo[0] > 4.0 * eps * hi[0]:
+                mu = 0.5 * (lo[0] + hi[0])  # the secant left the bracket or stalled
+            else:
+                converged = False
+        if hi is None:
+            gap = math.inf  # no iterate met the budget before the step cap
+        else:
+            if alpha is not hi[1]:
+                trace.append(hi[3])
+            mu, alpha, _, _, gap = hi
+    report = kkt_check(alpha, prob, mu=mu)
     return FWResult(alpha=alpha, report=report, trace=np.array(trace),
-                    gap=gap, iterations=len(trace) - 1, converged=converged)
+                    gap=gap, iterations=steps, converged=converged)
 
 
 def capacity_prior(j, nodes, support_length: float):

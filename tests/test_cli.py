@@ -315,6 +315,31 @@ class TestOptimizeAndFig1Runs:
         assert side["kkt"]["inequality_violation"] <= 1e-6
         assert side["power_slack"] is None
 
+    def test_binding_budget_reports_certificate_and_multiplier(self, tmp_path):
+        cfg = write_config(tmp_path / "opt.json", {"k1": 10, "avg_power": 10.33})
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+        with open(str(out) + ".json") as fh:
+            side = json.load(fh)
+        assert side["converged"] is True
+        assert side["duality_gap"] < 1e-8
+        assert side["kkt"]["power_multiplier"] > 0.0
+        assert side["kkt"]["equality_violation"] < 1e-6
+        assert 0.0 <= side["power_slack"] <= 1e-6 * 10.33
+
+    def test_unconverged_run_says_so_on_stderr(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "opt.json",
+                           {"k1": 3, "n": 8, "m": 80, "max_iters": 2})
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "not converged within max_iters = 2" in err[0]
+        with open(str(out) + ".json") as fh:
+            side = json.load(fh)
+        assert side["converged"] is False
+        assert f"{side['duality_gap']:.3g}" in err[0]
+
     def test_fig1_relative_errors_are_consistent(self, tmp_path):
         cfg = write_config(tmp_path / "fig1.json", TINY_FIG1)
         out = tmp_path / "f1.csv"
@@ -326,3 +351,23 @@ class TestOptimizeAndFig1Runs:
                 (row["I_G"] - row["I_MC"]) / row["I_MC"], rel=1e-12)
             assert row["DI_std"] == pytest.approx(
                 row["I_std"] / row["I_MC"], rel=1e-12)
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["popcode_mi", "popcode_mi.cli"])
+    def test_python_dash_m_runs_the_experiment(self, module, tmp_path):
+        import subprocess
+
+        import popcode_mi
+
+        cfg = write_config(tmp_path / "cap.json", TINY_CAPACITY)
+        out = tmp_path / "cap.csv"
+        src = os.path.dirname(os.path.dirname(popcode_mi.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", module, "capacity", "--config", cfg,
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("popcode-mi capacity: 50 rows")
+        header, rows = read_rows(out)
+        assert header[:2] == ["x", "p_star"] and len(rows) == 50

@@ -43,15 +43,13 @@ class TestGaussianPrior:
     def test_curvature_is_precision_everywhere(self):
         cov = np.array([[2.0, 0.3], [0.3, 1.0]])
         prior = GaussianPrior(np.zeros(2), cov)
-        np.testing.assert_allclose(prior.curvature(), np.linalg.inv(cov), rtol=1e-12)
-        np.testing.assert_allclose(prior.curvature(np.array([5.0, -2.0])),
-                                   prior.curvature(), rtol=1e-15)
+        np.testing.assert_allclose(prior.precision(), np.linalg.inv(cov), rtol=1e-12)
 
     def test_score_outer_product_equals_curvature(self):
         """For a Gaussian, <score score^T> = Sigma^{-1} = P exactly."""
         cov = np.array([[1.5, -0.2], [-0.2, 0.8]])
         prior = GaussianPrior(np.zeros(2), cov)
-        np.testing.assert_allclose(prior.p_plus(), prior.curvature(), rtol=1e-14)
+        np.testing.assert_allclose(prior.p_plus(), prior.precision(), rtol=1e-14)
 
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(ValueError, match="positive-definite"):

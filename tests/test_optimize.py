@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from popcode_mi.fisher import GridPrior
@@ -198,11 +198,9 @@ class TestPowerConstraints:
         assert cheapest < uniform_cost
         budget = 0.5 * (cheapest + uniform_cost)
         prob = build_problem(thetas, toy_prior, n=30, avg_power=budget)
-        # The budget polytope rules out pairwise steps, so convergence is
-        # sublinear near a facet optimum; certify at a realistic gap.
-        res = maximize(prob, tol=1e-4)
+        res = maximize(prob, tol=1e-8)
         assert res.converged
-        assert res.gap < 1e-4
+        assert res.gap < 1e-8
         assert float(prob.power_cost @ res.alpha) <= budget + 1e-8
         free_res = maximize(free, tol=1e-8)
         assert objective(res.alpha, prob) <= objective(free_res.alpha, free) + 1e-10
@@ -214,9 +212,90 @@ class TestPowerConstraints:
                         + float(probe.power_cost @ np.full(6, 1 / 6)))
         prob = build_problem(thetas, toy_prior, n=30, avg_power=budget)
         res = maximize(prob, tol=1e-4)
+        assert res.report.power_multiplier > 0.0
+
+
+def desk_problem(k1, avg_power=None):
+    """The CLI's desk ``optimize`` problem: M = 500, N = 100, centers over a span of 1."""
+    prior = GridPrior.von_mises(period=PERIOD, width=PERIOD / 4, m=500)
+    thetas = np.arange(k1) / (k1 - 1) - 0.5
+    return build_problem(thetas, prior, n=100, avg_power=avg_power)
+
+
+@pytest.fixture(scope="module")
+def toy_grid(toy):
+    """test_10's 10,011-point barycentric grid with each point's value and cost."""
+    denom = 140
+    points = np.array([[i, j, denom - i - j] for i in range(denom + 1)
+                       for j in range(denom + 1 - i)]) / denom
+    cost = build_problem(toy.thetas, GridPrior.von_mises(period=PERIOD, m=300), n=8,
+                         avg_power=1e9).power_cost
+    return points, np.array([objective(a, toy) for a in points]), points @ cost, cost
+
+
+class TestPowerMultiplier:
+    """The budget is priced by its Lagrange multiplier; the certificate bounds I* - I."""
+
+    def test_binding_budget_is_certified(self):
+        budget = 10.33  # between the cheapest class (10.19) and the free optimum (10.47)
+        prob = desk_problem(50, avg_power=budget)
+        res = maximize(prob, tol=1e-8)
         slack = budget - float(prob.power_cost @ res.alpha)
-        if slack <= 1e-8 * budget:
-            assert res.report.power_multiplier >= 0.0
+        assert res.converged
+        assert res.gap < 1e-8
+        assert res.report.power_multiplier > 0.0
+        assert res.report.equality_violation < 1e-6
+        assert 0.0 <= slack <= 1e-6 * budget
+        assert res.trace[-1] == objective(res.alpha, prob)
+
+    def test_slack_budget_returns_the_free_solve_bit_for_bit(self):
+        free = maximize(desk_problem(10))
+        res = maximize(desk_problem(10, avg_power=12.0))
+        assert res.report.power_multiplier == 0.0
+        assert res.alpha.tobytes() == free.alpha.tobytes()
+        assert res.report.gradient.tobytes() == free.report.gradient.tobytes()
+        assert res.trace.tobytes() == free.trace.tobytes()
+        assert (res.gap, res.iterations, res.converged) == (free.gap, free.iterations, free.converged)
+
+    @settings(max_examples=25)
+    @given(st.floats(0.0, 1.0))
+    @example(0.01)  # inexact solves leave the slack noisy; the certified mix ends the search
+    def test_certificate_bounds_the_grid_optimum(self, toy, toy_grid, u):
+        """No budget-feasible grid point beats I(alpha) by more than the gap."""
+        points, values, costs, cost = toy_grid
+        free_cost = float(cost @ maximize(toy).alpha)
+        budget = float(cost.min()) + u * (free_cost - float(cost.min()))
+        prob = build_problem(toy.thetas, GridPrior.von_mises(period=PERIOD, m=300), n=8,
+                             avg_power=budget)
+        res = maximize(prob)
+        assert res.converged
+        # Feasible up to the rounding of c.alpha, which maximize allows the free solve.
+        assert float(cost @ res.alpha) - budget <= 12 * np.finfo(float).eps * budget
+        feasible = costs <= budget
+        if np.any(feasible):
+            assert objective(res.alpha, prob) >= values[feasible].max() - res.gap
+
+    def test_budget_at_the_common_cost_returns_the_free_solve(self):
+        """Under a flat prior every class costs the same up to rounding."""
+        uni = GridPrior.uniform(period=PERIOD, m=100)
+        thetas = np.array([-0.4, 0.1, 0.5])
+        free = maximize(build_problem(thetas, uni, n=20))
+        prob = build_problem(thetas, uni, n=20, avg_power=1e9)
+        res = maximize(build_problem(thetas, uni, n=20, avg_power=float(prob.power_cost.min())))
+        assert res.converged and res.report.power_multiplier == 0.0
+        assert res.alpha.tobytes() == free.alpha.tobytes()
+
+    def test_step_cap_returns_the_last_feasible_iterate(self):
+        """Cut in its last solve, the search returns the previous feasible iterate."""
+        budget = 10.33
+        prob = desk_problem(10, avg_power=budget)
+        cap = maximize(prob).iterations - 1
+        res = maximize(prob, max_iters=cap)
+        assert not res.converged
+        assert res.iterations == cap
+        assert 1e-8 <= res.gap < math.inf
+        assert float(prob.power_cost @ res.alpha) <= budget
+        assert res.trace[-1] == objective(res.alpha, prob)
 
 
 class TestBuildProblemValidation:
