@@ -7,12 +7,12 @@ ln det is concave on the PD cone, the objective
 
     I[alpha] = (1/2) <ln det((N sum_k alpha_k S(x; theta_k) + P(x)) / 2 pi e)> + H(X)
 
-is concave, so pairwise Frank-Wolfe on the simplex converges to the
-global optimum, linearly, and its duality gap doubles as a stopping
-certificate.  Two power constraints are supported: a peak-rate cap
-(handled by construction — the optimal tuning amplitude saturates it, so
-amplitudes are set to the cap) and an average-power budget c.alpha <= B,
-priced by its Lagrange multiplier mu: each fixed-mu problem
+is concave, so pairwise Frank-Wolfe on the simplex, each step solved exactly
+from the closed form of I along a line, converges to the global optimum,
+linearly, and its duality gap doubles as a stopping certificate.  Two power
+constraints are supported: a peak-rate cap (the optimal tuning amplitude
+saturates it, so amplitudes are set to the cap) and an average-power budget
+c.alpha <= B, priced by its Lagrange multiplier mu: each fixed-mu problem
 max I - mu c.alpha is again a simplex problem, mu is found by a secant
 search on the budget's slack, and gap + mu * slack certifies the result.
 
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 # chol_logdet stays importable here: perfbench wraps it by module attribute.
 from ._linalg import chol_logdet, cholesky_stack, logdet_grid, sym_sqrt  # noqa: F401
@@ -251,26 +250,44 @@ class FWResult:
 
 def _line_search(alpha: np.ndarray, direction: np.ndarray, upper: float,
                  prob: OptimizationProblem, mu: float) -> float:
-    """Maximize the concave 1-D slice of ``I - mu c.alpha`` along direction.
+    """Exact maximizer over [0, upper] of ``I - mu c.alpha`` along direction.
 
-    Returns the exact upper bound when the slice is still increasing
-    there, so steps that should remove a weight remove it exactly
-    (a bounded Brent search alone never lands on the boundary).
+    f(gamma) = (1/2) <sum_i ln(1 + gamma lambda_i)> - gamma mu c.d, lambda_i the
+    eigenvalues of L^-1 D L^-T (G = L L^T, D = N sum_k d_k S_k), is concave
+    below min over lambda < 0 of -1/lambda.  Returns ``upper`` while f rises
+    there (a step then empties a subclass exactly), else Newton's root of f'.
     """
+    g = _g(alpha, prob)
+    if prob.scalar:
+        lam, w = prob.n * (prob.s_values @ direction) / g, prob.weights
+    else:
+        linv = np.linalg.inv(np.linalg.cholesky(g))
+        delta = prob.n * np.einsum("mkab,k->mab", prob.s_values, direction)
+        lam = np.linalg.eigvalsh(linv @ delta @ np.swapaxes(linv, 1, 2)).ravel()
+        w = np.repeat(prob.weights, g.shape[1])
+    price = mu * float(prob.power_cost @ direction) if mu else 0.0
 
-    def phi(gamma: float) -> float:
-        point = alpha + gamma * direction
-        value = objective(point, prob)
-        return value - mu * float(prob.power_cost @ point) if mu else value
+    def slope(gamma: float) -> tuple[float, float, float]:  # f', -f'', sum of |f' terms|
+        r = lam / (1.0 + gamma * lam)
+        return (0.5 * float(w @ r) - price, 0.5 * float(w @ (r * r)),
+                0.5 * float(w @ np.abs(r)) + abs(price))
 
-    res = minimize_scalar(lambda g: -phi(g), bounds=(0.0, upper),
-                          method="bounded", options={"xatol": 1e-12})
-    # res.fun is -phi at exactly res.x, so the maximum need not be re-evaluated.
-    return upper if phi(upper) >= -res.fun else float(res.x)
+    edge = float(np.min(-1.0 / lam[lam < 0.0], initial=math.inf))
+    if upper < edge and slope(upper)[0] >= 0.0:
+        return upper
+    lo, hi, gamma = 0.0, min(upper, edge), 0.0
+    for _ in range(100):
+        d1, curv, size = slope(gamma)
+        if abs(d1) <= 4.0 * np.finfo(float).eps * size:
+            break  # f' is zero to the rounding of its terms
+        lo, hi = (gamma, hi) if d1 > 0.0 else (lo, gamma)
+        step = gamma + d1 / curv
+        gamma = step if lo < step < hi else 0.5 * (lo + hi)
+    return gamma
 
 
 def _frank_wolfe(prob: OptimizationProblem, alpha: np.ndarray, mu: float, tol: float,
-                 max_iters: int, line_search: bool, trace: list):
+                 max_iters: int, trace: list):
     """Maximize ``I - mu c.alpha`` over the simplex from alpha (see ``maximize``),
     appending each new iterate's information to ``trace``.  Returns
     ``(alpha, gap, steps, converged)``, with the gap of the last gradient."""
@@ -283,48 +300,29 @@ def _frank_wolfe(prob: OptimizationProblem, alpha: np.ndarray, mu: float, tol: f
         gap = float(grad @ (s - alpha))
         if gap < tol:
             return alpha, gap, t, True
-        if line_search:
-            # Pairwise step from the worst supported subclass to the best one.
-            support = np.flatnonzero(alpha > 0)
-            worst = int(support[np.argmin(grad[support])])
-            if worst == best:
-                direction, upper = s - alpha, 1.0
-            else:
-                direction = np.zeros(prob.k1)
-                direction[best], direction[worst] = 1.0, -1.0
-                upper = float(alpha[worst])
-            gamma = _line_search(alpha, direction, upper, prob, mu)
-        else:
-            direction = s - alpha
-            gamma = 2.0 / (t + 2.0)
-        # Domain safeguard: with an indefinite prior-curvature term the
-        # objective is -inf outside an open subset of the simplex, which a
-        # fixed-schedule step can reach; halving from the finite iterate
-        # recovers.  The clipped candidate's value is the new trace entry.
-        for _ in range(200):
-            candidate = np.clip(alpha + gamma * direction, 0.0, None)
-            candidate /= candidate.sum()
-            value = objective(candidate, prob)
-            if value > -math.inf:
-                break
-            gamma *= 0.5
-        else:
-            raise ValueError(f"objective is not finite near the iterate at step {t}; "
-                             "the feasible region may contain no positive-definite point")
-        alpha = candidate
+        support = np.flatnonzero(alpha > 0)
+        worst = int(support[np.argmin(grad[support])])
+        direction = np.zeros(prob.k1)
+        direction[best], direction[worst] = 1.0, -1.0
+        gamma = _line_search(alpha, direction, float(alpha[worst]), prob, mu)
+        alpha = np.clip(alpha + gamma * direction, 0.0, None)
+        alpha /= alpha.sum()
+        value = objective(alpha, prob)
+        if value == -math.inf:
+            raise ValueError(f"objective is -inf after step {t}: the step left its domain")
         trace.append(value)
     return alpha, gap, max_iters, False
 
 
 def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
-             max_iters: int = 10_000, line_search: bool = True) -> FWResult:
+             max_iters: int = 10_000) -> FWResult:
     """Globally maximize the concave objective over the feasible weights.
 
-    With ``line_search`` (default) Frank-Wolfe steps are pairwise — mass
-    moves from the worst supported subclass to the best one with an exact
-    1-D search — which converges linearly and leaves no stray support;
-    without it, the classic step 2/(t+2) is used.  A solve stops once the
-    duality gap ``grad . (s - alpha)`` falls below ``tol``.
+    Frank-Wolfe steps are pairwise — mass moves from the worst supported
+    subclass to the best one by the exact maximizing step — which converges
+    linearly and leaves no stray support; a step costs one ``gradient`` and
+    one ``objective`` call.  A solve stops once the duality gap
+    ``grad . (s - alpha)`` falls below ``tol > 0``.
 
     An average-power budget ``c.alpha <= B`` is priced by its multiplier
     mu >= 0.  A free optimum within budget (up to the rounding of c.alpha)
@@ -337,6 +335,8 @@ def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
     solves together; hitting it returns the last feasible iterate (or the
     last iterate with an infinite gap if none met the budget yet).
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if init is None:
         alpha = np.full(prob.k1, 1.0 / prob.k1)
     else:
@@ -348,8 +348,7 @@ def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
         raise ValueError(f"infeasible power constraint: min cost {float(cost.min())!r} "
                          f"exceeds budget {budget!r}")
     trace = [objective(alpha, prob)]
-    alpha, gap, steps, converged = _frank_wolfe(prob, alpha, 0.0, tol, max_iters,
-                                                line_search, trace)
+    alpha, gap, steps, converged = _frank_wolfe(prob, alpha, 0.0, tol, max_iters, trace)
     mu, eps = 0.0, np.finfo(float).eps
     # c carries rounding of order eps c, so a smaller overshoot is within budget.
     if cost is not None and float(cost @ alpha) - budget > 4.0 * prob.k1 * eps * budget:
@@ -366,7 +365,7 @@ def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
                 raise ValueError(f"power multiplier search failed at mu = {mu!r}: the budget sits "
                                  "within rounding of the cheapest cost or at the domain's edge")
             alpha, gap, taken, converged = _frank_wolfe(
-                prob, alpha, mu, 0.5 * tol, max_iters - steps, line_search, trace)
+                prob, alpha, mu, 0.5 * tol, max_iters - steps, trace)
             steps += taken
             slack = budget - float(cost @ alpha)
             if not converged:

@@ -121,6 +121,21 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
 
+    def test_budget_at_the_domain_edge_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        """Only the cheapest class meets the budget, and its vertex has I = -inf."""
+        from popcode_mi import cli
+        from popcode_mi.fisher import GridPrior
+        from popcode_mi.optimize import build_problem
+
+        thetas = np.array([-0.45, 0.0, 0.40])
+        monkeypatch.setattr(cli, "_centers", lambda k1, span: thetas)
+        cost = build_problem(thetas, GridPrior.von_mises(m=300), n=8, avg_power=1e9).power_cost
+        cfg = write_config(tmp_path / "opt.json",
+                           {"k1": 3, "n": 8, "m": 300, "avg_power": float(cost.min()) + 1e-4})
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "opt.csv")]) == 3
+        assert "numerical failure: power multiplier search failed" in capsys.readouterr().err
+
+
 class TestReproducibility:
     def test_identical_config_and_seed_reproduce_csv_bytes(self, tmp_path):
         cfg = write_config(tmp_path / "fig1.json", TINY_FIG1)

@@ -1,15 +1,21 @@
 """Density optimization on the simplex, KKT certification, and capacity."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize, minimize_scalar
 
-from popcode_mi.fisher import GridPrior
+from popcode_mi.fisher import GaussianPrior, GridPrior
 from popcode_mi.mi import i_g
 from popcode_mi.optimize import (
+    OptimizationProblem,
+    _line_search,
     build_problem,
     capacity_prior,
     gaussian_capacity,
@@ -143,18 +149,159 @@ class TestMaximize:
         res = maximize(prob, tol=1e-10)
         np.testing.assert_allclose(res.alpha, [0.0, 1.0], atol=1e-8)
 
-    def test_classic_step_schedule_agrees(self, toy):
-        fast = maximize(toy, tol=1e-8)
-        slow = maximize(toy, tol=1e-5, line_search=False, max_iters=50_000)
-        assert slow.converged
-        assert objective(slow.alpha, toy) == pytest.approx(
-            objective(fast.alpha, toy), abs=1e-4)
+    def test_agrees_with_an_independent_solver(self, toy):
+        """scipy's SLSQP on the simplex finds no better point than the certified one."""
+        res = maximize(toy, tol=1e-8)
+        ref = minimize(lambda a: -objective(a, toy), np.full(3, 1 / 3),
+                       jac=lambda a: -gradient(a, toy), method="SLSQP", bounds=[(0.0, 1.0)] * 3,
+                       constraints=[{"type": "eq", "fun": lambda a: a.sum() - 1.0}],
+                       options={"ftol": 1e-14, "maxiter": 500})
+        assert ref.success
+        assert objective(res.alpha, toy) >= -ref.fun - res.gap
+        assert objective(res.alpha, toy) == pytest.approx(-ref.fun, abs=1e-8)
 
     def test_rejects_bad_init(self, toy):
         with pytest.raises(ValueError):
             maximize(toy, init=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             maximize(toy, init=np.array([0.7, 0.2, 0.2]))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    def test_rejects_non_positive_tol(self, toy, tol):
+        with pytest.raises(ValueError, match="^tol must be positive"):
+            maximize(toy, tol=tol)
+
+
+def bump_problem_2d():
+    """Four Poisson classes with Gaussian-bump tuning on a 2-D stimulus x ~ N(0, diag(1, 1/4)),
+    averaged by a 5 x 5 Gauss-Hermite rule: ``s_values`` has shape (25, 4, 2, 2)."""
+    sd = np.array([1.0, 0.5])
+    nodes, w = np.polynomial.hermite_e.hermegauss(5)
+    xs = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), -1).reshape(-1, 2) * sd
+    centers = np.array([[-0.8, -0.3], [-0.2, 0.4], [0.5, -0.1], [0.9, 0.3]])
+    diff = xs[:, None, :] - centers[None]
+    bump = 20.0 * np.exp(-np.sum(diff**2, axis=-1))
+    slope = -2.0 * diff * bump[..., None]
+    s_values = slope[..., :, None] * slope[..., None, :] / (bump + 0.5)[..., None, None]
+    prior = GaussianPrior(np.zeros(2), np.diag(sd**2))
+    return OptimizationProblem(
+        kind="I_G", thetas=np.arange(4.0), n=20, s_values=s_values,
+        p_values=np.broadcast_to(prior.precision(), (xs.shape[0], 2, 2)).copy(),
+        weights=np.outer(w, w).ravel() / np.sum(w) ** 2, h_x=prior.entropy(),
+        power_cost=np.array([1.0, 1.3, 0.8, 1.1]), power_budget=1.0)
+
+
+SLICE_PROBLEMS = {
+    "scalar I_G": lambda: build_problem(np.array([-0.45, -0.1, 0.2, 0.45]),
+                                        GridPrior.von_mises(period=PERIOD, m=300), n=8,
+                                        avg_power=1e9),
+    "scalar I_F": lambda: build_problem(np.array([-0.45, -0.1, 0.2, 0.45]),
+                                        GridPrior.von_mises(period=PERIOD, m=300), n=8,
+                                        kind="I_F", avg_power=1e9),
+    "2-D I_G": bump_problem_2d,
+}
+
+
+def slice_spectrum(alpha, direction, prob):
+    """lambda and weights with I(alpha + gamma d) - I(alpha) = (1/2) sum w ln(1 + gamma lambda),
+    from the eigenvalues of G^-1 D (G at alpha, D = N sum_k d_k S_k)."""
+    if prob.scalar:
+        g = prob.n * (prob.s_values @ alpha) + (prob.p_values if prob.kind == "I_G" else 0.0)
+        return prob.n * (prob.s_values @ direction) / g, prob.weights
+    g = prob.n * np.einsum("mkab,k->mab", prob.s_values, alpha) + prob.p_values
+    delta = prob.n * np.einsum("mkab,k->mab", prob.s_values, direction)
+    lam = np.linalg.eigvals(np.linalg.solve(g, delta)).real
+    return lam.ravel(), np.repeat(prob.weights, lam.shape[1])
+
+
+def random_slice(rng, prob):
+    """A random interior point and a pairwise direction with its step bound."""
+    while True:
+        alpha = rng.dirichlet(np.ones(prob.k1))
+        if objective(alpha, prob) > -math.inf:
+            break
+    i, j = rng.choice(prob.k1, size=2, replace=False)
+    direction = np.zeros(prob.k1)
+    direction[i], direction[j] = 1.0, -1.0
+    return alpha, direction, float(alpha[j])
+
+
+def domain_edge(lam):
+    falling = lam < 0
+    return float(np.min(-1.0 / lam[falling])) if np.any(falling) else math.inf
+
+
+class TestExactStep:
+    """The line search maximizes the closed form of the objective along a step."""
+
+    @pytest.mark.parametrize("name", list(SLICE_PROBLEMS))
+    def test_objective_slice_has_the_closed_form(self, name):
+        prob = SLICE_PROBLEMS[name]()
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            alpha, direction, upper = random_slice(rng, prob)
+            lam, w = slice_spectrum(alpha, direction, prob)
+            gamma = rng.uniform(0.02, 0.98) * min(upper, domain_edge(lam))
+            got = objective(alpha + gamma * direction, prob) - objective(alpha, prob)
+            assert got == pytest.approx(0.5 * w @ np.log1p(gamma * lam), rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(SLICE_PROBLEMS))
+    def test_step_maximizes_the_slice(self, name):
+        """The step scores at least as well as bounded Brent and is a stationary point,
+        or it is the step bound with the slice still rising there."""
+        prob = SLICE_PROBLEMS[name]()
+        rng = np.random.default_rng(12)
+        eps = np.finfo(float).eps
+        kinds = set()
+        for draw in range(40):
+            mu = 0.0 if draw % 3 == 0 else rng.uniform(0.01, 0.5)
+            alpha = rng.dirichlet(np.ones(prob.k1))
+            if draw % 2:  # a small weight to give up, so the step bound binds
+                j = int(rng.integers(prob.k1))
+                alpha[j] *= 1e-3
+                alpha /= alpha.sum()
+            if objective(alpha, prob) == -math.inf:
+                continue
+            grad = gradient(alpha, prob, mu)
+            i = int(np.argmax(grad))
+            if draw % 2 == 0:
+                j = int(np.argmin(grad))
+            if i == j:
+                continue
+            direction = np.zeros(prob.k1)
+            direction[i], direction[j] = 1.0, -1.0
+            upper = float(alpha[j])
+
+            def phi(gamma):
+                point = alpha + gamma * direction
+                return objective(point, prob) - mu * float(prob.power_cost @ point)
+
+            gamma = _line_search(alpha, direction, upper, prob, mu)
+            lam, _ = slice_spectrum(alpha, direction, prob)
+            hi = min(upper, domain_edge(lam) * (1.0 - 1e-9))
+            ref = minimize_scalar(lambda g: -phi(g), bounds=(0.0, hi), method="bounded",
+                                  options={"xatol": 1e-12})
+            assert 0.0 < gamma <= upper
+            assert phi(gamma) >= -ref.fun - 4 * eps * abs(ref.fun)
+            grad = gradient(alpha + gamma * direction, prob, mu)
+            slope, size = grad @ direction, np.abs(grad) @ np.abs(direction)
+            if gamma == upper and slope >= 0.0:
+                kinds.add("bound")
+            else:
+                assert abs(slope) <= 1e-9 * size
+                kinds.add("root")
+        assert kinds == {"bound", "root"}
+
+    def test_package_does_not_import_scipy_optimize(self):
+        import popcode_mi
+
+        src = os.path.dirname(os.path.dirname(popcode_mi.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = "import sys, popcode_mi.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestKKT:
@@ -296,6 +443,30 @@ class TestPowerMultiplier:
         assert 1e-8 <= res.gap < math.inf
         assert float(prob.power_cost @ res.alpha) <= budget
         assert res.trace[-1] == objective(res.alpha, prob)
+
+
+def domain_edge_problem(above_cheapest):
+    """Every vertex has I = -inf; the budget keeps the weight near the unique cheapest one."""
+    prior = GridPrior.von_mises(period=PERIOD, m=300)
+    thetas = np.array([-0.45, 0.0, 0.40])
+    cost = build_problem(thetas, prior, n=8, avg_power=1e9).power_cost
+    return build_problem(thetas, prior, n=8, avg_power=float(cost.min()) + above_cheapest)
+
+
+class TestDomainEdgeBudget:
+    @pytest.mark.filterwarnings("error")
+    def test_budget_at_the_domain_edge_fails_fast(self):
+        prob = domain_edge_problem(1e-4)
+        assert all(objective(e, prob) == -math.inf for e in np.eye(3))
+        with pytest.raises(ValueError, match="^power multiplier search failed at mu = "):
+            maximize(prob)
+
+    @pytest.mark.filterwarnings("error")
+    def test_budget_just_inside_converges(self):
+        prob = domain_edge_problem(1e-3)
+        res = maximize(prob)
+        assert res.converged and res.gap < 1e-8
+        assert float(prob.power_cost @ res.alpha) <= prob.power_budget
 
 
 class TestBuildProblemValidation:
