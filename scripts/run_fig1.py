@@ -6,7 +6,7 @@ population size) and writes ``fig1.csv`` plus its JSON sidecar to the
 current directory.  Any runner flag can be appended, e.g.::
 
     python3 scripts/run_fig1.py --seed 7 --bits --out /tmp/sweep.csv
-    python3 scripts/run_fig1.py --paper-scale   # j_max = 5e5, M = 1000
+    python3 scripts/run_fig1.py --paper-scale   # j_max = 5e5, M = 1000, N up to 1000
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import hashlib
 import json
@@ -30,6 +31,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -52,74 +54,22 @@ __all__ = ["main", "entry", "ConfigError"]
 
 LN2 = math.log(2.0)
 
-_DESK_N_LIST = [2, 3, 4, 6, 10, 14, 20, 30, 50, 100]
-_PAPER_N_LIST = _DESK_N_LIST + [200, 400, 700, 1000]
-
-_SHARED_DEFAULTS = {
-    "seed": 0,
-    "out": None,
-    "bits": False,
-    "paper_scale": False,
-    "workers": None,
-    "period": math.pi,
-    "center_span": 1.0,
-    "amplitude": 20.0,
-    "width": 0.5,
-    "prior_width": math.pi / 4,
-}
-
-_EXPERIMENT_DEFAULTS = {
-    "fig1": {
-        "n_list": None,  # resolved per scale below
-        "j_max": None,
-        "i_max": 100,
-        "m": None,
-        "repeats": 10,
-    },
-    "fig2": {
-        "widths": list(range(2, 31, 2)),
-        "n_list": [10_000, 20_000, 50_000, 100_000],
-        "patch_file": None,
-        "spectrum_exponent": 2.0,
-    },
-    "optimize": {
-        "k1": 10,
-        "theta_span": 1.0,
-        "n": 100,
-        "m": 500,
-        "objective": "I_G",
-        "tol": 1e-8,
-        "max_iters": 10_000,
-        "peak_power": None,
-        "avg_power": None,
-    },
-    "capacity": {
-        "n": 30,
-        "m": 500,
-    },
-}
+# Information-valued outputs, in nats from the runners: ``--bits`` divides
+# these CSV columns and sidecar keys by ln 2, and nothing else.
+_INFO_COLUMNS = frozenset({"I_MC", "I_std", "I_G", "I_G+", "I_F", "dI_F"})
+_INFO_KEYS = frozenset({"objective", "objective_trace", "capacity", "i_g"})
 
 
 class ConfigError(Exception):
     """Invalid configuration: bad file, unknown key, or bad value."""
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config file {path!r} must hold a JSON object")
-    return cfg
-
-
-def _require(cond: bool, message: str):
-    if not cond:
-        raise ConfigError(message)
+def _check(ok, what: str):
+    """A key check: unless ``ok(value)``, a ConfigError naming the key."""
+    def check(key, value):
+        if not ok(value):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return check
 
 
 def _is_int(value) -> bool:
@@ -127,56 +77,105 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _validate(experiment: str, cfg: dict):
-    def pos(key):
-        _require(isinstance(cfg[key], (int, float)) and not isinstance(cfg[key], bool)
-                 and 0 < cfg[key] < math.inf,
-                 f"{key} must be a positive finite number, got {cfg[key]!r}")
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 1
 
-    def pos_int(key):
-        _require(_is_int(cfg[key]) and cfg[key] >= 1,
-                 f"{key} must be a positive integer, got {cfg[key]!r}")
 
-    def pos_int_list(key):
-        _require(isinstance(cfg[key], list) and cfg[key]
-                 and all(_is_int(v) and v >= 1 for v in cfg[key]),
-                 f"{key} must be a nonempty list of positive integers, got {cfg[key]!r}")
+def _patch_path(key, value):
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a path string")
 
-    for key in ("period", "center_span", "amplitude", "width", "prior_width"):
-        pos(key)
-    _require(_is_int(cfg["seed"]) and 0 <= cfg["seed"] < 2**64,
-             f"seed must be an unsigned 64-bit integer, got {cfg['seed']!r}")
-    if cfg["workers"] is not None:
-        pos_int("workers")
-    if experiment == "fig1":
-        for key in ("j_max", "i_max", "m", "repeats"):
-            pos_int(key)
-        _require(cfg["m"] >= 2, f"m must be at least 2, got {cfg['m']}")
-        pos_int_list("n_list")
-    elif experiment == "fig2":
-        pos_int_list("widths")
-        pos_int_list("n_list")
-        pos("spectrum_exponent")
-        if cfg["patch_file"] is not None:
-            _require(isinstance(cfg["patch_file"], str), "patch_file must be a path string")
-    elif experiment == "optimize":
-        for key in ("k1", "n", "m", "max_iters"):
-            pos_int(key)
-        pos("theta_span")
-        pos("tol")
-        _require(cfg["objective"] in ("I_G", "I_F"),
-                 f"objective must be 'I_G' or 'I_F', got {cfg['objective']!r}")
-        for key in ("peak_power", "avg_power"):
-            if cfg[key] is not None:
-                pos(key)
-    elif experiment == "capacity":
-        pos_int("n")
-        pos_int("m")
+
+_positive = _check(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and 0 < v < math.inf, "a positive finite number")
+_count = _check(_is_count, "a positive integer")
+_counts = _check(lambda v: isinstance(v, list) and v != [] and all(map(_is_count, v)),
+                 "a nonempty list of positive integers")
+_distinct = _check(lambda v: len(set(v)) == len(v), "free of repeated values")
+_flag = _check(lambda v: isinstance(v, bool), "true or false")
+_seed = _check(lambda v: _is_int(v) and 0 <= v < 2**64, "an unsigned 64-bit integer")
+_out_path = _check(lambda v: isinstance(v, str) and v != "", "a non-empty path string")
+
+
+class _Scaled(NamedTuple):
+    """A default with a laptop and a full-scale value, picked by ``paper_scale``."""
+
+    laptop: object
+    paper: object
+
+
+_LAPTOP_N_LIST = [2, 3, 4, 6, 10, 14, 20, 30, 50, 100]
+
+# Every config key, declared once as (default, *checks).  A key whose
+# default is null may be null; a null ``out`` is ``<experiment>.csv``.
+_SHARED_KEYS = {
+    "seed": (0, _seed),
+    "out": (None, _out_path),
+    "bits": (False, _flag),
+    "paper_scale": (False, _flag),
+    "workers": (None, _count),  # null: one per CPU
+    "period": (math.pi, _positive),
+    "center_span": (1.0, _positive),
+    "amplitude": (20.0, _positive),
+    "width": (0.5, _positive),
+    "prior_width": (math.pi / 4, _positive),
+}
+
+_EXPERIMENT_KEYS = {
+    "fig1": {
+        "n_list": (_Scaled(_LAPTOP_N_LIST, _LAPTOP_N_LIST + [200, 400, 700, 1000]),
+                   _counts, _distinct),
+        "j_max": (_Scaled(50_000, 500_000), _count),
+        "i_max": (100, _count),
+        "m": (_Scaled(500, 1000), _count, _check(lambda v: v >= 2, "at least 2")),
+        "repeats": (10, _count),
+    },
+    "fig2": {
+        "widths": (list(range(2, 31, 2)), _counts, _distinct),
+        "n_list": ([10_000, 20_000, 50_000, 100_000], _counts, _distinct),
+        "patch_file": (None, _patch_path),
+        "spectrum_exponent": (2.0, _positive),
+    },
+    "optimize": {
+        "k1": (10, _count),
+        "theta_span": (1.0, _positive),
+        "n": (100, _count),
+        "m": (500, _count),
+        "objective": ("I_G", _check(lambda v: v in ("I_G", "I_F"), "'I_G' or 'I_F'")),
+        "tol": (1e-8, _positive),
+        "max_iters": (10_000, _count),
+        "peak_power": (None, _positive),
+        "avg_power": (None, _positive),
+    },
+    "capacity": {
+        "n": (30, _count),
+        "m": (500, _count),
+    },
+}
+
+
+def _load_config(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a bad path or undecodable text
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path!r} must hold a JSON object")
+    return cfg
 
 
 def _resolve(experiment: str, args: argparse.Namespace) -> dict:
-    cfg = dict(_SHARED_DEFAULTS)
-    cfg.update(_EXPERIMENT_DEFAULTS[experiment])
+    """Defaults, then the config file, then flags; every key checked.
+
+    A scaled key takes its ``paper_scale`` value when the config leaves it
+    null or unset, and always under the ``--paper-scale`` flag.
+    """
+    keys = {**_SHARED_KEYS, **_EXPERIMENT_KEYS[experiment]}
+    cfg = {key: None if isinstance(default, _Scaled) else copy.copy(default)
+           for key, (default, *_) in keys.items()}
     file_cfg = _load_config(args.config) if args.config else {}
     declared = file_cfg.pop("experiment", None)
     if declared is not None and declared != experiment:
@@ -185,26 +184,17 @@ def _resolve(experiment: str, args: argparse.Namespace) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys for {experiment}: {sorted(unknown)}")
     cfg.update(file_cfg)
-    # Flags override config fields.
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.out is not None:
-        cfg["out"] = args.out
-    if args.bits:
-        cfg["bits"] = True
-    if args.paper_scale:
-        cfg["paper_scale"] = True
-    if experiment == "fig1":
-        scale_paper = cfg["paper_scale"]
-        if args.paper_scale or cfg["j_max"] is None:
-            cfg["j_max"] = 500_000 if scale_paper else 50_000
-        if args.paper_scale or cfg["m"] is None:
-            cfg["m"] = 1000 if scale_paper else 500
-        if cfg["n_list"] is None:
-            cfg["n_list"] = list(_PAPER_N_LIST if scale_paper else _DESK_N_LIST)
+    for key in ("seed", "out", "bits", "paper_scale"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     if cfg["out"] is None:
         cfg["out"] = f"{experiment}.csv"
-    _validate(experiment, cfg)
+    for key, (default, *checks) in keys.items():
+        if isinstance(default, _Scaled) and (cfg[key] is None or args.paper_scale):
+            cfg[key] = copy.copy(default.paper if cfg["paper_scale"] else default.laptop)
+        if cfg[key] is not None or default is not None:
+            for check in checks:
+                check(key, cfg[key])
     return cfg
 
 
@@ -238,11 +228,11 @@ def _write_csv(path: str, header: list, rows: list):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_sidecar(out_path: str, experiment: str, cfg: dict, wall_time: float, extra: dict):
+def _write_sidecar(experiment: str, cfg: dict, chash: str, wall_time: float, extra: dict):
     payload = {
         "experiment": experiment,
         "config": cfg,
-        "config_hash": _config_hash(experiment, cfg),
+        "config_hash": chash,
         "seed": cfg["seed"],
         "units": "bits" if cfg["bits"] else "nats",
         "version": __version__,
@@ -250,7 +240,7 @@ def _write_sidecar(out_path: str, experiment: str, cfg: dict, wall_time: float, 
         "environment": _environment(cfg),
     }
     payload.update(extra)
-    with open(out_path + ".json", "w", encoding="utf-8") as fh:
+    with open(cfg["out"] + ".json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
 
@@ -279,10 +269,6 @@ def _jsonable(value):
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _scale(value: float, bits: bool) -> float:
-    return value / LN2 if bits else value
-
-
 def _centers(n: int, span: float) -> np.ndarray:
     """Evenly spaced tuning centers covering [-span/2, span/2]."""
     if n == 1:
@@ -301,51 +287,43 @@ def _worker_count(cfg: dict) -> int:
     return cfg["workers"] or os.cpu_count() or 1
 
 
+def _child_seeds(cfg: dict, shape) -> np.ndarray:
+    """Seeds of independent generators, drawn from the configured seed."""
+    return np.random.default_rng(cfg["seed"]).integers(0, 2**63, size=shape)
+
+
 def _run_fig1(cfg: dict) -> tuple[list, list, dict]:
     prior = GridPrior.von_mises(cfg["period"], cfg["prior_width"], cfg["m"])
-    seed_rng = np.random.default_rng(cfg["seed"])
-    run_seeds = seed_rng.integers(0, 2**63, size=(len(cfg["n_list"]), cfg["repeats"]))
+    n_list, repeats = cfg["n_list"], cfg["repeats"]
+    run_seeds = _child_seeds(cfg, (len(n_list), repeats))
+    populations = [_ring_population(cfg, n) for n in n_list]
 
-    populations = {n: _ring_population(cfg, n) for n in cfg["n_list"]}
-
-    def one_mc(n: int, rep: int):
+    def one_mc(i: int, rep: int):
         mc_cfg = MCConfig(j_max=cfg["j_max"], i_max=cfg["i_max"], m=cfg["m"],
-                          seed=int(run_seeds[cfg["n_list"].index(n), rep]))
-        return mc_mutual_information(populations[n], prior, mc_cfg)
+                          seed=int(run_seeds[i, rep]))
+        return mc_mutual_information(populations[i], prior, mc_cfg)
 
-    tasks = [(n, rep) for n in cfg["n_list"] for rep in range(cfg["repeats"])]
+    tasks = [(i, rep) for i in range(len(n_list)) for rep in range(repeats)]
     with ThreadPoolExecutor(max_workers=_worker_count(cfg)) as pool:
         mc_runs = list(pool.map(lambda t: one_mc(*t), tasks))
-    by_n = {n: [] for n in cfg["n_list"]}
-    for (n, _), res in zip(tasks, mc_runs):
-        by_n[n].append(res)
 
-    bits = cfg["bits"]
-    chash = _config_hash("fig1", cfg)
     rows = []
-    for n in cfg["n_list"]:
-        j_values = populations[n].fisher_values(prior.nodes)
+    for i, n in enumerate(n_list):
+        j_values = populations[i].fisher_values(prior.nodes)
         v_f = i_f(j_values, prior)
         v_g = i_g(j_values, prior)
         v_gp = i_g_plus(j_values, prior)
-        i_mc = float(np.mean([r.i_mc for r in by_n[n]]))
-        i_std = float(np.mean([r.i_std for r in by_n[n]]))
+        runs = mc_runs[i * repeats:(i + 1) * repeats]
+        i_mc = float(np.mean([r.i_mc for r in runs]))
+        i_std = float(np.mean([r.i_std for r in runs]))
         rows.append([
-            n,
-            _scale(i_mc, bits),
-            _scale(i_std, bits),
-            _scale(v_g.value, bits),
-            _scale(v_gp.value, bits),
-            _scale(v_f.value, bits),
+            n, i_mc, i_std, v_g.value, v_gp.value, v_f.value,
             (v_g.value - i_mc) / i_mc,
             (v_gp.value - i_mc) / i_mc,
             (v_f.value - i_mc) / i_mc,
             i_std / i_mc,
-            chash,
-            cfg["seed"],
         ])
-    header = ["N", "I_MC", "I_std", "I_G", "I_G+", "I_F",
-              "DI_G", "DI_G+", "DI_F", "DI_std", "config_hash", "seed"]
+    header = ["N", "I_MC", "I_std", "I_G", "I_G+", "I_F", "DI_G", "DI_G+", "DI_F", "DI_std"]
     return header, rows, {}
 
 
@@ -378,8 +356,7 @@ def _run_fig2(cfg: dict) -> tuple[list, list, dict]:
     spectra = _fig2_spectra(cfg)
     widths = [w for w in cfg["widths"] if w in spectra]
     cells = [(w, n) for w in widths for n in cfg["n_list"]]
-    seed_rng = np.random.default_rng(cfg["seed"])
-    cell_seeds = seed_rng.integers(0, 2**63, size=len(cells))
+    cell_seeds = _child_seeds(cfg, len(cells))
 
     def one_cell(idx: int, pool: ThreadPoolExecutor):
         w, n = cells[idx]
@@ -394,20 +371,9 @@ def _run_fig2(cfg: dict) -> tuple[list, list, dict]:
         futures = {i: pool.submit(one_cell, i, pool) for i in order}
         gaps = [futures[i].result() for i in range(len(cells))]
 
-    bits = cfg["bits"]
-    chash = _config_hash("fig2", cfg)
-    rows = []
-    for (w, n), gap in zip(cells, gaps):
-        rows.append([
-            w, w * w, n,
-            _scale(gap.i_g, bits),
-            _scale(gap.i_f, bits),
-            _scale(gap.di_f, bits),
-            gap.rel_di_f,
-            chash,
-            cfg["seed"],
-        ])
-    header = ["w", "K", "N", "I_G", "I_F", "dI_F", "DI_F", "config_hash", "seed"]
+    rows = [[w, w * w, n, gap.i_g, gap.i_f, gap.di_f, gap.rel_di_f]
+            for (w, n), gap in zip(cells, gaps)]
+    header = ["w", "K", "N", "I_G", "I_F", "dI_F", "DI_F"]
     extra = {"source": "patch_file" if cfg["patch_file"] else "synthetic_power_law"}
     return header, rows, extra
 
@@ -424,19 +390,14 @@ def _run_optimize(cfg: dict) -> tuple[list, list, dict]:
     if not result.converged:
         print(f"popcode-mi optimize: not converged within max_iters = {cfg['max_iters']}; "
               f"duality gap {result.gap:.3g}", file=sys.stderr)
-    bits = cfg["bits"]
-    chash = _config_hash("optimize", cfg)
-    rows = [
-        [k, thetas[k], result.alpha[k], result.report.gradient[k], chash, cfg["seed"]]
-        for k in range(cfg["k1"])
-    ]
-    header = ["k", "theta", "alpha", "gradient", "config_hash", "seed"]
+    rows = [[k, thetas[k], result.alpha[k], result.report.gradient[k]] for k in range(cfg["k1"])]
+    header = ["k", "theta", "alpha", "gradient"]
     slack = None
     if prob.power_cost is not None:
         slack = float(prob.power_budget - prob.power_cost @ result.alpha)
     extra = {
-        "objective": _scale(float(result.trace[-1]), bits),
-        "objective_trace": [_scale(float(v), bits) for v in result.trace],
+        "objective": float(result.trace[-1]),
+        "objective_trace": [float(v) for v in result.trace],
         "duality_gap": result.gap,
         "iterations": result.iterations,
         "converged": result.converged,
@@ -456,18 +417,9 @@ def _run_capacity(cfg: dict) -> tuple[list, list, dict]:
     j_values = _ring_population(cfg, cfg["n"]).fisher_values(prior.nodes)
     pstar, cap = capacity_prior(j_values, prior.nodes, cfg["period"])
     value = i_g(j_values, prior).value
-    bits = cfg["bits"]
-    chash = _config_hash("capacity", cfg)
-    rows = [
-        [float(x), float(p), float(j), chash, cfg["seed"]]
-        for x, p, j in zip(prior.nodes, pstar, j_values)
-    ]
-    header = ["x", "p_star", "J", "config_hash", "seed"]
-    extra = {
-        "capacity": _scale(cap, bits),
-        "i_g": _scale(value, bits),
-        "redundancy": redundancy(value, cap),
-    }
+    rows = [[float(x), float(p), float(j)] for x, p, j in zip(prior.nodes, pstar, j_values)]
+    header = ["x", "p_star", "J"]
+    extra = {"capacity": cap, "i_g": value, "redundancy": redundancy(value, cap)}
     return header, rows, extra
 
 
@@ -494,38 +446,46 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config file (flags override its keys)")
-        p.add_argument("--paper-scale", action="store_true", dest="paper_scale",
+        p.add_argument("--paper-scale", action="store_true", default=None, dest="paper_scale",
                        help="full-scale sample counts instead of the laptop defaults")
         p.add_argument("--seed", type=int, default=None, help="unsigned 64-bit RNG seed")
         p.add_argument("--out", default=None, help="output CSV path (sidecar adds .json)")
-        p.add_argument("--bits", action="store_true",
+        p.add_argument("--bits", action="store_true", default=None,
                        help="report information in bits instead of nats")
     return parser
+
+
+def _in_bits(header: list, rows: list, extra: dict) -> tuple[list, dict]:
+    """The runner's outputs with every information value divided by ln 2."""
+    info = [name in _INFO_COLUMNS for name in header]
+    rows = [[v / LN2 if is_info else v for v, is_info in zip(row, info)] for row in rows]
+    extra = {key: ([v / LN2 for v in value] if isinstance(value, list) else value / LN2)
+             if key in _INFO_KEYS else value for key, value in extra.items()}
+    return rows, extra
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve(args.experiment, args)
-    except ConfigError as exc:
-        print(f"popcode-mi: configuration error: {exc}", file=sys.stderr)
-        return 2
-    start = time.perf_counter()
-    try:
+        start = time.perf_counter()
         header, rows, extra = _RUNNERS[args.experiment](cfg)
+        wall = time.perf_counter() - start
+        if cfg["bits"]:
+            rows, extra = _in_bits(header, rows, extra)
+        chash = _config_hash(args.experiment, cfg)
+        try:
+            _write_csv(cfg["out"], header + ["config_hash", "seed"],
+                       [row + [chash, cfg["seed"]] for row in rows])
+            _write_sidecar(args.experiment, cfg, chash, wall, extra)
+        except (OSError, ValueError) as exc:  # ValueError: a path open() rejects
+            raise ConfigError(f"cannot write output: {exc}") from None
     except ConfigError as exc:
         print(f"popcode-mi: configuration error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"popcode-mi: numerical failure: {exc}", file=sys.stderr)
         return 3
-    wall = time.perf_counter() - start
-    try:
-        _write_csv(cfg["out"], header, rows)
-        _write_sidecar(cfg["out"], args.experiment, cfg, wall, extra)
-    except OSError as exc:
-        print(f"popcode-mi: configuration error: cannot write output: {exc}", file=sys.stderr)
-        return 2
     print(f"popcode-mi {args.experiment}: {len(rows)} rows -> {cfg['out']} "
           f"(+ {cfg['out']}.json) in {wall:.2f}s")
     return 0

@@ -34,7 +34,7 @@ import numpy as np
 
 from .fisher import GridPrior
 
-__all__ = ["MCConfig", "MCResult", "mc_mutual_information", "relative_error"]
+__all__ = ["MCConfig", "MCResult", "mc_mutual_information"]
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,6 @@ class MCConfig:
             raise ValueError(f"i_max must be at least 1, got {self.i_max}")
         if self.m < 2:
             raise ValueError(f"grid size m must be at least 2, got {self.m}")
-
-    @classmethod
-    def desk(cls, seed: int = 0) -> "MCConfig":
-        """Laptop-scale defaults: 5e4 samples on a 500-point grid."""
-        return cls(j_max=50_000, i_max=100, m=500, seed=seed)
-
-    @classmethod
-    def paper_scale(cls, seed: int = 0) -> "MCConfig":
-        """Full-scale defaults: 5e5 samples on a 1000-point grid."""
-        return cls(j_max=500_000, i_max=100, m=1000, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -182,15 +172,3 @@ def mc_mutual_information(model, prior: GridPrior, cfg: MCConfig) -> MCResult:
     i_std = float(np.std(replicates))
     di_std = i_std / i_mc if i_mc != 0.0 else float("nan")
     return MCResult(i_mc_star=i_mc_star, i_mc=i_mc, i_std=i_std, di_std=di_std)
-
-
-def relative_error(approx, mc: MCResult) -> float:
-    """Relative deviation (approx - I_MC) / I_MC of an approximation.
-
-    ``approx`` may be a plain float or any object with a ``value``
-    attribute (an MIApproximation).
-    """
-    value = getattr(approx, "value", approx)
-    if mc.i_mc == 0.0:
-        raise ValueError("relative error undefined: I_MC = 0")
-    return (float(value) - mc.i_mc) / mc.i_mc

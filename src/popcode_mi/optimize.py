@@ -415,8 +415,7 @@ def capacity_prior(j, nodes, support_length: float):
     """Capacity-achieving stimulus density on a uniform 1-D grid.
 
     ``j`` gives the information matrix per node — an (M,) array of
-    scalars, an (M, K, K) stack, or a callable ``x -> matrix``.  The
-    optimal density is proportional to ``det(.)^{1/2}`` (Jeffreys form
+    scalars or an (M, K, K) stack.  The optimal density is proportional to ``det(.)^{1/2}`` (Jeffreys form
     when J is used), and the capacity is
     ``ln integral det(./2 pi e)^{1/2} dx`` by the rectangle rule.
 
@@ -424,27 +423,17 @@ def capacity_prior(j, nodes, support_length: float):
     """
     nodes = np.asarray(nodes, dtype=float)
     dx = support_length / nodes.size
-    if callable(j):
-        mats = np.stack([np.atleast_2d(np.asarray(j(x), dtype=float)) for x in nodes])
-    else:
-        mats = np.asarray(j, dtype=float)
-        if mats.ndim == 1:
-            mats = mats.reshape(-1, 1, 1)
+    mats = np.asarray(j, dtype=float)
+    if mats.ndim == 1:
+        mats = mats.reshape(-1, 1, 1)
     if mats.shape[0] != nodes.size:
         raise ValueError(f"{mats.shape[0]} matrices for {nodes.size} grid nodes")
     k = mats.shape[1]
-    if k == 1:
-        dets = mats[:, 0, 0]
-        if np.any(dets <= 0):
-            idx = int(np.argmax(dets <= 0))
-            raise ValueError(f"determinant not positive at node {idx}: {dets[idx]!r}")
-        log_root = 0.5 * np.log(dets)
-    else:
-        logdets = logdet_grid(mats)
-        if np.any(np.isneginf(logdets)):
-            idx = int(np.argmax(np.isneginf(logdets)))
-            raise ValueError(f"determinant not positive at node {idx}")
-        log_root = 0.5 * logdets
+    logdets = logdet_grid(mats)
+    if np.any(np.isneginf(logdets)):
+        idx = int(np.argmax(np.isneginf(logdets)))
+        raise ValueError(f"determinant not positive at node {idx}")
+    log_root = 0.5 * logdets
     shift = log_root.max()
     z = float(np.sum(np.exp(log_root - shift)) * dx)
     if z == 0.0:

@@ -38,9 +38,7 @@ __all__ = [
     "whiten",
     "pushforward_info",
     "Fig2Gap",
-    "fig2_gap",
     "fig2_gap_from_gram",
-    "random_mixing_matrix",
     "random_mixing_gram",
     "power_law_spectrum",
     "load_patches",
@@ -229,27 +227,16 @@ def fig2_gap_from_gram(gram: np.ndarray, spectrum: np.ndarray) -> Fig2Gap:
     return Fig2Gap(i_g=i_g, i_f=i_f, di_f=di_f, rel_di_f=di_f / i_g)
 
 
-def fig2_gap(mixing: np.ndarray, spectrum: np.ndarray) -> Fig2Gap:
-    """Gap analysis from an explicit K x N mixing matrix."""
-    a = np.atleast_2d(np.asarray(mixing, dtype=float))
-    return fig2_gap_from_gram(a @ a.T, spectrum)
-
-
-def random_mixing_matrix(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """K x N matrix of standard-normal entries with unit-norm columns."""
-    a = rng.standard_normal((n, k)).T
-    return a / np.linalg.norm(a, axis=0)
-
-
 def random_mixing_gram(k: int, n: int, rng: np.random.Generator, block: int = 4096,
                        pool: Optional[Executor] = None) -> np.ndarray:
-    """Gram matrix A A^T of a random normalized mixing matrix.
+    """Gram matrix A A^T of a K x N matrix of standard-normal entries with
+    unit-norm columns.
 
     Columns are generated in blocks so A itself (K x N, possibly hundreds
-    of MB) is never held.  The draw order is per-column, so the columns are
-    those of ``random_mixing_matrix``; the Gram's last bits depend on
-    ``block``, through the order in which block products are summed (the
-    CLI fixes ``block`` at 4096).
+    of MB) is never held.  The draw order is per-column: column j is the
+    j-th row of ``rng.standard_normal((n, k))``.  The Gram's last bits
+    depend on ``block``, through the order in which block products are
+    summed (the CLI fixes ``block`` at 4096).
 
     With a ``pool``, blocks are also multiplied by helper tasks on its
     threads.  Blocks are still drawn from ``rng`` in order and their
@@ -401,10 +388,6 @@ class BlockedInfo:
     def k(self) -> int:
         return self.g.shape[1]
 
-    @property
-    def k2(self) -> int:
-        return self.k - self.k1
-
     # Block views: 1 = leading k1 coordinates, 2 = trailing k - k1.
     @property
     def g11(self) -> np.ndarray:
@@ -413,10 +396,6 @@ class BlockedInfo:
     @property
     def g12(self) -> np.ndarray:
         return self.g[:, : self.k1, self.k1 :]
-
-    @property
-    def g21(self) -> np.ndarray:
-        return self.g[:, self.k1 :, : self.k1]
 
     @property
     def g22(self) -> np.ndarray:

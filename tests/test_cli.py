@@ -45,6 +45,13 @@ TINY_FIG1 = {
 
 TINY_CAPACITY = {"n": 5, "m": 50}
 
+TINY = {
+    "fig1": TINY_FIG1,
+    "fig2": {"widths": [2], "n_list": [200]},
+    "optimize": {"k1": 3, "n": 8, "m": 80, "tol": 1e-6},
+    "capacity": TINY_CAPACITY,
+}
+
 
 class TestExitCodes:
     def test_success_returns_zero_and_prints_summary(self, tmp_path, capsys):
@@ -64,6 +71,18 @@ class TestExitCodes:
         cfg.write_text("{not json")
         assert main(["capacity", "--config", str(cfg)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_undecodable_config_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"n": 5, "m": 50, "note": "\xff"}')
+        assert main(["capacity", "--config", str(cfg)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["absent/cap.csv", "cap\0.csv"])
+    def test_unwritable_output_is_a_config_error(self, name, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cap.json", dict(TINY_CAPACITY, out=str(tmp_path / name)))
+        assert main(["capacity", "--config", cfg]) == 2
+        assert "configuration error: cannot write output" in capsys.readouterr().err
 
     def test_non_object_config_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "list.json"
@@ -98,14 +117,32 @@ class TestExitCodes:
         ("period", {"period": math.inf}),
         ("peak_power", {"peak_power": math.inf}),
         ("tol", {"tol": math.inf}),
+        ("bits", {"bits": "no"}),
+        ("paper_scale", {"paper_scale": "false"}),
+        ("out", {"out": 7}),
+        ("out", {"out": ""}),
+        ("bits", {"bits": 1}),
     ])
     def test_json_booleans_are_not_numbers(self, key, payload, tmp_path, capsys):
-        """JSON ``true`` and ``Infinity`` are rejected where a number is expected."""
+        """JSON ``true`` and ``Infinity`` are rejected where a number is expected,
+        and anything but a boolean where a flag is, or a path string for ``out``."""
         experiment, base = (("optimize", {}) if key in ("peak_power", "tol")
                             else ("fig2", {"widths": [2], "n_list": [50]}))
         cfg = write_config(tmp_path / "cfg.json", dict(base, **payload))
-        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        out = [] if key == "out" else ["--out", str(tmp_path / "o.csv")]
+        assert main([experiment, "--config", cfg] + out) == 2
         assert f"{key} must be" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv*"))
+
+    @pytest.mark.parametrize("experiment, key, payload", [
+        ("fig1", "n_list", dict(TINY_FIG1, n_list=[3, 3])),
+        ("fig2", "widths", {"widths": [2, 4, 2], "n_list": [50]}),
+        ("fig2", "n_list", {"widths": [2], "n_list": [50, 50]}),
+    ])
+    def test_repeated_list_values_are_rejected(self, experiment, key, payload, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"{key} must be free of repeated values" in capsys.readouterr().err
 
     def test_negative_seed_is_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cap.json", TINY_CAPACITY)
@@ -213,17 +250,40 @@ class TestSidecar:
 
 
 class TestUnits:
+    # Outputs measured in information units; every other column and key is
+    # unit-free (relative errors, densities, Fisher values) or provenance.
+    INFO_COLUMNS = {"I_MC", "I_std", "I_G", "I_G+", "I_F", "dI_F"}
+    INFO_KEYS = {"objective", "objective_trace", "capacity", "i_g"}
+
     def test_bits_flag_divides_by_ln2(self, tmp_path):
-        cfg = write_config(tmp_path / "cap.json", TINY_CAPACITY)
-        values = {}
-        for label, extra in (("nats", []), ("bits", ["--bits"])):
-            out = tmp_path / f"{label}.csv"
-            assert main(["capacity", "--config", cfg, "--out", str(out)] + extra) == 0
-            with open(str(out) + ".json") as fh:
-                side = json.load(fh)
-            assert side["units"] == label
-            values[label] = side["capacity"]
-        assert values["bits"] == values["nats"] / math.log(2.0)
+        for experiment, payload in TINY.items():
+            cfg = write_config(tmp_path / f"{experiment}.json", payload)
+            csvs, sides = {}, {}
+            for label, extra in (("nats", []), ("bits", ["--bits"])):
+                out = tmp_path / f"{experiment}_{label}.csv"
+                assert main([experiment, "--config", cfg, "--seed", "4",
+                             "--out", str(out)] + extra) == 0
+                csvs[label] = read_rows(out)
+                with open(str(out) + ".json") as fh:
+                    sides[label] = json.load(fh)
+                assert sides[label]["units"] == label
+            header, nats = csvs["nats"]
+            assert csvs["bits"][0] == header
+            for row_n, row_b in zip(nats, csvs["bits"][1], strict=True):
+                for name, n, b in zip(header, row_n, row_b):
+                    if name in self.INFO_COLUMNS:
+                        assert float(b) == float(n) / math.log(2.0), (experiment, name)
+                    elif name != "config_hash":  # the hash covers the bits key
+                        assert b == n, (experiment, name)
+            side_n, side_b = sides["nats"], sides["bits"]
+            assert side_n.keys() == side_b.keys()
+            for key in side_n.keys() - {"units", "config", "config_hash", "wall_time_s"}:
+                if key == "objective_trace":
+                    assert side_b[key] == [v / math.log(2.0) for v in side_n[key]]
+                elif key in self.INFO_KEYS:
+                    assert side_b[key] == side_n[key] / math.log(2.0), (experiment, key)
+                else:
+                    assert side_b[key] == side_n[key], (experiment, key)
 
 
 class TestFlagPrecedence:
@@ -255,6 +315,15 @@ class TestFlagPrecedence:
         resolved = _resolve("fig1", args)
         assert resolved["j_max"] == 123
         assert resolved["m"] == 1000
+
+    def test_paper_scale_flag_beats_the_config(self, tmp_path):
+        cfg = write_config(tmp_path / "f.json", dict(TINY_FIG1, paper_scale=False))
+        args = _build_parser().parse_args(["fig1", "--config", cfg, "--paper-scale"])
+        resolved = _resolve("fig1", args)
+        assert resolved["paper_scale"] is True
+        assert (resolved["j_max"], resolved["m"]) == (500_000, 1000)
+        assert resolved["n_list"][-1] == 1000
+        assert resolved["repeats"] == TINY_FIG1["repeats"]
 
 
 class TestFig2:

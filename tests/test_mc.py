@@ -10,7 +10,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from popcode_mi import mc
 from popcode_mi.fisher import GaussianPrior, GridPrior
-from popcode_mi.mc import MCConfig, MCResult, mc_mutual_information, relative_error
+from popcode_mi.mc import MCConfig, MCResult, mc_mutual_information
 from popcode_mi.mi import exact_gaussian_mi, i_g
 from popcode_mi.models import (GaussianNoisePopulation, LinearGaussianModel, PoissonPopulation,
                                VonMisesTuning)
@@ -19,14 +19,6 @@ from conftest import ring_population
 
 
 class TestMCConfig:
-    def test_desk_scale(self):
-        cfg = MCConfig.desk(seed=9)
-        assert (cfg.j_max, cfg.i_max, cfg.m, cfg.seed) == (50_000, 100, 500, 9)
-
-    def test_paper_scale(self):
-        cfg = MCConfig.paper_scale()
-        assert (cfg.j_max, cfg.m) == (500_000, 1000)
-
     @pytest.mark.parametrize("kwargs", [
         {"j_max": 0, "i_max": 10, "m": 100},
         {"j_max": 10, "i_max": 0, "m": 100},
@@ -104,25 +96,6 @@ class TestBootstrap:
         out = mc_mutual_information(pop, prior_small,
                                     MCConfig(j_max=2_000, i_max=30, m=200, seed=3))
         assert out.di_std == pytest.approx(out.i_std / out.i_mc, rel=1e-15)
-
-
-class TestRelativeError:
-    def test_plain_numbers(self):
-        mc = MCResult(i_mc_star=2.0, i_mc=2.0, i_std=0.01, di_std=0.005)
-        assert relative_error(2.2, mc) == pytest.approx(0.1, rel=1e-12)
-
-    def test_accepts_approximation_objects(self, prior_small):
-        pop = ring_population(6)
-        mc = mc_mutual_information(pop, prior_small,
-                                   MCConfig(j_max=2_000, i_max=20, m=200, seed=5))
-        approx = i_g(pop.fisher_values(prior_small.nodes), prior_small)
-        assert relative_error(approx, mc) == pytest.approx(
-            (approx.value - mc.i_mc) / mc.i_mc, rel=1e-12)
-
-    def test_zero_reference_rejected(self):
-        mc = MCResult(i_mc_star=0.0, i_mc=0.0, i_std=0.0, di_std=float("nan"))
-        with pytest.raises(ValueError, match="I_MC = 0"):
-            relative_error(1.0, mc)
 
 
 class TestGaussianNoisePath:

@@ -513,11 +513,12 @@ class TestCapacity:
         assert cap == pytest.approx(math.log(math.sqrt(36.0)) - math.log(2 * math.pi * math.e),
                                     rel=1e-10)
 
-    def test_degenerate_node_rejected(self):
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_degenerate_node_rejected(self, bad):
         nodes = np.linspace(-0.5, 0.5, 50, endpoint=False) + 0.01
         j = np.full(50, 2.0)
-        j[10] = 0.0
-        with pytest.raises(ValueError):
+        j[10] = bad
+        with pytest.raises(ValueError, match="^determinant not positive at node 10$"):
             capacity_prior(j, nodes, 1.0)
 
 
