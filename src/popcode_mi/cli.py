@@ -41,7 +41,7 @@ from .fisher import GridPrior
 from .mc import MCConfig, mc_mutual_information
 from .mi import i_f, i_g, i_g_plus
 from .models import PoissonPopulation, VonMisesTuning
-from .optimize import build_problem, capacity_prior, maximize, objective, redundancy
+from .optimize import build_problem, capacity_prior, maximize, redundancy
 from .transform import (
     fig2_gap_from_gram,
     load_patches,
@@ -54,10 +54,11 @@ __all__ = ["main", "entry", "ConfigError"]
 
 LN2 = math.log(2.0)
 
-# Information-valued outputs, in nats from the runners: ``--bits`` divides
-# these CSV columns and sidecar keys by ln 2, and nothing else.
-_INFO_COLUMNS = frozenset({"I_MC", "I_std", "I_G", "I_G+", "I_F", "dI_F"})
-_INFO_KEYS = frozenset({"objective", "objective_trace", "capacity", "i_g"})
+# Information-valued outputs, in nats (per unit weight or cost for ``gradient``
+# and ``kkt``) from the runners: ``--bits`` divides these CSV columns and
+# sidecar keys, each value of a list or dict, by ln 2, and nothing else.
+_INFO_COLUMNS = frozenset({"I_MC", "I_std", "I_G", "I_G+", "I_F", "dI_F", "gradient"})
+_INFO_KEYS = frozenset({"objective", "objective_trace", "capacity", "i_g", "duality_gap", "kkt"})
 
 
 class ConfigError(Exception):
@@ -199,14 +200,14 @@ def _resolve(experiment: str, args: argparse.Namespace) -> dict:
 
 
 def _config_hash(experiment: str, cfg: dict) -> str:
-    """Hash of the resolved configuration, minus output path, seed and workers.
+    """Hash of the resolved configuration, minus out, seed, workers and paper_scale.
 
-    The seed rides alongside in its own column, and neither the output
-    location nor the worker count affects the numbers, so reruns of one
-    experiment at a new seed, path or worker count share their hash
-    lineage only when the science matches.
+    The seed rides alongside in its own column, the output path and worker
+    count do not affect the numbers, and the keys ``paper_scale`` picks are
+    hashed at their resolved values: two runs share a hash exactly when
+    the science matches.
     """
-    hashed = {k: v for k, v in cfg.items() if k not in ("out", "seed", "workers")}
+    hashed = {k: v for k, v in cfg.items() if k not in ("out", "seed", "workers", "paper_scale")}
     hashed["experiment"] = experiment
     blob = json.dumps(hashed, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -455,13 +456,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bits(value):
+    """An information value in nats, or a list or dict of them, in bits."""
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    return [_bits(v) for v in value] if isinstance(value, list) else value / LN2
+
+
 def _in_bits(header: list, rows: list, extra: dict) -> tuple[list, dict]:
     """The runner's outputs with every information value divided by ln 2."""
     info = [name in _INFO_COLUMNS for name in header]
     rows = [[v / LN2 if is_info else v for v, is_info in zip(row, info)] for row in rows]
-    extra = {key: ([v / LN2 for v in value] if isinstance(value, list) else value / LN2)
-             if key in _INFO_KEYS else value for key, value in extra.items()}
-    return rows, extra
+    return rows, {key: _bits(value) if key in _INFO_KEYS else value for key, value in extra.items()}
 
 
 def main(argv=None) -> int:

@@ -11,8 +11,7 @@ prior-averaged score outer product ``P_plus = <(d ln p/dx)(d ln p/dx)^T>``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import i0
@@ -85,8 +84,7 @@ class GridPrior:
     Nodes are ``x_m = -T/2 + m T/M`` for ``m = 0..M-1``; averages over the
     prior use the rectangle rule, which is spectrally accurate for smooth
     periodic integrands.  The log-density and its first two derivatives
-    are stored per node; analytic constructors also carry closed-form
-    callables so off-node curvature needs no interpolation.
+    are stored per node, and every prior term is evaluated at the nodes.
 
     Parameters
     ----------
@@ -103,7 +101,6 @@ class GridPrior:
     log_pdf_d1: np.ndarray
     log_pdf_d2: np.ndarray
     period: float
-    curvature_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("nodes", "log_pdf", "log_pdf_d1", "log_pdf_d2"):
@@ -148,7 +145,6 @@ class GridPrior:
             log_pdf_d1=-kappa * omega * np.sin(phase),
             log_pdf_d2=-kappa * omega**2 * np.cos(phase),
             period=period,
-            curvature_fn=lambda x: kappa * omega**2 * np.cos(omega * np.asarray(x, dtype=float)),
         )
 
     @classmethod
@@ -165,7 +161,6 @@ class GridPrior:
             log_pdf_d1=zeros,
             log_pdf_d2=zeros,
             period=period,
-            curvature_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         )
 
     @classmethod
@@ -223,22 +218,6 @@ class GridPrior:
     def curvature_values(self) -> np.ndarray:
         """P(x_m) = -d^2 ln p / dx^2 at every node, shape (M,)."""
         return -self.log_pdf_d2
-
-    def _check_domain(self, x):
-        x = np.asarray(x, dtype=float)
-        half = self.period / 2.0
-        if np.any(x < -half) or np.any(x >= half):
-            raise ValueError(f"x = {x!r} outside the prior support [{-half}, {half})")
-        return x
-
-    def curvature(self, x) -> np.ndarray:
-        """Scalar P(x); closed form when available, else periodic interpolation."""
-        x = self._check_domain(x)
-        if self.curvature_fn is not None:
-            return np.asarray(self.curvature_fn(x), dtype=float)
-        values = -self.log_pdf_d2
-        return np.interp(x, np.append(self.nodes, self.nodes[0] + self.period),
-                         np.append(values, values[0]))
 
     def p_plus(self) -> float:
         """P_plus = <(d ln p/dx)^2> by quadrature over the grid."""

@@ -11,11 +11,11 @@ trace/Frobenius gap bounds controlling I_G - I_F, and the van Trees
 (Bayesian Cramer-Rao) reference value.
 
 Averages ``<.>`` use the prior's own quadrature: grid priors average over
-their nodes with rectangle-rule masses; Gaussian priors take either a
-constant matrix or an explicit sample-point average.  All values are in
-nats.  A degenerate log-determinant (singular J, failed Cholesky) is
-reported as a ``-inf`` value with the ``degenerate`` flag set — never
-masked by eigenvalue clipping.
+their nodes with rectangle-rule masses; Gaussian priors take a constant
+matrix or an (M, K, K) stack averaged uniformly.  J must be K x K, K the
+prior's dimension (1 for grid priors).  Values are in nats; a degenerate
+log-determinant (singular J, failed Cholesky) is reported as ``-inf``
+with the ``degenerate`` flag set — never masked by eigenvalue clipping.
 """
 
 from __future__ import annotations
@@ -72,70 +72,48 @@ class GapBounds:
     varsigma_plus: float
 
 
-def _materialize(j, prior, xs):
+def _materialize(j, prior):
     """Normalize a J argument to a matrix stack with average weights.
 
-    Returns ``(stack, weights, pts, on_nodes)`` where ``stack`` has shape
-    (M, K, K), ``weights`` sums to 1, ``pts`` are the stimulus values the
-    stack is aligned with (None when J is a constant under a Gaussian
-    prior), and ``on_nodes`` says whether pts are exactly the grid
-    prior's quadrature nodes.
+    Returns ``(stack, weights)`` where ``stack`` has shape (M, K, K), K
+    being the prior's dimension, and ``weights`` sums to 1: a grid
+    prior's masses, or a uniform average for a Gaussian prior.
     """
     grid = isinstance(prior, GridPrior)
     if callable(j):
-        if grid and xs is None:
-            pts, on_nodes = prior.nodes, True
-        elif xs is not None:
-            pts, on_nodes = np.asarray(xs, dtype=float), False
-        else:
-            raise ValueError("a callable J under a Gaussian prior needs explicit sample points xs")
-        stack = np.stack([np.atleast_2d(np.asarray(j(x), dtype=float)) for x in pts])
+        if not grid:
+            raise ValueError("a callable J needs a grid prior, not a Gaussian one")
+        j = np.stack([np.atleast_2d(np.asarray(j(x), dtype=float)) for x in prior.nodes])
+    j = np.asarray(j, dtype=float)
+    # The nodes: a grid prior's own; under a Gaussian prior, the stack's length.
+    m = prior.m if grid else (len(j) if j.ndim == 3 else 1)
+    k = 1 if grid else prior.k
+    where = f"{m}-node grid prior" if grid else "Gaussian prior"
+    if grid and j.ndim == 1:
+        if j.size != m:
+            raise ValueError(f"J values have length {j.size}, prior grid has {m} nodes")
+        stack = j.reshape(-1, 1, 1)
+    elif j.ndim in (0, 2):
+        const = np.atleast_2d(j)
+        stack = np.broadcast_to(const, (m,) + const.shape)
+    elif j.ndim == 3 and len(j) == m:
+        stack = j
     else:
-        j = np.asarray(j, dtype=float)
-        if grid:
-            pts, on_nodes = prior.nodes, True
-            if j.ndim == 1:
-                if j.size != prior.m:
-                    raise ValueError(f"J values have length {j.size}, prior grid has {prior.m} nodes")
-                stack = j.reshape(-1, 1, 1)
-            elif j.ndim == 3 and j.shape[0] == prior.m:
-                stack = j
-            elif j.ndim in (0, 2):
-                const = np.atleast_2d(j)
-                stack = np.broadcast_to(const, (prior.m,) + const.shape)
-            else:
-                raise ValueError(f"cannot align J of shape {j.shape} with a {prior.m}-node grid prior")
-        else:
-            pts = None if xs is None else np.asarray(xs, dtype=float)
-            on_nodes = False
-            if j.ndim in (0, 2):
-                stack = np.atleast_2d(j)[None]
-            elif j.ndim == 3:
-                stack = j
-            elif j.ndim == 1 and pts is not None and j.size == pts.size:
-                stack = j.reshape(-1, 1, 1)
-            else:
-                raise ValueError(f"cannot interpret J of shape {j.shape} under a Gaussian prior")
-    m = stack.shape[0]
-    if grid and on_nodes:
-        weights = prior.masses
-    else:
-        weights = np.full(m, 1.0 / m)
-    return stack, weights, pts, on_nodes
+        raise ValueError(f"cannot align J of shape {j.shape} with a {where}")
+    if stack.shape[1:] != (k, k):
+        raise ValueError(f"J is {stack.shape[1]}x{stack.shape[2]} per node, the {where} is {k}-D")
+    return stack, prior.masses if grid else np.full(m, 1.0 / m)
 
 
-def _curvature_stack(prior, pts, on_nodes, m: int, k: int) -> np.ndarray:
-    """P(x) aligned with a J stack, shape (M, K, K)."""
+def _curvature_stack(prior, m: int) -> np.ndarray:
+    """P(x) aligned with an M-node J stack, shape (M, K, K)."""
     if isinstance(prior, GridPrior):
-        if k != 1:
-            raise ValueError(f"grid priors are 1-D but J is {k}x{k}")
-        vals = prior.curvature_values() if on_nodes else np.atleast_1d(prior.curvature(pts))
-        return vals.reshape(-1, 1, 1)
+        return prior.curvature_values().reshape(-1, 1, 1)
     p = prior.precision()
     return np.broadcast_to(p, (m,) + p.shape)
 
 
-def _log_det_mi(kind: str, j, prior, xs) -> MIApproximation:
+def _log_det_mi(kind: str, j, prior) -> MIApproximation:
     """``(1/2)(<ln det(J + R)> - K ln 2 pi e) + H(X)``, the formula of every kind.
 
     The regularizer R is zero for ``I_F``, the curvature P(x) for ``I_G``
@@ -144,15 +122,13 @@ def _log_det_mi(kind: str, j, prior, xs) -> MIApproximation:
     log-determinants.  A degenerate node with positive weight gives
     ``-inf`` with the ``degenerate`` flag.
     """
-    stack, weights, pts, on_nodes = _materialize(j, prior, xs)
+    stack, weights = _materialize(j, prior)
     m, k = stack.shape[0], stack.shape[1]
     reg = None
     if kind == "I_G":
-        reg = _curvature_stack(prior, pts, on_nodes, m, k)
+        reg = _curvature_stack(prior, m)
     elif kind != "I_F":
         reg = _p_plus_matrix(prior)
-        if reg.shape != (k, k):
-            raise ValueError(f"P_plus has shape {reg.shape}, J blocks are {k}x{k}")
     if kind == "I_VT":
         logdet = chol_logdet(np.tensordot(weights, stack, axes=(0, 0)) + reg)
     else:
@@ -164,29 +140,29 @@ def _log_det_mi(kind: str, j, prior, xs) -> MIApproximation:
     return MIApproximation(value=0.5 * (logdet - k * LOG_2PI_E) + prior.entropy(), kind=kind)
 
 
-def i_f(j, prior, xs=None) -> MIApproximation:
+def i_f(j, prior) -> MIApproximation:
     """Fisher-only approximation (1/2)<ln det(J/2 pi e)> + H(X).
 
     ``j`` may be a per-node array of scalars, a (M, K, K) stack, a
-    constant matrix, or a callable ``x -> J(x)``; see :func:`i_g` for the
-    averaging convention.
+    constant matrix, or, under a grid prior, a callable ``x -> J(x)``;
+    see :func:`i_g` for the averaging convention.
     """
-    return _log_det_mi("I_F", j, prior, xs)
+    return _log_det_mi("I_F", j, prior)
 
 
-def i_g(j, prior, xs=None) -> MIApproximation:
+def i_g(j, prior) -> MIApproximation:
     """Curvature-corrected approximation with G(x) = J(x) + P(x).
 
-    Grid priors average over their own quadrature nodes (rectangle rule);
-    passing explicit ``xs`` switches to a uniform sample average over
-    those points instead.  Gaussian priors accept a constant J directly.
+    Grid priors average over their own quadrature nodes (rectangle rule),
+    where a callable J is evaluated.  Gaussian priors take a constant J or
+    an (M, K, K) stack, averaged uniformly.
     """
-    return _log_det_mi("I_G", j, prior, xs)
+    return _log_det_mi("I_G", j, prior)
 
 
-def i_g_plus(j, prior, xs=None) -> MIApproximation:
+def i_g_plus(j, prior) -> MIApproximation:
     """Approximation with the x-independent regularizer G+ = J + P_plus."""
-    return _log_det_mi("I_Gplus", j, prior, xs)
+    return _log_det_mi("I_Gplus", j, prior)
 
 
 def exact_gaussian_mi(model) -> float:
@@ -205,15 +181,15 @@ def exact_gaussian_mi(model) -> float:
     return float(0.5 * np.sum(np.log1p(eigs)))
 
 
-def gap_bounds(j, prior, xs=None) -> GapBounds:
+def gap_bounds(j, prior) -> GapBounds:
     """Averaged ratios controlling the I_G - I_F and I_G+ - I_F gaps.
 
     Requires J(x) positive-definite on every quadrature node; a singular
     node is an error because the bounds are undefined there.
     """
-    stack, weights, pts, on_nodes = _materialize(j, prior, xs)
+    stack, weights = _materialize(j, prior)
     m, k = stack.shape[0], stack.shape[1]
-    p = _curvature_stack(prior, pts, on_nodes, m, k)
+    p = _curvature_stack(prior, m)
     pp = _p_plus_matrix(prior)
     if k == 1:
         jvals = stack[:, 0, 0]
@@ -241,9 +217,9 @@ def gap_bounds(j, prior, xs=None) -> GapBounds:
     )
 
 
-def van_trees_bound(j, prior, xs=None) -> MIApproximation:
+def van_trees_bound(j, prior) -> MIApproximation:
     """Van Trees reference I_VT = (1/2) ln det(<G+(x)>/2 pi e) + H(X).
 
     By concavity of the log-determinant this never falls below I_G+.
     """
-    return _log_det_mi("I_VT", j, prior, xs)
+    return _log_det_mi("I_VT", j, prior)

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 # chol_logdet stays importable here: perfbench wraps it by module attribute.
-from ._linalg import chol_logdet, cholesky_stack, logdet_grid, sym_sqrt  # noqa: F401
+from ._linalg import chol_logdet, cholesky_stack, logdet_grid  # noqa: F401
 from .fisher import GridPrior
 from .mi import LOG_2PI_E
 from .models import _positive, _tuning_params, _von_mises
@@ -45,7 +45,6 @@ __all__ = [
     "KKTReport",
     "kkt_check",
     "capacity_prior",
-    "gaussian_capacity",
     "redundancy",
 ]
 
@@ -441,19 +440,6 @@ def capacity_prior(j, nodes, support_length: float):
     pstar = np.exp(log_root - shift) / z
     capacity = math.log(z) + shift - 0.5 * k * LOG_2PI_E
     return pstar, capacity
-
-
-def gaussian_capacity(j0: np.ndarray, cov0: np.ndarray) -> float:
-    """Capacity with a Gaussian input of fixed covariance and constant J.
-
-    C = (1/2) ln det(cov0 J0 + I), evaluated through the symmetric
-    square root of cov0 for stability.
-    """
-    j0 = np.atleast_2d(np.asarray(j0, dtype=float))
-    cov0 = np.atleast_2d(np.asarray(cov0, dtype=float))
-    s = sym_sqrt(cov0)
-    eigs = np.linalg.eigvalsh(s @ j0 @ s)
-    return float(0.5 * np.sum(np.log1p(eigs)))
 
 
 def redundancy(info, capacity: float) -> float:

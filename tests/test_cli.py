@@ -238,13 +238,15 @@ class TestSidecar:
         for name, seed, payload in (("a", "1", TINY_CAPACITY),
                                     ("b", "2", TINY_CAPACITY),
                                     ("c", "1", dict(TINY_CAPACITY, amplitude=25.0)),
-                                    ("d", "1", dict(TINY_CAPACITY, workers=1))):
+                                    ("d", "1", dict(TINY_CAPACITY, workers=1)),
+                                    ("e", "1", dict(TINY_CAPACITY, paper_scale=True)),
+                                    ("f", "1", dict(TINY_CAPACITY, paper_scale=False))):
             path = write_config(tmp_path / f"{name}.json", payload)
             out = tmp_path / f"{name}.csv"
             main(["capacity", "--config", path, "--seed", seed, "--out", str(out)])
             with open(str(out) + ".json") as fh:
                 hashes[name] = json.load(fh)["config_hash"]
-        assert hashes["a"] == hashes["b"] == hashes["d"]
+        assert hashes["a"] == hashes["b"] == hashes["d"] == hashes["e"] == hashes["f"]
         assert hashes["a"] != hashes["c"]
         assert len(hashes["a"]) == 16
 
@@ -252,8 +254,8 @@ class TestSidecar:
 class TestUnits:
     # Outputs measured in information units; every other column and key is
     # unit-free (relative errors, densities, Fisher values) or provenance.
-    INFO_COLUMNS = {"I_MC", "I_std", "I_G", "I_G+", "I_F", "dI_F"}
-    INFO_KEYS = {"objective", "objective_trace", "capacity", "i_g"}
+    INFO_COLUMNS = {"I_MC", "I_std", "I_G", "I_G+", "I_F", "dI_F", "gradient"}
+    INFO_KEYS = {"objective", "objective_trace", "capacity", "i_g", "duality_gap", "kkt"}
 
     def test_bits_flag_divides_by_ln2(self, tmp_path):
         for experiment, payload in TINY.items():
@@ -280,6 +282,8 @@ class TestUnits:
             for key in side_n.keys() - {"units", "config", "config_hash", "wall_time_s"}:
                 if key == "objective_trace":
                     assert side_b[key] == [v / math.log(2.0) for v in side_n[key]]
+                elif key == "kkt":
+                    assert side_b[key] == {k: v / math.log(2.0) for k, v in side_n[key].items()}
                 elif key in self.INFO_KEYS:
                     assert side_b[key] == side_n[key] / math.log(2.0), (experiment, key)
                 else:

@@ -1,7 +1,10 @@
-"""Every name a module exports through ``__all__`` exists."""
+"""Every name a module exports through ``__all__`` exists, and every name
+it imports is used."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import popcode_mi
 
@@ -14,3 +17,26 @@ def test_every_export_resolves():
                for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert len(modules) > 5
     assert missing == []
+
+
+# perfbench wraps these by module attribute, so they stay importable there.
+PERFBENCH_HOOKS = {"popcode_mi.optimize.chol_logdet", "popcode_mi.transform.sym_inv_sqrt"}
+
+
+def test_every_import_is_used():
+    """A name a package module imports is used in it or listed in its ``__all__``."""
+    unused = []
+    for path in sorted(Path(popcode_mi.__file__).parent.glob("*.py")):
+        module = "popcode_mi" if path.stem == "__init__" else f"popcode_mi.{path.stem}"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.stem != "__main__":  # importing __main__ would run the CLI
+            used |= set(getattr(importlib.import_module(module), "__all__", ()))
+        unused += [f"{module}.{name}" for name in sorted(imported - used)]
+    assert set(unused) == PERFBENCH_HOOKS

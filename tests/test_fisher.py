@@ -111,13 +111,13 @@ class TestGridPriorQuadrature:
         assert abs(h1 - h2) < 1e-8
 
     def test_curvature_at_origin_closed_form(self, prior):
-        """P(0) = (1/sigma_p^2) cos(0) = 16 / pi^2."""
-        assert prior.curvature(0.0) == pytest.approx(16.0 / math.pi**2, rel=1e-12)
+        """P(0) = (1/sigma_p^2) cos(0) = 16 / pi^2; x = 0 is node M/2."""
+        assert prior.nodes[prior.m // 2] == pytest.approx(0.0, abs=1e-15)
+        assert prior.curvature_values()[prior.m // 2] == pytest.approx(16.0 / math.pi**2, rel=1e-12)
 
     def test_curvature_cosine_shape(self, prior):
-        xs = np.array([-1.2, -0.3, 0.0, 0.4, 1.5])
-        expected = (1.0 / PRIOR_WIDTH**2) * np.cos(2 * np.pi * xs / PERIOD)
-        np.testing.assert_allclose(prior.curvature(xs), expected, rtol=1e-12)
+        expected = (1.0 / PRIOR_WIDTH**2) * np.cos(2 * np.pi * prior.nodes / PERIOD)
+        np.testing.assert_allclose(prior.curvature_values(), expected, rtol=1e-12, atol=1e-12)
 
     def test_mean_curvature_equals_p_plus(self, prior):
         """Integration by parts on a periodic density: <P> = <score^2>."""
@@ -129,12 +129,6 @@ class TestGridPriorQuadrature:
         ref, _ = quad(lambda x: analytic_pdf(x) * score(x) ** 2,
                       -PERIOD / 2, PERIOD / 2, limit=200)
         assert prior.p_plus() == pytest.approx(ref, abs=1e-10)
-
-    def test_domain_check(self, prior):
-        with pytest.raises(ValueError, match="outside the prior support"):
-            prior.curvature(PERIOD)
-        with pytest.raises(ValueError, match="outside the prior support"):
-            prior.curvature(-PERIOD)
 
 
 def density_fisher(thetas, alpha, prior, n):

@@ -1,6 +1,8 @@
 """The three log-det approximations, exact Gaussian reference, and gap bounds."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,11 +160,41 @@ class TestRingPopulationOracle:
         assert i_g_plus(j, prior).value == pytest.approx(ref_gp, abs=1e-8)
 
     def test_callable_and_array_forms_agree(self, prior):
+        """Every J form of a grid prior gives the same values: a per-node
+        array, an (M, 1, 1) stack, a callable, and a constant against np.full."""
         pop = ring_population(6)
-        by_array = i_f(pop.fisher_values(prior.nodes), prior)
-        by_callable = i_f(lambda x: pop.fisher_values(np.atleast_1d(x))[0], prior)
-        assert by_array.value == pytest.approx(by_callable.value, rel=1e-12)
-        assert by_array.kind == "I_F"
+        j = pop.fisher_values(prior.nodes)
+        forms = [(j, j.reshape(-1, 1, 1)),
+                 (j, lambda x: pop.fisher_values(np.atleast_1d(x))[0]),
+                 (np.full(prior.m, 7.5), 7.5)]
+
+        def numbers(result):
+            return [v for v in dataclasses.astuple(result) if isinstance(v, float)]
+
+        for fn in (i_f, i_g, i_g_plus, gap_bounds):
+            for reference, form in forms:
+                assert numbers(fn(form, prior)) == pytest.approx(
+                    numbers(fn(reference, prior)), rel=1e-12), fn.__name__
+        assert i_f(j, prior).kind == "I_F"
+
+
+GRID_100 = GridPrior.von_mises(m=100)
+GAUSSIAN_2D = GaussianPrior(np.zeros(2), np.eye(2))
+
+
+@pytest.mark.parametrize("fn", [i_f, i_g, i_g_plus, van_trees_bound, gap_bounds],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("j, prior, message", [
+    (3 * np.eye(2), GRID_100, "J is 2x2 per node, the 100-node grid prior is 1-D"),
+    (np.ones((100, 2, 2)), GRID_100, "J is 2x2 per node, the 100-node grid prior is 1-D"),
+    (3 * np.eye(3), GAUSSIAN_2D, "J is 3x3 per node, the Gaussian prior is 2-D"),
+    (lambda x: np.eye(2), GAUSSIAN_2D, "a callable J needs a grid prior"),
+    (np.ones(7), GRID_100, "J values have length 7, prior grid has 100 nodes"),
+], ids=["grid-2x2", "grid-stack-2x2", "gaussian2d-3x3", "callable-gaussian", "grid-short-array"])
+def test_j_must_fit_the_prior(fn, j, prior, message):
+    """A J whose shape does not fit the prior is an error naming both."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fn(j, prior)
 
 
 class TestGapBounds:

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 from popcode_mi.fisher import GaussianPrior, GridPrior
-from popcode_mi.mi import i_g
+from popcode_mi.mi import exact_gaussian_mi, i_g
+from popcode_mi.models import LinearGaussianModel
 from popcode_mi.optimize import (
     OptimizationProblem,
     _line_search,
     build_problem,
     capacity_prior,
-    gaussian_capacity,
     gradient,
     kkt_check,
     maximize,
@@ -523,12 +523,17 @@ class TestCapacity:
 
 
 class TestGaussianCapacity:
-    def test_scalar_closed_form(self):
-        assert gaussian_capacity(np.array([[3.0]]), np.array([[2.0]])) == pytest.approx(
-            0.5 * math.log(7.0), rel=1e-12)
+    """C = (1/2) ln det(cov J0 + I) for a Gaussian input of fixed covariance
+    and constant J0 = A A^T, the exact MI of the linear-Gaussian channel."""
 
-    def test_zero_information_channel(self):
-        assert gaussian_capacity(np.zeros((2, 2)), np.eye(2)) == 0.0
+    @staticmethod
+    def capacity(mixing, cov):
+        return exact_gaussian_mi(LinearGaussianModel(mixing, np.zeros(len(cov)), cov))
+
+    def test_scalar_closed_form(self):
+        mixing = np.array([[math.sqrt(3.0)]])
+        assert self.capacity(mixing, np.array([[2.0]])) == pytest.approx(
+            0.5 * math.log(7.0), rel=1e-12)
 
     def test_matches_eigen_route(self):
         rng = np.random.default_rng(20)
@@ -537,7 +542,7 @@ class TestGaussianCapacity:
         w = rng.standard_normal((3, 3))
         cov = w @ w.T + 0.5 * np.eye(3)
         direct = 0.5 * np.linalg.slogdet(np.eye(3) + cov @ j0)[1]
-        assert gaussian_capacity(j0, cov) == pytest.approx(direct, abs=1e-10)
+        assert self.capacity(q, cov) == pytest.approx(direct, abs=1e-10)
 
 
 class TestRedundancy:
