@@ -1,9 +1,11 @@
 """Small symmetric-matrix helpers shared across modules.
 
-Log-determinants go through Cholesky factorizations: a failed
-factorization means the matrix is not positive-definite and the
-log-determinant is reported as ``-inf`` instead of being silently
-regularized.  Matrix square roots use symmetric eigendecompositions.
+Every positive-definiteness decision of ``mi``, ``optimize``, ``transform``
+and the covariance checks in ``fisher`` and ``models`` is one pivot rule,
+:func:`factor_logdets`: a failed factorization, a NaN or infinite pivot,
+or a squared pivot at rounding-noise scale of its diagonal entry means
+singular, and the log-determinant is ``-inf``, never regularized away.
+(:func:`sym_inv_sqrt`, for the gap bounds, judges by eigenvalues.)
 
 Stacks of matrices, shape (M, K, K), are factored by one stacked LAPACK
 call over the whole array.  A stacked Cholesky call fails as a whole when
@@ -22,9 +24,10 @@ __all__ = [
     "chol_logdet",
     "logdet_grid",
     "factor_logdets",
-    "sym_sqrt",
     "sym_inv_sqrt",
 ]
+
+_EPS = np.finfo(float).eps
 
 
 def cholesky_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -65,14 +68,12 @@ def factor_logdets(mats: np.ndarray, chol: np.ndarray) -> np.ndarray:
     # zero pivot positive.  The Schur complement behind pivot i is A_ii
     # minus a sum that cancels it, so such a pivot is rounding noise on
     # the scale of K * eps * A_ii (squared pivot), whatever the scale of
-    # the other coordinates.
-    k = mats.shape[1]
-    tol = 64.0 * k * np.finfo(float).eps * np.diagonal(mats, axis1=1, axis2=2)
-    good = (np.all(diag > 0.0, axis=1) & np.all(np.isfinite(diag), axis=1)
-            & ~np.any(diag**2 <= tol, axis=1))
-    out = np.full(mats.shape[0], -np.inf)
-    out[good] = 2.0 * np.sum(np.log(diag[good]), axis=1)
-    return out
+    # the other coordinates.  A pivot from LAPACK is positive (NaN where
+    # the node failed), so the squared test needs no sign check.
+    tol = 64.0 * mats.shape[1] * _EPS * np.diagonal(mats, axis1=1, axis2=2)
+    good = np.all(diag * diag > tol, axis=1) & np.all(np.isfinite(diag), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(good, 2.0 * np.sum(np.log(diag), axis=1), -np.inf)
 
 
 def chol_logdet(a: np.ndarray) -> float:
@@ -99,35 +100,20 @@ def logdet_grid(mats: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a stack of square matrices, got shape {mats.shape}")
     if mats.shape[1] == 1:
         vals = mats[:, 0, 0]
-        out = np.full(vals.shape, -np.inf)
-        pos = vals > 0.0
-        out[pos] = np.log(vals[pos])
-        return out
+        return np.log(vals, out=np.full(vals.shape, -np.inf), where=vals > 0.0)
     return factor_logdets(mats, cholesky_stack(mats)[0])
 
 
-def _eigh_pd(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+def sym_inv_sqrt(a: np.ndarray) -> np.ndarray:
+    """Symmetric positive-definite inverse square roots A^(-1/2) of a stack.
+
+    The stack (M, K, K) is decomposed by one stacked call; the error names
+    the first node at fault.
+    """
     vals, vecs = np.linalg.eigh(np.asarray(a, dtype=float))
-    bad = np.any(vals <= 0.0, axis=-1)
+    bad = np.any(vals <= 0.0, axis=1)
     if np.any(bad):
         node = int(np.argmax(bad))
-        where = f" at node {node}" if vals.ndim > 1 else ""
-        low = np.atleast_2d(vals)[node].min()
-        raise ValueError(f"{what} is not positive-definite{where} (min eigenvalue {low:.3e})")
-    return vals, vecs
-
-
-def sym_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric positive-definite square root A^(1/2)."""
-    vals, vecs = _eigh_pd(a, "matrix")
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
-def sym_inv_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric positive-definite inverse square root A^(-1/2).
-
-    ``a`` may be one matrix or a stack (M, K, K), which is decomposed by
-    one stacked call; a stack's error names the first node at fault.
-    """
-    vals, vecs = _eigh_pd(a, "matrix")
-    return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+        raise ValueError(f"matrix is not positive-definite at node {node} "
+                         f"(min eigenvalue {vals[node].min():.3e})")
+    return (vecs / np.sqrt(vals)[:, None, :]) @ np.swapaxes(vecs, 1, 2)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import i0
 
+from ._linalg import chol_logdet
+
 __all__ = ["GaussianPrior", "GridPrior", "p_plus", "DEFAULT_GRID_SIZE"]
 
 #: Default number of quadrature nodes for grid priors.
@@ -27,7 +29,8 @@ class GaussianPrior:
     """Multivariate normal stimulus prior N(mean, cov).
 
     The curvature of the log-density is constant, P(x) = cov^{-1}, and
-    coincides with the averaged score outer product P_plus.
+    coincides with the averaged score outer product P_plus.  ``cov`` must
+    pass :mod:`popcode_mi._linalg`'s pivot rule (NaN and inf fail it).
     """
 
     mean: np.ndarray
@@ -40,10 +43,8 @@ class GaussianPrior:
         object.__setattr__(self, "cov", cov)
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"shape mismatch: mean {mean.shape}, cov {cov.shape}")
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ValueError("prior covariance must be symmetric positive-definite") from None
+        if chol_logdet(cov) == -math.inf:
+            raise ValueError("prior covariance must be symmetric positive-definite")
 
     @property
     def k(self) -> int:

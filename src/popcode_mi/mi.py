@@ -13,9 +13,9 @@ trace/Frobenius gap bounds controlling I_G - I_F, and the van Trees
 Averages ``<.>`` use the prior's own quadrature: grid priors average over
 their nodes with rectangle-rule masses; Gaussian priors take a constant
 matrix or an (M, K, K) stack averaged uniformly.  J must be K x K, K the
-prior's dimension (1 for grid priors).  Values are in nats; a degenerate
-log-determinant (singular J, failed Cholesky) is reported as ``-inf``
-with the ``degenerate`` flag set — never masked by eigenvalue clipping.
+prior's dimension (1 for grid priors).  Values are in nats; a singular
+node of positive weight (``_linalg``'s pivot rule; zero-weight nodes are
+skipped) gives ``-inf`` with the ``degenerate`` flag, never clipped away.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chol_logdet, logdet_grid, sym_inv_sqrt, sym_sqrt
+from ._linalg import chol_logdet, logdet_grid, sym_inv_sqrt
 from .fisher import GridPrior, p_plus as _p_plus_matrix
 
 __all__ = [
@@ -113,6 +113,17 @@ def _curvature_stack(prior, m: int) -> np.ndarray:
     return np.broadcast_to(p, (m,) + p.shape)
 
 
+def _mean_logdet(stack: np.ndarray, weights: np.ndarray) -> float:
+    """``<ln det>`` under nonnegative weights; -inf iff a positive-weight node is singular."""
+    logdets = logdet_grid(stack)
+    singular = logdets == -np.inf
+    if np.any(singular):
+        if np.any(singular & (weights > 0)):
+            return -math.inf
+        logdets = np.where(singular, 0.0, logdets)
+    return float(np.dot(weights, logdets))
+
+
 def _log_det_mi(kind: str, j, prior) -> MIApproximation:
     """``(1/2)(<ln det(J + R)> - K ln 2 pi e) + H(X)``, the formula of every kind.
 
@@ -132,9 +143,7 @@ def _log_det_mi(kind: str, j, prior) -> MIApproximation:
     if kind == "I_VT":
         logdet = chol_logdet(np.tensordot(weights, stack, axes=(0, 0)) + reg)
     else:
-        logdets = logdet_grid(stack if reg is None else stack + reg)
-        bad = np.isneginf(logdets) & (weights > 0)
-        logdet = -math.inf if np.any(bad) else float(np.dot(weights, logdets))
+        logdet = _mean_logdet(stack if reg is None else stack + reg, weights)
     if logdet == -math.inf:
         return MIApproximation(value=-math.inf, kind=kind, degenerate=True)
     return MIApproximation(value=0.5 * (logdet - k * LOG_2PI_E) + prior.entropy(), kind=kind)
@@ -168,17 +177,11 @@ def i_g_plus(j, prior) -> MIApproximation:
 def exact_gaussian_mi(model) -> float:
     """Exact MI of the linear-Gaussian channel r = A^T x + z, z ~ N(0, I).
 
-    Computed as (1/2) ln det(S A A^T S + I) with S the symmetric square
-    root of the prior covariance, via eigendecomposition for stability.
+    ``(1/2) sum ln(1 + eig(R R^T))``, R = L^T A with cov = L L^T (validated by
+    the model); R R^T has the eigenvalues of S A A^T S, S = cov^(1/2).
     """
-    try:
-        np.linalg.cholesky(model.cov)
-    except np.linalg.LinAlgError:
-        raise ValueError("prior covariance must be symmetric positive-definite") from None
-    s = sym_sqrt(model.cov)
-    core = s @ (model.mixing @ model.mixing.T) @ s
-    eigs = np.linalg.eigvalsh(0.5 * (core + core.T))
-    return float(0.5 * np.sum(np.log1p(eigs)))
+    r = np.linalg.cholesky(model.cov).T @ model.mixing
+    return float(0.5 * np.sum(np.log1p(np.linalg.eigvalsh(r @ r.T))))
 
 
 def gap_bounds(j, prior) -> GapBounds:

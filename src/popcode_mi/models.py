@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._linalg import chol_logdet
+
 __all__ = [
     "VonMisesTuning",
     "PoissonPopulation",
@@ -221,10 +223,8 @@ class LinearGaussianModel:
             raise ValueError(
                 f"shape mismatch: mixing {mixing.shape}, mean {mean.shape}, cov {cov.shape}"
             )
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ValueError("prior covariance must be symmetric positive-definite") from None
+        if chol_logdet(cov) == -math.inf:
+            raise ValueError("prior covariance must be symmetric positive-definite")
 
     @property
     def k(self) -> int:

@@ -30,9 +30,9 @@ from typing import Optional
 import numpy as np
 
 # chol_logdet stays importable here: perfbench wraps it by module attribute.
-from ._linalg import chol_logdet, cholesky_stack, logdet_grid  # noqa: F401
+from ._linalg import chol_logdet, logdet_grid  # noqa: F401
 from .fisher import GridPrior
-from .mi import LOG_2PI_E
+from .mi import LOG_2PI_E, _mean_logdet
 from .models import _positive, _tuning_params, _von_mises
 
 __all__ = [
@@ -47,6 +47,14 @@ __all__ = [
     "capacity_prior",
     "redundancy",
 ]
+
+
+def _nonnegative(name: str, values: np.ndarray, where: str) -> None:
+    """Raise naming the first entry of ``values`` that is negative or not finite."""
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
+    if bad.size:
+        raise ValueError(f"{name} must be finite and nonnegative, "
+                         f"got {float(values[bad[0]])!r} at {where} {bad[0]}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,7 @@ class OptimizationProblem:
             raise ValueError("need at least one subclass and one x-sample point")
         if w.shape != (m,):
             raise ValueError(f"need {m} x-weights, got shape {w.shape}")
+        _nonnegative("x-weight", w, "node")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError(f"x-weights must sum to 1, got {float(w.sum())!r}")
         if self.n < 1:
@@ -107,8 +116,8 @@ class OptimizationProblem:
             object.__setattr__(self, "power_cost", cost)
             if cost.shape != (k1,):
                 raise ValueError(f"need {k1} power costs, got shape {cost.shape}")
-            if self.power_budget <= 0:
-                raise ValueError(f"power budget must be positive, got {self.power_budget}")
+            _nonnegative("power cost", cost, "subclass")
+            object.__setattr__(self, "power_budget", _positive("power budget", self.power_budget))
 
     @property
     def k1(self) -> int:
@@ -164,24 +173,16 @@ def _g(alpha: np.ndarray, prob: OptimizationProblem) -> np.ndarray:
 
 
 def objective(alpha, prob: OptimizationProblem) -> float:
-    """The information value I[alpha] in nats; -inf outside the PD region."""
+    """I[alpha] in nats; -inf where G is singular at a node of positive weight."""
     g = _g(np.asarray(alpha, dtype=float), prob)
-    if prob.scalar:
-        if np.any(g <= 0):
-            return -math.inf
-        mean, k = float(np.dot(prob.weights, np.log(g))), 1
-    else:
-        logdets = logdet_grid(g)
-        if np.any(np.isneginf(logdets)):
-            return -math.inf
-        mean, k = float(np.dot(prob.weights, logdets)), g.shape[1]
-    return 0.5 * (mean - k * LOG_2PI_E) + prob.h_x
+    stack = g.reshape(-1, 1, 1) if prob.scalar else g
+    return 0.5 * (_mean_logdet(stack, prob.weights) - stack.shape[1] * LOG_2PI_E) + prob.h_x
 
 
 def gradient(alpha, prob: OptimizationProblem, mu: float = 0.0) -> np.ndarray:
     """d I / d alpha_k = (N/2) <Tr(G(x)^{-1} S(x; theta_k))>, minus mu c_k."""
     g = _g(np.asarray(alpha, dtype=float), prob)
-    singular = g <= 0 if prob.scalar else cholesky_stack(g)[1]
+    singular = ~(g > 0) if prob.scalar else np.isneginf(logdet_grid(g))
     if np.any(singular):
         raise ValueError(f"G is singular at node {int(np.argmax(singular))}; "
                          "gradient undefined on the boundary")

@@ -477,16 +477,15 @@ def _reduction_check(blocked: BlockedInfo, second: np.ndarray, what: str,
     """
     k = blocked.k
     g11, g12 = blocked.g11, blocked.g12
-    l11, bad11 = cholesky_stack(g11)
-    l2, bad2 = cholesky_stack(second)
-    bad = bad11 | bad2
+    logdet11 = factor_logdets(g11, cholesky_stack(g11)[0])
+    logdet2 = factor_logdets(second, cholesky_stack(second)[0])
+    logdets = logdet11 + logdet2
+    bad11, bad = np.isneginf(logdet11), np.isneginf(logdets)
     if np.any(bad):
         node = int(np.argmax(bad))
         raise ValueError(f"{'G11' if bad11[node] else what} is not positive-definite at node {node}")
     coupling = np.swapaxes(g12, 1, 2) @ np.linalg.solve(g11, g12)
     traces = np.trace(np.linalg.solve(second, inner_of(coupling)), axis1=1, axis2=2)
-    logdets = (2.0 * np.sum(np.log(np.diagonal(l11, axis1=1, axis2=2)), axis=1)
-               + 2.0 * np.sum(np.log(np.diagonal(l2, axis1=1, axis2=2)), axis=1))
     trace_mean = float(np.dot(blocked.weights, traces))
     mean_logdet = float(np.dot(blocked.weights, logdets))
     value = 0.5 * (mean_logdet - k * LOG_2PI_E) + blocked.h_x

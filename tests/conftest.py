@@ -20,6 +20,18 @@ AMPLITUDE = 20.0
 WIDTH = 0.5
 PRIOR_WIDTH = np.pi / 4
 
+#: A 2x2 block that factors in floating point although it is singular to
+#: working precision: its second squared pivot is about 1e-15 of its diagonal.
+ROUNDING_SINGULAR = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+
+#: Covariances that are not positive-definite by the pivot rule.
+NOT_PD_COVARIANCES = [
+    np.array([[1.0, 3.0], [3.0, 1.0]]),
+    ROUNDING_SINGULAR,
+    np.full((2, 2), np.nan),
+    np.diag([np.inf, 1.0]),
+]
+
 
 def ring_population(n: int) -> PoissonPopulation:
     """Poisson population of ``n`` identical bumps on evenly spaced centers."""

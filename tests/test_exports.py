@@ -40,3 +40,18 @@ def test_every_import_is_used():
             used |= set(getattr(importlib.import_module(module), "__all__", ()))
         unused += [f"{module}.{name}" for name in sorted(imported - used)]
     assert set(unused) == PERFBENCH_HOOKS
+
+
+def test_pd_decisions_live_in_linalg():
+    """Only ``_linalg`` catches ``LinAlgError`` (and ``cli``, to map it to an exit
+    code): every other module takes its positive-definiteness decisions from
+    ``_linalg``'s pivot rule."""
+    handlers = set()
+    for path in sorted(Path(popcode_mi.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        handlers |= {f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, ast.ExceptHandler) and node.type is not None
+                     and "LinAlgError" in ast.unparse(node.type)}
+    files = {handler.split(":")[0] for handler in handlers}
+    assert "_linalg.py" in files
+    assert files <= {"_linalg.py", "cli.py"}, sorted(handlers)

@@ -14,6 +14,8 @@ from popcode_mi.mi import LOG_2PI_E, i_g, i_g_plus, van_trees_bound
 from popcode_mi.models import PoissonPopulation, VonMisesTuning
 from popcode_mi.optimize import build_problem
 
+from conftest import NOT_PD_COVARIANCES
+
 PERIOD = math.pi
 PRIOR_WIDTH = math.pi / 4
 KAPPA_P = (PERIOD / (2 * math.pi * PRIOR_WIDTH)) ** 2  # = 4 / pi^2
@@ -52,8 +54,9 @@ class TestGaussianPrior:
         np.testing.assert_allclose(prior.p_plus(), prior.precision(), rtol=1e-14)
 
     def test_rejects_indefinite_covariance(self):
-        with pytest.raises(ValueError, match="positive-definite"):
-            GaussianPrior(np.zeros(2), np.array([[1.0, 3.0], [3.0, 1.0]]))
+        for cov in NOT_PD_COVARIANCES:
+            with pytest.raises(ValueError, match="positive-definite"):
+                GaussianPrior(np.zeros(2), cov)
 
 
 class TestGridPriorConstruction:

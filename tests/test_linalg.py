@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from popcode_mi._linalg import chol_logdet, cholesky_stack, logdet_grid
+from popcode_mi._linalg import chol_logdet, cholesky_stack, factor_logdets, logdet_grid
 from popcode_mi.fisher import GaussianPrior
 from popcode_mi.mi import LOG_2PI_E, gap_bounds, i_f, i_g
 from popcode_mi.optimize import OptimizationProblem, capacity_prior, gradient, objective
 from popcode_mi.transform import partition_info, reduce_check_A, reduce_check_B, select_k1
+
+from conftest import ROUNDING_SINGULAR
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -37,6 +39,29 @@ def looped_logdet(a):
         if diag[i] ** 2 <= 64.0 * a.shape[0] * eps * a[i, i]:
             return -np.inf
     return float(2.0 * np.sum(np.log(diag)))
+
+
+def scatter_factor_logdets(mats, chol):
+    """The pivot rule written as a scatter into a ``-inf`` array: the bit oracle
+    for the ``np.where`` form in ``_linalg``."""
+    diag = np.diagonal(chol, axis1=1, axis2=2)
+    tol = 64.0 * mats.shape[1] * np.finfo(float).eps * np.diagonal(mats, axis1=1, axis2=2)
+    good = (np.all(diag > 0.0, axis=1) & np.all(np.isfinite(diag), axis=1)
+            & ~np.any(diag**2 <= tol, axis=1))
+    out = np.full(mats.shape[0], -np.inf)
+    out[good] = 2.0 * np.sum(np.log(diag[good]), axis=1)
+    return out
+
+
+def scatter_logdet_grid(mats):
+    """``logdet_grid`` with the scatter form, including its K = 1 path."""
+    if mats.shape[1] > 1:
+        return scatter_factor_logdets(mats, cholesky_stack(mats)[0])
+    vals = mats[:, 0, 0]
+    out = np.full(vals.shape, -np.inf)
+    pos = vals > 0.0
+    out[pos] = np.log(vals[pos])
+    return out
 
 
 def spd(rng, k):
@@ -122,6 +147,36 @@ class TestLogdetGrid:
         got = logdet_grid(stack)
         assert np.isneginf(got[2])
         assert np.all(np.isfinite(np.delete(got, 2)))
+
+
+class TestPivotRuleBits:
+    @settings(max_examples=60)
+    @given(seeds, st.integers(1, 8), st.integers(1, 40))
+    def test_where_form_matches_scatter_form_bit_for_bit(self, seed, k, m):
+        """Stacks with zero, negative, NaN, +inf and rounding-singular nodes."""
+        rng = np.random.default_rng(seed)
+        stack = np.stack([spd(rng, k) for _ in range(m)])
+        stack *= 10.0 ** rng.uniform(-8.0, 8.0, size=(m, 1, 1))
+        for i, kind in enumerate(rng.integers(0, 8, size=m)):
+            r, c = rng.integers(0, k, size=2)
+            if kind == 2:
+                stack[i] = 0.0
+            elif kind == 3:
+                stack[i, r, r] = -stack[i, r, r]
+            elif kind == 4:
+                stack[i, r, c] = stack[i, c, r] = np.nan
+            elif kind == 5:
+                stack[i, r, r] = np.inf
+            elif kind == 6 and k > 1:
+                a = rng.standard_normal((k, k - 1))
+                stack[i] = a @ a.T
+            elif kind == 7 and k > 1:
+                stack[i] = np.eye(k)
+                stack[i, :2, :2] = ROUNDING_SINGULAR
+        chol = cholesky_stack(stack)[0]
+        got = factor_logdets(stack, chol)
+        assert got.tobytes() == scatter_factor_logdets(stack, chol).tobytes()
+        assert logdet_grid(stack).tobytes() == scatter_logdet_grid(stack).tobytes()
 
 
 class TestScaleInvariantPivotRule:
@@ -256,6 +311,14 @@ class TestErrorsNameTheNode:
         with pytest.raises(ValueError, match=f"{block} is not positive-definite at node {self.BAD}"):
             reduce_check_A(blocked)
 
+    def test_reduce_check_A_rounding_singular_block(self):
+        """A G22 that factors only by rounding is singular by the pivot rule."""
+        j = self.stack()
+        j[self.BAD, 2:, 2:] = ROUNDING_SINGULAR
+        blocked = partition_info(j, np.zeros((4, 4)), 2)
+        with pytest.raises(ValueError, match=f"G22 is not positive-definite at node {self.BAD}"):
+            reduce_check_A(blocked)
+
     def test_reduce_check_B(self):
         p = np.broadcast_to(np.eye(4), (6, 4, 4)).copy()
         p[self.BAD, 3, 3] = -1.0
@@ -264,14 +327,18 @@ class TestErrorsNameTheNode:
             reduce_check_B(blocked)
 
     def test_gradient(self):
+        """An indefinite G, and a G that factors only by rounding (S = 0, G = P)."""
         prob = stack_problem(np.random.default_rng(4), 6, 2, 3)
-        p = prob.p_values.copy()
-        p[self.BAD] = -100.0 * np.eye(3)
-        bad = OptimizationProblem(kind="I_G", thetas=prob.thetas, n=prob.n, s_values=prob.s_values,
-                                  p_values=p, weights=prob.weights, h_x=0.0)
-        with pytest.raises(ValueError, match=f"singular at node {self.BAD}"):
-            gradient(np.full(2, 0.5), bad)
-        assert objective(np.full(2, 0.5), bad) == -math.inf
+        rounding = np.eye(3)
+        rounding[:2, :2] = ROUNDING_SINGULAR
+        for p_bad, s_bad in ((-100.0 * np.eye(3), prob.s_values[self.BAD]), (rounding, 0.0)):
+            p, s = prob.p_values.copy(), prob.s_values.copy()
+            p[self.BAD], s[self.BAD] = p_bad, s_bad
+            bad = OptimizationProblem(kind="I_G", thetas=prob.thetas, n=prob.n, s_values=s,
+                                      p_values=p, weights=prob.weights, h_x=0.0)
+            with pytest.raises(ValueError, match=f"singular at node {self.BAD}"):
+                gradient(np.full(2, 0.5), bad)
+            assert objective(np.full(2, 0.5), bad) == -math.inf
 
     def test_gap_bounds(self):
         j = self.stack()

@@ -118,6 +118,17 @@ class TestScalarAnchors:
         assert i_f(2 * math.pi * math.e * np.eye(1), gp).value == pytest.approx(
             0.5 * LOG_2PI_E, rel=1e-14)
 
+    def test_zero_mass_nodes_are_skipped(self):
+        """A singular J on a node of zero prior mass adds nothing to the average."""
+        prior = GridPrior.von_mises(width=0.02, m=200)
+        assert prior.masses[0] == 0.0
+        j = np.ones(prior.m)
+        j[0] = 0.0
+        got = i_f(j, prior)
+        assert not got.degenerate
+        assert got.value == i_f(np.ones(prior.m), prior).value
+        assert got.value == pytest.approx(-3.91162252435914, rel=1e-12)
+
 
 class TestRingPopulationOracle:
     """Approximations on the bump ring against adaptive quadrature."""

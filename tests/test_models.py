@@ -25,7 +25,7 @@ from popcode_mi.models import (
     decorrelation_transform,
 )
 
-from conftest import ring_population
+from conftest import NOT_PD_COVARIANCES, ring_population
 
 GRID = np.linspace(-1.5, 1.5, 7)
 
@@ -238,9 +238,9 @@ class TestLinearGaussianModel:
         np.testing.assert_allclose(scipy_sum - core_terms(model, r, GRID)[0], constant, rtol=1e-13)
 
     def test_rejects_non_spd_covariance(self):
-        with pytest.raises(ValueError, match="positive-definite"):
-            LinearGaussianModel(np.eye(2), np.zeros(2),
-                                cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        for cov in [np.array([[1.0, 2.0], [2.0, 1.0]])] + NOT_PD_COVARIANCES[1:]:
+            with pytest.raises(ValueError, match="positive-definite"):
+                LinearGaussianModel(np.eye(2), np.zeros(2), cov=cov)
 
 
 class TestDecorrelationTransform:

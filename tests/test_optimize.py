@@ -73,14 +73,14 @@ class TestObjective:
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_minus_inf_outside_the_domain(self, toy_prior):
-        """A node where J vanishes makes the log-det objective diverge."""
+        """A node where J vanishes, or is NaN, makes the log-det objective diverge."""
         import dataclasses
 
         prob = build_problem(np.array([0.0]), toy_prior, n=1, kind="I_F")
-        s = prob.s_values.copy()
-        s[150] = 0.0
-        prob = dataclasses.replace(prob, s_values=s)
-        assert objective(np.array([1.0]), prob) == -math.inf
+        for value in (0.0, math.nan):
+            s = prob.s_values.copy()
+            s[150] = value
+            assert objective(np.array([1.0]), dataclasses.replace(prob, s_values=s)) == -math.inf
 
 
 class TestGradient:
@@ -486,6 +486,24 @@ class TestBuildProblemValidation:
     def test_rejects_non_finite_theta_by_index(self, toy_prior):
         with pytest.raises(ValueError, match=r"^center must be finite, got nan at theta index 1$"):
             build_problem(np.array([0.0, math.nan, 0.3]), toy_prior, n=5)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(weights=[math.nan, 0.5, 0.25, 0.25]),
+         "x-weight must be finite and nonnegative, got nan at node 0"),
+        (dict(weights=[1.5, -0.5, 0.0, 0.0]),
+         "x-weight must be finite and nonnegative, got -0.5 at node 1"),
+        (dict(power_budget=math.nan), "power budget must be positive and finite, got nan"),
+        (dict(power_cost=[1.0, math.inf]),
+         "power cost must be finite and nonnegative, got inf at subclass 1"),
+        (dict(power_cost=[-1.0, 1.0]),
+         "power cost must be finite and nonnegative, got -1.0 at subclass 0"),
+    ])
+    def test_problem_rejects_bad_weights_and_budgets(self, kwargs, message):
+        fields = dict(kind="I_F", thetas=[0.0, 1.0], n=1, s_values=np.ones((4, 2)),
+                      p_values=np.zeros(4), weights=np.full(4, 0.25), h_x=0.0,
+                      power_cost=[1.0, 2.0], power_budget=1.5)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            OptimizationProblem(**{**fields, **kwargs})
 
 
 class TestCapacity:
