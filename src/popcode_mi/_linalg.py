@@ -5,7 +5,10 @@ and the covariance checks in ``fisher`` and ``models`` is one pivot rule,
 :func:`factor_logdets`: a failed factorization, a NaN or infinite pivot,
 or a squared pivot at rounding-noise scale of its diagonal entry means
 singular, and the log-determinant is ``-inf``, never regularized away.
-(:func:`sym_inv_sqrt`, for the gap bounds, judges by eigenvalues.)
+Inverses and trace terms (the gap bounds, the block reductions, the
+density optimizer's gradient and step) take the inverse lower factors
+that :func:`inverse_factors` returns with those log-determinants, from the
+same single factorization.
 
 Stacks of matrices, shape (M, K, K), are factored by one stacked LAPACK
 call over the whole array.  A stacked Cholesky call fails as a whole when
@@ -24,6 +27,8 @@ __all__ = [
     "chol_logdet",
     "logdet_grid",
     "factor_logdets",
+    "leading_logdets",
+    "inverse_factors",
     "sym_inv_sqrt",
 ]
 
@@ -76,6 +81,23 @@ def factor_logdets(mats: np.ndarray, chol: np.ndarray) -> np.ndarray:
         return np.where(good, 2.0 * np.sum(np.log(diag), axis=1), -np.inf)
 
 
+def leading_logdets(mats: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Log-determinants of every leading block of a stack, shape (M, K).
+
+    Column ``i`` is that of the leading (i+1) x (i+1) blocks, read off the
+    full Cholesky factors: a leading block's factor is the leading block
+    of the full factor.  A block is judged by the pivot rule of
+    :func:`factor_logdets` at its own size: pivot j passes for blocks of
+    size s iff ``L_jj^2 / (64 eps A_jj) > s``, so a block is ``-inf``
+    unless the running minimum of that ratio exceeds its size.
+    """
+    diag = np.diagonal(chol, axis1=1, axis2=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = diag * diag / (64.0 * _EPS * np.diagonal(mats, axis1=1, axis2=2))
+        good = np.minimum.accumulate(margin, axis=1) > np.arange(1, diag.shape[1] + 1)
+        return np.where(good, 2.0 * np.cumsum(np.log(diag), axis=1), -np.inf)
+
+
 def chol_logdet(a: np.ndarray) -> float:
     """Log-determinant of a symmetric matrix via Cholesky.
 
@@ -104,11 +126,34 @@ def logdet_grid(mats: np.ndarray) -> np.ndarray:
     return factor_logdets(mats, cholesky_stack(mats)[0])
 
 
+def inverse_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot-rule log-determinants and inverse lower factors of a stack (M, K, K).
+
+    Returns ``(logdets, linv)`` from one :func:`cholesky_stack` call:
+    ``logdets`` as :func:`factor_logdets` gives them and ``linv = L^-1``
+    with ``mats = L L^T`` per node, so ``mats^-1 = linv^T linv``.  L^-1
+    comes by forward substitution, one batched row at a time (K steps
+    over all nodes), which is backward stable.  Rows of a node whose
+    log-determinant is ``-inf`` are NaN or meaningless; callers check
+    ``logdets`` first.
+    """
+    chol = cholesky_stack(mats)[0]
+    linv = np.zeros_like(chol)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(chol.shape[1]):
+            # Row i of L L^-1 = I: e_i - L[i, :i] L^-1[:i, :], divided by L_ii.
+            row = -(chol[:, i:i + 1, :i] @ linv[:, :i, :])[:, 0, :]
+            row[:, i] += 1.0
+            linv[:, i, :] = row / chol[:, i, i, None]
+    return factor_logdets(mats, chol), linv
+
+
 def sym_inv_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric positive-definite inverse square roots A^(-1/2) of a stack.
 
     The stack (M, K, K) is decomposed by one stacked call; the error names
-    the first node at fault.
+    the first node at fault.  Nothing in the package calls it; it stays
+    importable because ``perfbench``'s span hooks wrap it by name.
     """
     vals, vecs = np.linalg.eigh(np.asarray(a, dtype=float))
     bad = np.any(vals <= 0.0, axis=1)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chol_logdet, logdet_grid, sym_inv_sqrt
+# sym_inv_sqrt stays importable here: perfbench wraps it by module attribute.
+from ._linalg import chol_logdet, inverse_factors, logdet_grid, sym_inv_sqrt  # noqa: F401
 from .fisher import GridPrior, p_plus as _p_plus_matrix
 
 __all__ = [
@@ -61,10 +62,11 @@ class MIApproximation:
 class GapBounds:
     """Averaged curvature-to-Fisher ratios bounding the approximation gaps.
 
-    ``varsigma`` = <Tr(J^{-1/2} P J^{-1/2})> and ``varsigma1`` its
-    Frobenius-norm analogue; ``varsigma_plus`` = <Tr(P_plus J^{-1})>.
-    When P is PSD, 0 <= I_G - I_F <= varsigma/2 and
-    0 <= I_G+ - I_F <= varsigma_plus/2.
+    ``varsigma`` = <Tr(J^{-1/2} P J^{-1/2})> = <Tr(J^{-1} P)> and
+    ``varsigma1`` = <||L^{-1} P L^{-T}||_F> (J = L L^T), its Frobenius-norm
+    analogue: L^{-1} P L^{-T} is orthogonally similar to J^{-1/2} P J^{-1/2}.
+    ``varsigma_plus`` = <Tr(J^{-1} P_plus)>.  When P is PSD,
+    0 <= I_G - I_F <= varsigma/2 and 0 <= I_G+ - I_F <= varsigma_plus/2.
     """
 
     varsigma: float
@@ -113,9 +115,9 @@ def _curvature_stack(prior, m: int) -> np.ndarray:
     return np.broadcast_to(p, (m,) + p.shape)
 
 
-def _mean_logdet(stack: np.ndarray, weights: np.ndarray) -> float:
-    """``<ln det>`` under nonnegative weights; -inf iff a positive-weight node is singular."""
-    logdets = logdet_grid(stack)
+def _mean_logdet(logdets: np.ndarray, weights: np.ndarray) -> float:
+    """``<ln det>`` of per-node log-determinants under nonnegative weights;
+    -inf iff a positive-weight node is singular (``-inf``)."""
     singular = logdets == -np.inf
     if np.any(singular):
         if np.any(singular & (weights > 0)):
@@ -143,7 +145,7 @@ def _log_det_mi(kind: str, j, prior) -> MIApproximation:
     if kind == "I_VT":
         logdet = chol_logdet(np.tensordot(weights, stack, axes=(0, 0)) + reg)
     else:
-        logdet = _mean_logdet(stack if reg is None else stack + reg, weights)
+        logdet = _mean_logdet(logdet_grid(stack if reg is None else stack + reg), weights)
     if logdet == -math.inf:
         return MIApproximation(value=-math.inf, kind=kind, degenerate=True)
     return MIApproximation(value=0.5 * (logdet - k * LOG_2PI_E) + prior.entropy(), kind=kind)
@@ -187,32 +189,31 @@ def exact_gaussian_mi(model) -> float:
 def gap_bounds(j, prior) -> GapBounds:
     """Averaged ratios controlling the I_G - I_F and I_G+ - I_F gaps.
 
-    Requires J(x) positive-definite on every quadrature node; a singular
-    node is an error because the bounds are undefined there.
+    Per node, with J = L L^T and W = L^{-1} P L^{-T}: Tr W = Tr(J^{-1} P),
+    ||W||_F and Tr(J^{-1} P_plus), all from one factorization of the stack
+    (``_linalg.inverse_factors``).  J must be positive-definite on every
+    quadrature node by ``_linalg``'s pivot rule, which a NaN node fails:
+    a node that fails it is an error naming the node, because the bounds
+    are undefined there.
     """
     stack, weights = _materialize(j, prior)
     m, k = stack.shape[0], stack.shape[1]
     p = _curvature_stack(prior, m)
     pp = _p_plus_matrix(prior)
+    logdets, linv = (logdet_grid(stack), None) if k == 1 else inverse_factors(stack)
+    singular = logdets == -np.inf
+    if np.any(singular):
+        raise ValueError(f"degenerate J: not positive-definite at node {int(np.argmax(singular))}")
     if k == 1:
         jvals = stack[:, 0, 0]
-        if np.any(jvals <= 0):
-            idx = int(np.argmax(jvals <= 0))
-            raise ValueError(f"degenerate J: not positive-definite at node {idx} (J = {jvals[idx]!r})")
-        ratio = p[:, 0, 0] / jvals
-        traces = ratio
-        frob = np.abs(ratio)
+        traces = p[:, 0, 0] / jvals
+        frob = np.abs(traces)
         traces_plus = pp[0, 0] / jvals
     else:
-        try:
-            root = sym_inv_sqrt(stack)
-        except ValueError as exc:
-            raise ValueError(f"degenerate J: {exc}") from None
-        w = root @ p @ root
+        w = linv @ p @ np.swapaxes(linv, 1, 2)
         traces = np.trace(w, axis1=1, axis2=2)
-        flat = w.reshape(m, 1, k * k)
-        frob = np.sqrt((flat @ np.swapaxes(flat, 1, 2))[:, 0, 0])
-        traces_plus = np.trace(root @ pp @ root, axis1=1, axis2=2)
+        frob = np.sqrt(np.einsum("mab,mab->m", w, w))
+        traces_plus = np.einsum("mab,mab->m", linv @ pp, linv)
     return GapBounds(
         varsigma=float(np.dot(weights, traces)),
         varsigma1=float(np.dot(weights, frob)),

@@ -9,7 +9,9 @@ ln det is concave on the PD cone, the objective
 
 is concave, so pairwise Frank-Wolfe on the simplex, each step solved exactly
 from the closed form of I along a line, converges to the global optimum,
-linearly, and its duality gap doubles as a stopping certificate.  Two power
+linearly, and its duality gap doubles as a stopping certificate.  A step
+costs one factorization of G: the gradient, the exact step and the new
+value all read its inverse Cholesky factors.  Two power
 constraints are supported: a peak-rate cap (the optimal tuning amplitude
 saturates it, so amplitudes are set to the cap) and an average-power budget
 c.alpha <= B, priced by its Lagrange multiplier mu: each fixed-mu problem
@@ -30,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 # chol_logdet stays importable here: perfbench wraps it by module attribute.
-from ._linalg import chol_logdet, logdet_grid  # noqa: F401
+from ._linalg import chol_logdet, inverse_factors, logdet_grid  # noqa: F401
 from .fisher import GridPrior
 from .mi import LOG_2PI_E, _mean_logdet
 from .models import _positive, _tuning_params, _von_mises
@@ -172,27 +174,59 @@ def _g(alpha: np.ndarray, prob: OptimizationProblem) -> np.ndarray:
     return g + prob.p_values if prob.kind == "I_G" else g
 
 
+@dataclass(frozen=True)
+class _Iterate:
+    """G at the weights ``alpha``, factored once: what a Frank-Wolfe step reads.
+
+    ``g`` is G at every node ((M,) or (M, K, K)), ``logdets`` its pivot-rule
+    log-determinants, ``value`` the objective, and ``linv`` the inverse
+    lower Cholesky factors L^-1 (G = L L^T) when K > 1, else None.
+    """
+
+    alpha: np.ndarray
+    g: np.ndarray
+    logdets: np.ndarray
+    value: float
+    linv: Optional[np.ndarray]
+
+
+def _iterate(alpha: np.ndarray, prob: OptimizationProblem) -> _Iterate:
+    g = _g(alpha, prob)
+    if prob.scalar:
+        logdets, linv = logdet_grid(g.reshape(-1, 1, 1)), None
+    else:
+        logdets, linv = inverse_factors(g)
+    k = 1 if prob.scalar else g.shape[1]
+    value = 0.5 * (_mean_logdet(logdets, prob.weights) - k * LOG_2PI_E) + prob.h_x
+    return _Iterate(alpha=alpha, g=g, logdets=logdets, value=value, linv=linv)
+
+
 def objective(alpha, prob: OptimizationProblem) -> float:
     """I[alpha] in nats; -inf where G is singular at a node of positive weight."""
-    g = _g(np.asarray(alpha, dtype=float), prob)
-    stack = g.reshape(-1, 1, 1) if prob.scalar else g
-    return 0.5 * (_mean_logdet(stack, prob.weights) - stack.shape[1] * LOG_2PI_E) + prob.h_x
+    return _iterate(np.asarray(alpha, dtype=float), prob).value
 
 
-def gradient(alpha, prob: OptimizationProblem, mu: float = 0.0) -> np.ndarray:
-    """d I / d alpha_k = (N/2) <Tr(G(x)^{-1} S(x; theta_k))>, minus mu c_k."""
-    g = _g(np.asarray(alpha, dtype=float), prob)
-    singular = ~(g > 0) if prob.scalar else np.isneginf(logdet_grid(g))
+def _gradient_at(it: _Iterate, prob: OptimizationProblem, mu: float) -> np.ndarray:
+    """:func:`gradient` at a factored iterate, with G^-1 = L^-T L^-1 when K > 1."""
+    singular = it.logdets == -np.inf
     if np.any(singular):
         raise ValueError(f"G is singular at node {int(np.argmax(singular))}; "
                          "gradient undefined on the boundary")
     if prob.scalar:
-        grad = 0.5 * prob.n * ((prob.weights / g) @ prob.s_values)
+        grad = 0.5 * prob.n * ((prob.weights / it.g) @ prob.s_values)
     else:
         # Tr(G^{-1} S_k) summed against the weights, for every k at once.
-        out = np.einsum("m,mab,mkba->k", prob.weights, np.linalg.inv(g), prob.s_values)
-        grad = 0.5 * prob.n * out
+        ginv = np.swapaxes(it.linv, 1, 2) @ it.linv
+        grad = 0.5 * prob.n * np.einsum("m,mab,mkba->k", prob.weights, ginv, prob.s_values)
     return grad - mu * prob.power_cost if mu else grad
+
+
+def gradient(alpha, prob: OptimizationProblem, mu: float = 0.0) -> np.ndarray:
+    """d I / d alpha_k = (N/2) <Tr(G(x)^{-1} S(x; theta_k))>, minus mu c_k.
+
+    Raises naming the first node where G is singular, whatever its weight.
+    """
+    return _gradient_at(_iterate(np.asarray(alpha, dtype=float), prob), prob, mu)
 
 
 @dataclass(frozen=True)
@@ -249,22 +283,23 @@ class FWResult:
 
 
 def _line_search(alpha: np.ndarray, direction: np.ndarray, upper: float,
-                 prob: OptimizationProblem, mu: float) -> float:
+                 prob: OptimizationProblem, mu: float, it: Optional[_Iterate] = None) -> float:
     """Exact maximizer over [0, upper] of ``I - mu c.alpha`` along direction.
 
     f(gamma) = (1/2) <sum_i ln(1 + gamma lambda_i)> - gamma mu c.d, lambda_i the
     eigenvalues of L^-1 D L^-T (G = L L^T, D = N sum_k d_k S_k), is concave
     below min over lambda < 0 of -1/lambda.  Returns ``upper`` while f rises
     there (a step then empties a subclass exactly), else Newton's root of f'.
+    ``it`` is alpha's factored iterate, built here when not given.
     """
-    g = _g(alpha, prob)
+    if it is None:
+        it = _iterate(alpha, prob)
     if prob.scalar:
-        lam, w = prob.n * (prob.s_values @ direction) / g, prob.weights
+        lam, w = prob.n * (prob.s_values @ direction) / it.g, prob.weights
     else:
-        linv = np.linalg.inv(np.linalg.cholesky(g))
         delta = prob.n * np.einsum("mkab,k->mab", prob.s_values, direction)
-        lam = np.linalg.eigvalsh(linv @ delta @ np.swapaxes(linv, 1, 2)).ravel()
-        w = np.repeat(prob.weights, g.shape[1])
+        lam = np.linalg.eigvalsh(it.linv @ delta @ np.swapaxes(it.linv, 1, 2)).ravel()
+        w = np.repeat(prob.weights, it.g.shape[1])
     price = mu * float(prob.power_cost @ direction) if mu else 0.0
 
     def slope(gamma: float) -> tuple[float, float, float]:  # f', -f'', sum of |f' terms|
@@ -286,32 +321,35 @@ def _line_search(alpha: np.ndarray, direction: np.ndarray, upper: float,
     return gamma
 
 
-def _frank_wolfe(prob: OptimizationProblem, alpha: np.ndarray, mu: float, tol: float,
+def _frank_wolfe(prob: OptimizationProblem, it: _Iterate, mu: float, tol: float,
                  max_iters: int, trace: list):
-    """Maximize ``I - mu c.alpha`` over the simplex from alpha (see ``maximize``),
-    appending each new iterate's information to ``trace``.  Returns
-    ``(alpha, gap, steps, converged)``, with the gap of the last gradient."""
+    """Maximize ``I - mu c.alpha`` over the simplex from the iterate ``it``
+    (see ``maximize``), appending each new iterate's information to ``trace``.
+    Returns ``(it, gap, steps, converged)``, with the gap of the last gradient."""
     gap = math.inf
     for t in range(max_iters):
-        grad = gradient(alpha, prob, mu)
+        alpha = it.alpha
+        grad = _gradient_at(it, prob, mu)
         s = np.zeros(prob.k1)
         best = int(np.argmax(grad))
         s[best] = 1.0
         gap = float(grad @ (s - alpha))
         if gap < tol:
-            return alpha, gap, t, True
+            return it, gap, t, True
         support = np.flatnonzero(alpha > 0)
         worst = int(support[np.argmin(grad[support])])
         direction = np.zeros(prob.k1)
         direction[best], direction[worst] = 1.0, -1.0
-        gamma = _line_search(alpha, direction, float(alpha[worst]), prob, mu)
+        gamma = _line_search(alpha, direction, float(alpha[worst]), prob, mu, it)
         alpha = np.clip(alpha + gamma * direction, 0.0, None)
         alpha /= alpha.sum()
-        value = objective(alpha, prob)
-        if value == -math.inf:
+        # Rebuilt from the renormalised alpha, not updated as G + gamma D,
+        # so the value is objective(alpha) to the bit.
+        it = _iterate(alpha, prob)
+        if it.value == -math.inf:
             raise ValueError(f"objective is -inf after step {t}: the step left its domain")
-        trace.append(value)
-    return alpha, gap, max_iters, False
+        trace.append(it.value)
+    return it, gap, max_iters, False
 
 
 def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
@@ -320,9 +358,9 @@ def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
 
     Frank-Wolfe steps are pairwise — mass moves from the worst supported
     subclass to the best one by the exact maximizing step — which converges
-    linearly and leaves no stray support; a step costs one ``gradient`` and
-    one ``objective`` call.  A solve stops once the duality gap
-    ``grad . (s - alpha)`` falls below ``tol > 0``.
+    linearly and leaves no stray support; a step costs one factorization
+    of G.  A solve stops once the duality gap ``grad . (s - alpha)`` falls
+    below ``tol > 0``.
 
     An average-power budget ``c.alpha <= B`` is priced by its multiplier
     mu >= 0.  A free optimum within budget (up to the rounding of c.alpha)
@@ -347,35 +385,37 @@ def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
     if cost is not None and float(cost.min()) > budget:
         raise ValueError(f"infeasible power constraint: min cost {float(cost.min())!r} "
                          f"exceeds budget {budget!r}")
-    trace = [objective(alpha, prob)]
-    alpha, gap, steps, converged = _frank_wolfe(prob, alpha, 0.0, tol, max_iters, trace)
-    mu, eps = 0.0, np.finfo(float).eps
+    it = _iterate(alpha, prob)
+    trace = [it.value]
+    it, gap, steps, converged = _frank_wolfe(prob, it, 0.0, tol, max_iters, trace)
+    alpha, mu, eps = it.alpha, 0.0, np.finfo(float).eps
     # c carries rounding of order eps c, so a smaller overshoot is within budget.
     if cost is not None and float(cost @ alpha) - budget > 4.0 * prob.k1 * eps * budget:
-        # (mu, alpha, slack) of the last over-budget solve; hi adds the
-        # information and the certificate of the last feasible one.
-        lo, hi = (0.0, alpha, budget - float(cost @ alpha)), None
+        # (mu, iterate, slack) of the last over-budget solve; hi adds the
+        # certificate of the last feasible one.
+        lo, hi = (0.0, it, budget - float(cost @ alpha)), None
         prev = (lo[0], lo[2])  # (mu, slack) of the last solve, for the secant
         # First guess: the free optimum's marginal information per unit cost.
-        mu = float(gradient(alpha, prob) @ alpha) / float(cost @ alpha)
+        mu = float(_gradient_at(it, prob, 0.0) @ alpha) / float(cost @ alpha)
         # Beyond mu_max the rounding of mu c swamps a certificate of size tol.
         mu_max = 0.25 * tol / (eps * prob.k1 * float(cost.max()))
         while converged:
             if not 0.0 < mu < mu_max:
                 raise ValueError(f"power multiplier search failed at mu = {mu!r}: the budget sits "
                                  "within rounding of the cheapest cost or at the domain's edge")
-            alpha, gap, taken, converged = _frank_wolfe(
-                prob, alpha, mu, 0.5 * tol, max_iters - steps, trace)
+            it, gap, taken, converged = _frank_wolfe(
+                prob, it, mu, 0.5 * tol, max_iters - steps, trace)
+            alpha = it.alpha
             steps += taken
             slack = budget - float(cost @ alpha)
             if not converged:
                 break
             if slack >= 0.0:
-                hi = (mu, alpha, slack, trace[-1], gap + mu * slack)
-                if hi[4] < tol:
+                hi = (mu, it, slack, gap + mu * slack)
+                if hi[3] < tol:
                     break
             else:
-                lo = (mu, alpha, slack)
+                lo = (mu, it, slack)
             # Aim at the slack tol / (4 mu): positive, so the root is approached
             # from the feasible side, and small enough for the certificate.
             target = 0.25 * tol / mu
@@ -383,11 +423,12 @@ def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
                 # Where the objective is flat, inexact solves pin the slack down poorly;
                 # the mix of both sides' iterates at the target slack is certified instead.
                 t = (hi[2] - target) / (hi[2] - lo[2])
-                mix, mu_t = hi[1] + t * (lo[1] - hi[1]), hi[0] + t * (lo[0] - hi[0])
-                grad, slack_t = gradient(mix, prob, mu_t), budget - float(cost @ mix)
-                cert = float(np.max(grad) - grad @ mix) + mu_t * slack_t
+                mix = _iterate(hi[1].alpha + t * (lo[1].alpha - hi[1].alpha), prob)
+                mu_t, slack_t = hi[0] + t * (lo[0] - hi[0]), budget - float(cost @ mix.alpha)
+                grad = _gradient_at(mix, prob, mu_t)
+                cert = float(np.max(grad) - grad @ mix.alpha) + mu_t * slack_t
                 if slack_t >= 0.0 and cert < tol:
-                    hi = (mu_t, mix, slack_t, objective(mix, prob), cert)
+                    hi = (mu_t, mix, slack_t, cert)
                     break
             (mu0, slack0), prev = prev, (mu, slack)
             root = (mu - (slack - target) * (mu - mu0) / (slack - slack0)
@@ -403,9 +444,10 @@ def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
         if hi is None:
             gap = math.inf  # no iterate met the budget before the step cap
         else:
-            if alpha is not hi[1]:
-                trace.append(hi[3])
-            mu, alpha, _, _, gap = hi
+            if it is not hi[1]:
+                trace.append(hi[1].value)
+            mu, it, _, gap = hi
+            alpha = it.alpha
     report = kkt_check(alpha, prob, mu=mu)
     return FWResult(alpha=alpha, report=report, trace=np.array(trace),
                     gap=gap, iterations=steps, converged=converged)

@@ -30,7 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._linalg import chol_logdet, cholesky_stack, factor_logdets, logdet_grid, sym_inv_sqrt
+# sym_inv_sqrt stays importable here: perfbench wraps it by module attribute.
+from ._linalg import (chol_logdet, cholesky_stack, inverse_factors,  # noqa: F401
+                      leading_logdets, logdet_grid, sym_inv_sqrt)
 from .mi import LOG_2PI_E
 
 __all__ = [
@@ -470,22 +472,23 @@ def _reduction_check(blocked: BlockedInfo, second: np.ndarray, what: str,
                      inner_of) -> ReductionCheck:
     """Shared kernel of the two block-reduction checks.
 
-    Per node, ``coupling = G21 G11^{-1} G12``; the trace term is
-    ``Tr(second^{-1} inner_of(coupling))`` and the factored value uses
+    Per node, ``coupling = G21 G11^{-1} G12 = Y^T Y`` with ``Y = L11^{-1} G12``
+    (G11 = L11 L11^T); the trace term is ``Tr(second^{-1} inner_of(coupling))``,
+    read off ``L2^{-1}`` (second = L2 L2^T), and the factored value uses
     ``ln det G11 + ln det second``.  Both blocks must be positive-definite
     on every node; the error names the first node at fault.
     """
     k = blocked.k
-    g11, g12 = blocked.g11, blocked.g12
-    logdet11 = factor_logdets(g11, cholesky_stack(g11)[0])
-    logdet2 = factor_logdets(second, cholesky_stack(second)[0])
+    logdet11, linv11 = inverse_factors(blocked.g11)
+    logdet2, linv2 = inverse_factors(second)
     logdets = logdet11 + logdet2
     bad11, bad = np.isneginf(logdet11), np.isneginf(logdets)
     if np.any(bad):
         node = int(np.argmax(bad))
         raise ValueError(f"{'G11' if bad11[node] else what} is not positive-definite at node {node}")
-    coupling = np.swapaxes(g12, 1, 2) @ np.linalg.solve(g11, g12)
-    traces = np.trace(np.linalg.solve(second, inner_of(coupling)), axis1=1, axis2=2)
+    y = linv11 @ blocked.g12
+    inner = inner_of(np.swapaxes(y, 1, 2) @ y)
+    traces = np.einsum("mab,mab->m", linv2 @ inner, linv2)
     trace_mean = float(np.dot(blocked.weights, traces))
     mean_logdet = float(np.dot(blocked.weights, logdets))
     value = 0.5 * (mean_logdet - k * LOG_2PI_E) + blocked.h_x
@@ -534,18 +537,16 @@ def select_k1(j, eps_dr: float = 0.01, weights=None) -> int:
         weights = np.asarray(weights, dtype=float)
     diag_means = np.tensordot(weights, np.diagonal(j, axis1=1, axis2=2), axes=(0, 0))
     total_trace = float(np.sum(diag_means))
-    # The Cholesky factor of a leading block is the leading block of the
-    # full factor, so one factorization of J + I serves every K1.  Nodes
-    # whose full matrix does not factor may still have factorable leading
-    # blocks; those are factored block by block.
+    # One factorization of J + I serves every K1 (``leading_logdets``).
+    # Nodes whose full matrix does not factor may still have factorable
+    # leading blocks; those are factored block by block.
     a = j + np.eye(k)
     chol, failed = cholesky_stack(a)
+    gammas = leading_logdets(a, chol)
     for k1 in range(1, k):
-        tail_trace = total_trace - float(np.sum(diag_means[:k1]))
-        gammas = factor_logdets(a[:, :k1, :k1], chol[:, :k1, :k1])
         if np.any(failed):
-            gammas[failed] = logdet_grid(a[failed, :k1, :k1])
-        gamma = float(np.dot(weights, gammas))
-        if tail_trace <= eps_dr * gamma:
+            gammas[failed, k1 - 1] = logdet_grid(a[failed, :k1, :k1])
+        tail_trace = total_trace - float(np.sum(diag_means[:k1]))
+        if tail_trace <= eps_dr * float(np.dot(weights, gammas[:, k1 - 1])):
             return k1
     return k

@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from popcode_mi._linalg import chol_logdet, cholesky_stack, factor_logdets, logdet_grid
+from popcode_mi._linalg import (chol_logdet, cholesky_stack, factor_logdets, inverse_factors,
+                                logdet_grid)
 from popcode_mi.fisher import GaussianPrior
 from popcode_mi.mi import LOG_2PI_E, gap_bounds, i_f, i_g
 from popcode_mi.optimize import OptimizationProblem, capacity_prior, gradient, objective
-from popcode_mi.transform import partition_info, reduce_check_A, reduce_check_B, select_k1
+from popcode_mi.transform import (partition_info, pushforward_info, reduce_check_A,
+                                  reduce_check_B, select_k1)
 
 from conftest import ROUNDING_SINGULAR
 
@@ -147,6 +149,47 @@ class TestLogdetGrid:
         got = logdet_grid(stack)
         assert np.isneginf(got[2])
         assert np.all(np.isfinite(np.delete(got, 2)))
+
+
+class TestInverseFactors:
+    @settings(max_examples=40)
+    @given(seeds, st.integers(2, 8), st.integers(1, 30))
+    def test_matches_looped_inverse_cholesky(self, seed, k, m):
+        """L^-1 by batched forward substitution against per-node LAPACK inverses,
+        node by node relative to the node's largest entry; singular nodes are -inf."""
+        rng = np.random.default_rng(seed)
+        stack = mixed_stack(rng, m, k) * 10.0 ** rng.uniform(-8.0, 8.0, size=(m, 1, 1))
+        logdets, linv = inverse_factors(stack)
+        assert logdets.tobytes() == factor_logdets(stack, cholesky_stack(stack)[0]).tobytes()
+        for a, got, logdet in zip(stack, linv, logdets):
+            if logdet == -np.inf:
+                continue
+            want = np.linalg.inv(np.linalg.cholesky(a))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestGapBoundInvariances:
+    @staticmethod
+    def bounds(j, cov):
+        got = gap_bounds(j, GaussianPrior(np.zeros(len(cov)), cov))
+        return np.array([got.varsigma, got.varsigma1, got.varsigma_plus])
+
+    @settings(max_examples=30)
+    @given(seeds, st.integers(2, 6), st.integers(1, 12))
+    def test_linear_pushforward_and_common_rescaling(self, seed, k, m):
+        """The bounds depend on J and P only through J^-1 P: pushing J through
+        x~ = L x against the prior N(0, L S L^T), or scaling J and P by one c,
+        leaves them unchanged."""
+        rng = np.random.default_rng(seed)
+        j = np.stack([spd(rng, k) for _ in range(m)])
+        cov = spd(rng, k)
+        q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        l_mat = q * np.exp(rng.uniform(-2.0, 2.0, k))
+        want = self.bounds(j, cov)
+        pushed = pushforward_info(j, l_mat)[0]
+        np.testing.assert_allclose(self.bounds(pushed, l_mat @ cov @ l_mat.T), want, rtol=1e-9)
+        c = 10.0 ** rng.uniform(-6.0, 6.0)
+        np.testing.assert_allclose(self.bounds(c * j, cov / c), want, rtol=1e-9)
 
 
 class TestPivotRuleBits:
@@ -289,9 +332,10 @@ class TestBlockKernels:
             plus.append(np.trace(root @ pp @ root))
         got = gap_bounds(j, prior)
         weights = np.full(m, 1.0 / m)
-        assert got.varsigma == float(np.dot(weights, traces))
-        assert got.varsigma1 == float(np.dot(weights, frob))
-        assert got.varsigma_plus == float(np.dot(weights, plus))
+        # gap_bounds reads L^-1 off the Cholesky factor, not eigh's inverse roots.
+        assert got.varsigma == pytest.approx(float(np.dot(weights, traces)), rel=1e-12)
+        assert got.varsigma1 == pytest.approx(float(np.dot(weights, frob)), rel=1e-12)
+        assert got.varsigma_plus == pytest.approx(float(np.dot(weights, plus)), rel=1e-12)
 
 
 class TestErrorsNameTheNode:

@@ -251,6 +251,21 @@ class TestGapBounds:
         with pytest.raises(ValueError, match="degenerate J"):
             gap_bounds(j, prior)
 
+    def test_nan_fisher_names_the_node(self):
+        """A NaN J is singular by the pivot rule, at K = 1 and K > 1 alike.
+        (J is symmetric: like every log-det routine, the factorization reads
+        its diagonal and lower triangle.)"""
+        grid = GridPrior.von_mises(m=50)
+        j = np.full(grid.m, 4.0)
+        j[3] = np.nan
+        with pytest.raises(ValueError, match="degenerate J: not positive-definite at node 3"):
+            gap_bounds(j, grid)
+        for entry in ((0, 0), (1, 0), (1, 1)):
+            stack = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
+            stack[(3,) + entry] = np.nan
+            with pytest.raises(ValueError, match="degenerate J: not positive-definite at node 3"):
+                gap_bounds(stack, GAUSSIAN_2D)
+
 
 class TestVanTrees:
     def test_upper_bounds_i_g_plus(self, prior):

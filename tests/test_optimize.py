@@ -231,6 +231,43 @@ def domain_edge(lam):
     return float(np.min(-1.0 / lam[falling])) if np.any(falling) else math.inf
 
 
+class TestOneFactorizationPerStep:
+    """A Frank-Wolfe step factors G once: gradient, exact step and new value all
+    read the inverse Cholesky factors of that factorization."""
+
+    @staticmethod
+    def count_calls(monkeypatch, prob):
+        counts = dict.fromkeys(("cholesky", "inv", "solve"), 0)
+        for name in counts:
+            def counted(*args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        res = maximize(prob)
+        monkeypatch.undo()
+        assert res.converged
+        return res, counts
+
+    def test_free_solve(self, monkeypatch):
+        """One factorization per step, plus the start and the KKT report."""
+        import dataclasses
+
+        prob = dataclasses.replace(bump_problem_2d(), power_cost=None, power_budget=None)
+        res, counts = self.count_calls(monkeypatch, prob)
+        assert counts["cholesky"] <= res.iterations + 3
+        assert counts["inv"] == counts["solve"] == 0
+        assert res.report.equality_violation <= 1e-6
+
+    def test_power_search(self, monkeypatch):
+        """The budget's secant search adds a factorization per inner solve and per
+        mixed certificate it tries, a few in all, never one more per step."""
+        res, counts = self.count_calls(monkeypatch, bump_problem_2d())
+        assert res.iterations > 50
+        assert counts["cholesky"] <= 1.1 * res.iterations
+        assert counts["inv"] == counts["solve"] == 0
+        assert res.report.equality_violation <= 1e-6
+
+
 class TestExactStep:
     """The line search maximizes the closed form of the objective along a step."""
 
