@@ -27,7 +27,6 @@ __all__ = [
     "chol_logdet",
     "logdet_grid",
     "factor_logdets",
-    "leading_logdets",
     "inverse_factors",
     "sym_inv_sqrt",
 ]
@@ -79,23 +78,6 @@ def factor_logdets(mats: np.ndarray, chol: np.ndarray) -> np.ndarray:
     good = np.all(diag * diag > tol, axis=1) & np.all(np.isfinite(diag), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(good, 2.0 * np.sum(np.log(diag), axis=1), -np.inf)
-
-
-def leading_logdets(mats: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """Log-determinants of every leading block of a stack, shape (M, K).
-
-    Column ``i`` is that of the leading (i+1) x (i+1) blocks, read off the
-    full Cholesky factors: a leading block's factor is the leading block
-    of the full factor.  A block is judged by the pivot rule of
-    :func:`factor_logdets` at its own size: pivot j passes for blocks of
-    size s iff ``L_jj^2 / (64 eps A_jj) > s``, so a block is ``-inf``
-    unless the running minimum of that ratio exceeds its size.
-    """
-    diag = np.diagonal(chol, axis1=1, axis2=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margin = diag * diag / (64.0 * _EPS * np.diagonal(mats, axis1=1, axis2=2))
-        good = np.minimum.accumulate(margin, axis=1) > np.arange(1, diag.shape[1] + 1)
-        return np.where(good, 2.0 * np.cumsum(np.log(diag), axis=1), -np.inf)
 
 
 def chol_logdet(a: np.ndarray) -> float:

@@ -190,20 +190,25 @@ class _Iterate:
     linv: Optional[np.ndarray]
 
 
+def _value(logdets: np.ndarray, k: int, prob: OptimizationProblem) -> float:
+    """I from the per-node log-determinants of the K x K matrices G."""
+    return 0.5 * (_mean_logdet(logdets, prob.weights) - k * LOG_2PI_E) + prob.h_x
+
+
 def _iterate(alpha: np.ndarray, prob: OptimizationProblem) -> _Iterate:
     g = _g(alpha, prob)
     if prob.scalar:
-        logdets, linv = logdet_grid(g.reshape(-1, 1, 1)), None
+        logdets, linv, k = logdet_grid(g.reshape(-1, 1, 1)), None, 1
     else:
-        logdets, linv = inverse_factors(g)
-    k = 1 if prob.scalar else g.shape[1]
-    value = 0.5 * (_mean_logdet(logdets, prob.weights) - k * LOG_2PI_E) + prob.h_x
-    return _Iterate(alpha=alpha, g=g, logdets=logdets, value=value, linv=linv)
+        (logdets, linv), k = inverse_factors(g), g.shape[1]
+    return _Iterate(alpha=alpha, g=g, logdets=logdets, value=_value(logdets, k, prob), linv=linv)
 
 
 def objective(alpha, prob: OptimizationProblem) -> float:
     """I[alpha] in nats; -inf where G is singular at a node of positive weight."""
-    return _iterate(np.asarray(alpha, dtype=float), prob).value
+    g = _g(np.asarray(alpha, dtype=float), prob)
+    stack = g.reshape(-1, 1, 1) if prob.scalar else g
+    return _value(logdet_grid(stack), stack.shape[1], prob)
 
 
 def _gradient_at(it: _Iterate, prob: OptimizationProblem, mu: float) -> np.ndarray:
@@ -250,8 +255,13 @@ def kkt_check(alpha, prob: OptimizationProblem, active_tol: float = 1e-6,
     """Measure how far alpha is from the KKT conditions at the power multiplier
     ``mu`` the solver found (0 without a binding budget); ``lambda1`` is the
     alpha-weighted mean of ``grad - mu c`` on the active set."""
-    alpha = np.asarray(alpha, dtype=float)
-    grad = gradient(alpha, prob)
+    return _kkt_report(_iterate(np.asarray(alpha, dtype=float), prob), prob, active_tol, mu)
+
+
+def _kkt_report(it: _Iterate, prob: OptimizationProblem, active_tol: float,
+                mu: float) -> KKTReport:
+    """:func:`kkt_check` at a factored iterate."""
+    alpha, grad = it.alpha, _gradient_at(it, prob, 0.0)
     active = alpha > active_tol
     if not np.any(active):
         raise ValueError(f"degenerate density: no weight exceeds active_tol = {active_tol}")
@@ -282,18 +292,16 @@ class FWResult:
     converged: bool
 
 
-def _line_search(alpha: np.ndarray, direction: np.ndarray, upper: float,
-                 prob: OptimizationProblem, mu: float, it: Optional[_Iterate] = None) -> float:
+def _line_search(it: _Iterate, direction: np.ndarray, upper: float,
+                 prob: OptimizationProblem, mu: float) -> float:
     """Exact maximizer over [0, upper] of ``I - mu c.alpha`` along direction.
 
     f(gamma) = (1/2) <sum_i ln(1 + gamma lambda_i)> - gamma mu c.d, lambda_i the
     eigenvalues of L^-1 D L^-T (G = L L^T, D = N sum_k d_k S_k), is concave
     below min over lambda < 0 of -1/lambda.  Returns ``upper`` while f rises
     there (a step then empties a subclass exactly), else Newton's root of f'.
-    ``it`` is alpha's factored iterate, built here when not given.
+    ``it`` is the factored iterate the step starts from.
     """
-    if it is None:
-        it = _iterate(alpha, prob)
     if prob.scalar:
         lam, w = prob.n * (prob.s_values @ direction) / it.g, prob.weights
     else:
@@ -340,7 +348,7 @@ def _frank_wolfe(prob: OptimizationProblem, it: _Iterate, mu: float, tol: float,
         worst = int(support[np.argmin(grad[support])])
         direction = np.zeros(prob.k1)
         direction[best], direction[worst] = 1.0, -1.0
-        gamma = _line_search(alpha, direction, float(alpha[worst]), prob, mu, it)
+        gamma = _line_search(it, direction, float(alpha[worst]), prob, mu)
         alpha = np.clip(alpha + gamma * direction, 0.0, None)
         alpha /= alpha.sum()
         # Rebuilt from the renormalised alpha, not updated as G + gamma D,
@@ -447,9 +455,8 @@ def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
             if it is not hi[1]:
                 trace.append(hi[1].value)
             mu, it, _, gap = hi
-            alpha = it.alpha
-    report = kkt_check(alpha, prob, mu=mu)
-    return FWResult(alpha=alpha, report=report, trace=np.array(trace),
+    report = _kkt_report(it, prob, 1e-6, mu)
+    return FWResult(alpha=it.alpha, report=report, trace=np.array(trace),
                     gap=gap, iterations=steps, converged=converged)
 
 

@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 # sym_inv_sqrt stays importable here: perfbench wraps it by module attribute.
-from ._linalg import (chol_logdet, cholesky_stack, inverse_factors,  # noqa: F401
-                      leading_logdets, logdet_grid, sym_inv_sqrt)
+from ._linalg import (chol_logdet, cholesky_stack, factor_logdets,  # noqa: F401
+                      inverse_factors, logdet_grid, sym_inv_sqrt)
 from .mi import LOG_2PI_E
 
 __all__ = [
@@ -537,16 +537,18 @@ def select_k1(j, eps_dr: float = 0.01, weights=None) -> int:
         weights = np.asarray(weights, dtype=float)
     diag_means = np.tensordot(weights, np.diagonal(j, axis1=1, axis2=2), axes=(0, 0))
     total_trace = float(np.sum(diag_means))
-    # One factorization of J + I serves every K1 (``leading_logdets``).
-    # Nodes whose full matrix does not factor may still have factorable
-    # leading blocks; those are factored block by block.
+    # The Cholesky factor of a leading block is the leading block of the
+    # full factor, so one factorization of J + I serves every K1.  Nodes
+    # whose full matrix does not factor may still have factorable leading
+    # blocks; those are factored block by block.
     a = j + np.eye(k)
     chol, failed = cholesky_stack(a)
-    gammas = leading_logdets(a, chol)
     for k1 in range(1, k):
-        if np.any(failed):
-            gammas[failed, k1 - 1] = logdet_grid(a[failed, :k1, :k1])
         tail_trace = total_trace - float(np.sum(diag_means[:k1]))
-        if tail_trace <= eps_dr * float(np.dot(weights, gammas[:, k1 - 1])):
+        gammas = factor_logdets(a[:, :k1, :k1], chol[:, :k1, :k1])
+        if np.any(failed):
+            gammas[failed] = logdet_grid(a[failed, :k1, :k1])
+        gamma = float(np.dot(weights, gammas))
+        if tail_trace <= eps_dr * gamma:
             return k1
     return k
