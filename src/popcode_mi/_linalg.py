@@ -2,9 +2,10 @@
 
 Every positive-definiteness decision of ``mi``, ``optimize``, ``transform``
 and the covariance checks in ``fisher`` and ``models`` is one pivot rule,
-:func:`factor_logdets`: a failed factorization, a NaN or infinite pivot,
-or a squared pivot at rounding-noise scale of its diagonal entry means
-singular, and the log-determinant is ``-inf``, never regularized away.
+:func:`factor_logdets`: a NaN or infinite entry, a failed factorization, a
+NaN or infinite pivot, or a squared pivot at rounding-noise scale of its
+diagonal entry means singular, and the log-determinant is ``-inf``, never
+regularized away.
 Inverses and trace terms (the gap bounds, the block reductions, the
 density optimizer's gradient and step) take the inverse lower factors
 that :func:`inverse_factors` returns with those log-determinants, from the
@@ -57,7 +58,9 @@ def cholesky_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def factor_logdets(mats: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """Log-determinants of a stack from its Cholesky factors.
 
-    A node is ``-inf`` when its factor has a non-positive or non-finite
+    A node is ``-inf`` when any of its K x K entries is not finite (the
+    factorization reads only the lower triangle, so this is where the
+    upper one is judged), when its factor has a non-positive or non-finite
     pivot, or when any pivot sits at rounding-noise scale: the matrix is
     then singular to working precision even though rounding let it
     factor.  Each pivot is judged against its own diagonal entry,
@@ -73,9 +76,13 @@ def factor_logdets(mats: np.ndarray, chol: np.ndarray) -> np.ndarray:
     # minus a sum that cancels it, so such a pivot is rounding noise on
     # the scale of K * eps * A_ii (squared pivot), whatever the scale of
     # the other coordinates.  A pivot from LAPACK is positive (NaN where
-    # the node failed), so the squared test needs no sign check.
+    # the node failed), so the squared test needs no sign check, and from
+    # finite entries it is at most sqrt(A_ii), so it needs no finiteness
+    # check once the entries are known to be finite.
     tol = 64.0 * mats.shape[1] * _EPS * np.diagonal(mats, axis1=1, axis2=2)
-    good = np.all(diag * diag > tol, axis=1) & np.all(np.isfinite(diag), axis=1)
+    good = np.all(diag * diag > tol, axis=1)
+    if not np.isfinite(mats).all():  # one pass over the stack; per node only if needed
+        good &= np.all(np.isfinite(mats), axis=(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(good, 2.0 * np.sum(np.log(diag), axis=1), -np.inf)
 
@@ -93,7 +100,8 @@ def chol_logdet(a: np.ndarray) -> float:
 def logdet_grid(mats: np.ndarray) -> np.ndarray:
     """Log-determinants of a stack of symmetric matrices, shape (M, K, K).
 
-    Entries for non-positive-definite matrices come back as ``-inf``.
+    Entries for non-positive-definite matrices come back as ``-inf``, and
+    so do matrices with a NaN or infinite entry, at K = 1 as for K > 1.
     A scalar fast path handles K = 1 without factorizations; larger K
     takes one stacked Cholesky factorization of the whole array, falling
     back to node-by-node factorization only when some node fails, with
@@ -104,7 +112,8 @@ def logdet_grid(mats: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a stack of square matrices, got shape {mats.shape}")
     if mats.shape[1] == 1:
         vals = mats[:, 0, 0]
-        return np.log(vals, out=np.full(vals.shape, -np.inf), where=vals > 0.0)
+        return np.log(vals, out=np.full(vals.shape, -np.inf),
+                      where=np.isfinite(vals) & (vals > 0.0))
     return factor_logdets(mats, cholesky_stack(mats)[0])
 
 

@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy
+from numpy.random import default_rng
 
 from . import __version__
 from .fisher import GridPrior
@@ -290,7 +291,7 @@ def _worker_count(cfg: dict) -> int:
 
 def _child_seeds(cfg: dict, shape) -> np.ndarray:
     """Seeds of independent generators, drawn from the configured seed."""
-    return np.random.default_rng(cfg["seed"]).integers(0, 2**63, size=shape)
+    return default_rng(cfg["seed"]).integers(0, 2**63, size=shape)
 
 
 def _run_fig1(cfg: dict) -> tuple[list, list, dict]:
@@ -361,7 +362,7 @@ def _run_fig2(cfg: dict) -> tuple[list, list, dict]:
 
     def one_cell(idx: int, pool: ThreadPoolExecutor):
         w, n = cells[idx]
-        rng = np.random.default_rng(int(cell_seeds[idx]))
+        rng = default_rng(int(cell_seeds[idx]))
         gram = random_mixing_gram(w * w, n, rng, pool=pool)
         return fig2_gap_from_gram(gram, spectra[w])
 

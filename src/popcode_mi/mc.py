@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, SeedSequence, default_rng
 
 from .fisher import GridPrior
 
@@ -65,12 +66,20 @@ class MCResult:
     di_std: float
 
 
+#: Below this argument ``np.exp`` returns exactly +0.0 (e^-745.2 is under half
+#: the smallest subnormal, 4.9e-324).
+_EXP_ZERO = -745.2
+
+
 def logsumexp(buf: np.ndarray, log_masses: np.ndarray) -> np.ndarray:
     """Row-wise ``ln sum_m exp(buf[j, m] + log_masses[m])``, overwriting ``buf``.
 
     Ties for a row's maximum are all taken out of the sum and counted, as
     scipy does; zero-mass nodes (``-inf`` log-masses) add nothing.  Rows
     whose maximum is not finite come back non-finite, without a warning.
+    Shifted entries whose exponential underflows to 0 are written as 0
+    instead of exponentiated, so the sums see the same +0.0 in the same
+    places and keep scipy's bits.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         buf += log_masses
@@ -78,8 +87,15 @@ def logsumexp(buf: np.ndarray, log_masses: np.ndarray) -> np.ndarray:
         ismax = buf == a_max[:, None]
         count = ismax.sum(axis=1).astype(float)
         buf -= a_max[:, None]
-        np.exp(buf, out=buf)
-        buf[ismax] = 0.0
+        dead = ismax
+        if buf.min() < _EXP_ZERO:
+            # exp is exactly +0.0 there; skipping those entries keeps numpy's
+            # vector exp off its slow path for underflowing arguments.
+            dead = ismax | (buf < _EXP_ZERO)
+            np.exp(buf, out=buf, where=~dead)
+        else:
+            np.exp(buf, out=buf)
+        buf[dead] = 0.0
         s = buf.sum(axis=1)
         s = np.where(s == 0, s, s / count)
         return np.log1p(s) + np.log(count) + a_max
@@ -114,7 +130,7 @@ def _log_lik_core(responses: np.ndarray, terms, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sample_responses_block(model, rates_block: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _sample_responses_block(model, rates_block: np.ndarray, rng: Generator) -> np.ndarray:
     if model.response_kind == "poisson":
         return rng.poisson(rates_block).astype(float)
     return rates_block + model.sigma * rng.standard_normal(rates_block.shape)
@@ -141,7 +157,7 @@ def mc_mutual_information(model, prior: GridPrior, cfg: MCConfig) -> MCResult:
                          f"node {node}, neuron {neuron} has rate {float(rates[node, neuron])!r}")
 
     stim_rng, resp_rng, boot_rng = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
+        default_rng(s) for s in SeedSequence(cfg.seed).spawn(3)
     )
     log_masses = np.log(prior.masses)
     stim_idx = stim_rng.choice(cfg.m, size=cfg.j_max, p=prior.masses)

@@ -299,7 +299,8 @@ def _line_search(it: _Iterate, direction: np.ndarray, upper: float,
     f(gamma) = (1/2) <sum_i ln(1 + gamma lambda_i)> - gamma mu c.d, lambda_i the
     eigenvalues of L^-1 D L^-T (G = L L^T, D = N sum_k d_k S_k), is concave
     below min over lambda < 0 of -1/lambda.  Returns ``upper`` while f rises
-    there (a step then empties a subclass exactly), else Newton's root of f'.
+    there (a step then empties a subclass exactly), 0 when f'(0) <= 0, else
+    Newton's root of f'.
     ``it`` is the factored iterate the step starts from.
     """
     if prob.scalar:
@@ -324,6 +325,8 @@ def _line_search(it: _Iterate, direction: np.ndarray, upper: float,
         if abs(d1) <= 4.0 * np.finfo(float).eps * size:
             break  # f' is zero to the rounding of its terms
         lo, hi = (gamma, hi) if d1 > 0.0 else (lo, gamma)
+        if hi == 0.0:
+            return 0.0  # the bracket is [0, 0]: f'(0) < 0, or no room to move
         step = gamma + d1 / curv
         gamma = step if lo < step < hi else 0.5 * (lo + hi)
     return gamma

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.random import Generator
 
 # sym_inv_sqrt stays importable here: perfbench wraps it by module attribute.
 from ._linalg import (chol_logdet, cholesky_stack, factor_logdets,  # noqa: F401
@@ -229,7 +230,7 @@ def fig2_gap_from_gram(gram: np.ndarray, spectrum: np.ndarray) -> Fig2Gap:
     return Fig2Gap(i_g=i_g, i_f=i_f, di_f=di_f, rel_di_f=di_f / i_g)
 
 
-def random_mixing_gram(k: int, n: int, rng: np.random.Generator, block: int = 4096,
+def random_mixing_gram(k: int, n: int, rng: Generator, block: int = 4096,
                        pool: Optional[Executor] = None) -> np.ndarray:
     """Gram matrix A A^T of a K x N matrix of standard-normal entries with
     unit-norm columns.
@@ -263,7 +264,7 @@ class _GramStream:
     ``gram`` in block order under ``_done``.
     """
 
-    def __init__(self, k: int, n: int, rng: np.random.Generator, block: int):
+    def __init__(self, k: int, n: int, rng: Generator, block: int):
         self.k, self.n, self.rng, self.block = k, n, rng, block
         self.n_blocks = -(-n // block)
         self.gram = np.zeros((k, k))

@@ -3,7 +3,10 @@ it imports is used."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import popcode_mi
@@ -56,3 +59,28 @@ def test_pd_decisions_live_in_linalg():
     files = {handler.split(":")[0] for handler in handlers}
     assert "_linalg.py" in files
     assert files <= {"_linalg.py", "cli.py"}, sorted(handlers)
+
+
+def _modules_after(statement: str) -> set:
+    """Names in ``sys.modules`` after ``statement`` runs in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(popcode_mi.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = f"import sys; {statement}; print('\\n'.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_import_footprint():
+    """The package runs no scipy routine: importing its entry points loads no
+    scipy module beyond those ``import scipy`` loads by itself (the sidecar
+    reads ``scipy.__version__``).  ``numpy.random`` is loaded at import, so
+    the first draw inside a run does not pay for it."""
+    baseline = _modules_after("import scipy")
+    loaded = _modules_after(
+        "import popcode_mi.cli, popcode_mi.mi, popcode_mi.optimize, popcode_mi.transform")
+    scipy_modules = {name for name in loaded if name.split(".")[0] == "scipy"}
+    assert "scipy" in baseline
+    assert scipy_modules - baseline == set()
+    assert "numpy.random" in loaded

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import i0
 
-from popcode_mi.fisher import GaussianPrior, GridPrior, p_plus
+from popcode_mi.fisher import GaussianPrior, GridPrior, _i0, p_plus
 from popcode_mi.mi import LOG_2PI_E, i_g, i_g_plus, van_trees_bound
 from popcode_mi.models import PoissonPopulation, VonMisesTuning
 from popcode_mi.optimize import build_problem
@@ -99,6 +99,31 @@ class TestGridPriorConstruction:
         np.testing.assert_allclose(tabulated.curvature_values(),
                                    prior.curvature_values(), rtol=1e-6, atol=1e-8)
         assert tabulated.p_plus() == pytest.approx(prior.p_plus(), rel=1e-8)
+
+
+class TestCephesI0:
+    """``fisher._i0`` is Cephes' I_0, the routine behind ``scipy.special.i0``."""
+
+    def test_bit_identical_to_scipy_on_both_branches(self):
+        widths = np.geomspace(0.02, 10.0, 400)
+        xs = np.concatenate([
+            np.linspace(0.0, 8.0, 40_001)[1:],               # Chebyshev series in x/2 - 2
+            np.linspace(8.0, 709.78, 40_001)[1:],            # series in 32/x - 2, over sqrt(x)
+            np.nextafter(8.0, [0.0, 9.0]), [5e-324, 1e-300, 1e-8],
+            (PERIOD / (2 * np.pi * widths)) ** 2,            # von_mises kappas, widths 0.02 to 10
+            (2 * PERIOD / (2 * np.pi * widths)) ** 2,
+        ])
+        got = np.array([_i0(float(x)) for x in xs])
+        assert got.tobytes() == i0(xs).tobytes()
+
+    @pytest.mark.parametrize("x", [709.79, 710.0, 2500.0, 1e300])
+    def test_overflow_is_inf_as_in_scipy(self, x):
+        assert _i0(x) == math.inf == i0(x)
+
+    def test_overflowing_prior_is_rejected_by_the_quadrature_check(self):
+        # kappa = 2500: e^kappa overflows, and the density tabulates as 0.
+        with pytest.raises(ValueError, match=r"^prior density quadrature is 0\.0, expected 1 within 1e-8$"):
+            GridPrior.von_mises(math.pi, 0.01, 1000)
 
 
 class TestGridPriorQuadrature:

@@ -49,7 +49,7 @@ def scatter_factor_logdets(mats, chol):
     diag = np.diagonal(chol, axis1=1, axis2=2)
     tol = 64.0 * mats.shape[1] * np.finfo(float).eps * np.diagonal(mats, axis1=1, axis2=2)
     good = (np.all(diag > 0.0, axis=1) & np.all(np.isfinite(diag), axis=1)
-            & ~np.any(diag**2 <= tol, axis=1))
+            & ~np.any(diag**2 <= tol, axis=1) & np.all(np.isfinite(mats), axis=(1, 2)))
     out = np.full(mats.shape[0], -np.inf)
     out[good] = 2.0 * np.sum(np.log(diag[good]), axis=1)
     return out
@@ -61,7 +61,7 @@ def scatter_logdet_grid(mats):
         return scatter_factor_logdets(mats, cholesky_stack(mats)[0])
     vals = mats[:, 0, 0]
     out = np.full(vals.shape, -np.inf)
-    pos = vals > 0.0
+    pos = np.isfinite(vals) & (vals > 0.0)
     out[pos] = np.log(vals[pos])
     return out
 
@@ -196,11 +196,12 @@ class TestPivotRuleBits:
     @settings(max_examples=60)
     @given(seeds, st.integers(1, 8), st.integers(1, 40))
     def test_where_form_matches_scatter_form_bit_for_bit(self, seed, k, m):
-        """Stacks with zero, negative, NaN, +inf and rounding-singular nodes."""
+        """Stacks with zero, negative, NaN, +inf, upper-triangle-only non-finite
+        and rounding-singular nodes."""
         rng = np.random.default_rng(seed)
         stack = np.stack([spd(rng, k) for _ in range(m)])
         stack *= 10.0 ** rng.uniform(-8.0, 8.0, size=(m, 1, 1))
-        for i, kind in enumerate(rng.integers(0, 8, size=m)):
+        for i, kind in enumerate(rng.integers(0, 9, size=m)):
             r, c = rng.integers(0, k, size=2)
             if kind == 2:
                 stack[i] = 0.0
@@ -216,6 +217,8 @@ class TestPivotRuleBits:
             elif kind == 7 and k > 1:
                 stack[i] = np.eye(k)
                 stack[i, :2, :2] = ROUNDING_SINGULAR
+            elif kind == 8 and r != c:
+                stack[i, min(r, c), max(r, c)] = rng.choice([np.nan, np.inf, -np.inf])
         chol = cholesky_stack(stack)[0]
         got = factor_logdets(stack, chol)
         assert got.tobytes() == scatter_factor_logdets(stack, chol).tobytes()

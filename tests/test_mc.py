@@ -156,6 +156,32 @@ class TestLogSumExpKernel:
         assert got.tobytes() == want.tobytes()
 
 
+    def test_underflowing_rows_match_scipy_bit_for_bit(self):
+        """Shifted entries below -745.2 (exp is exactly 0), subnormal ones in
+        (-745.13, -708), both sides of the underflow boundary, tied maxima and
+        zero-mass nodes, next to rows where nothing underflows."""
+        rng = np.random.default_rng(7)
+        rows, m = 48, 400
+        core = rng.uniform(-1200.0, -745.2, size=(rows, m))
+        core[:, :100] = rng.uniform(-745.13, -708.0, size=(rows, 100))
+        edge = -745.1332191019411
+        core[:, 100:110] = [edge, *np.nextafter(edge, [-800.0, -700.0]), -745.2,
+                            np.nextafter(-745.2, 0.0), -745.13, -708.4, -708.3, -1e4, -np.inf]
+        core[0, :100] = -800.0  # the row's sum is the boundary entries' subnormals
+        core[:, -1] = 0.0
+        core[3::3, -2] = 0.0                                             # tied maxima
+        core[1::4] = rng.uniform(-700.0, 0.0, size=(len(core[1::4]), m))  # no underflow
+        # Zero log-masses keep the shifted entries exact; some nodes have no mass.
+        log_masses = np.where(rng.random(m) < 0.1, -np.inf, 0.0)
+        log_masses[100:110] = log_masses[-2:] = 0.0
+        want = scipy_logsumexp(core + log_masses, axis=1)
+        got = mc.logsumexp(core.copy(), log_masses)
+        assert got.tobytes() == want.tobytes()
+        shifted = core + log_masses
+        shifted -= shifted.max(axis=1)[:, None]
+        assert np.any(shifted < -745.2) and np.any((shifted > -745.13) & (shifted < -708.0))
+
+
 class TestEstimatorMatchesReference:
     @pytest.mark.parametrize("seed", [3, 17])
     @pytest.mark.parametrize("make", [

@@ -118,6 +118,15 @@ class TestScalarAnchors:
         assert i_f(2 * math.pi * math.e * np.eye(1), gp).value == pytest.approx(
             0.5 * LOG_2PI_E, rel=1e-14)
 
+    def test_infinite_fisher_node_is_degenerate(self):
+        """J = +inf is singular at K = 1, as an infinite diagonal is for K > 1."""
+        prior = GridPrior.von_mises(m=50)
+        j = np.ones(prior.m)
+        j[7] = np.inf
+        got = i_f(j, prior)
+        assert got.degenerate and got.value == -math.inf
+        assert i_f(np.diag([np.inf, 1.0]), GAUSSIAN_2D).degenerate
+
     def test_zero_mass_nodes_are_skipped(self):
         """A singular J on a node of zero prior mass adds nothing to the average."""
         prior = GridPrior.von_mises(width=0.02, m=200)
@@ -252,19 +261,31 @@ class TestGapBounds:
             gap_bounds(j, prior)
 
     def test_nan_fisher_names_the_node(self):
-        """A NaN J is singular by the pivot rule, at K = 1 and K > 1 alike.
-        (J is symmetric: like every log-det routine, the factorization reads
-        its diagonal and lower triangle.)"""
+        """A NaN J is singular by the pivot rule, at K = 1 and K > 1 alike, and
+        wherever the NaN sits: the factorization reads only the diagonal and
+        lower triangle, and the rule checks every entry."""
         grid = GridPrior.von_mises(m=50)
         j = np.full(grid.m, 4.0)
         j[3] = np.nan
         with pytest.raises(ValueError, match="degenerate J: not positive-definite at node 3"):
             gap_bounds(j, grid)
-        for entry in ((0, 0), (1, 0), (1, 1)):
+        for entry in ((0, 0), (1, 0), (1, 1), (0, 1)):
             stack = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
             stack[(3,) + entry] = np.nan
             with pytest.raises(ValueError, match="degenerate J: not positive-definite at node 3"):
                 gap_bounds(stack, GAUSSIAN_2D)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_upper_triangle_is_degenerate(self, bad):
+        """Only the upper triangle of node 3 is not finite."""
+        stack = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
+        stack[3, 0, 1] = bad
+        for fn in (i_f, i_g, i_g_plus):
+            got = fn(stack, GAUSSIAN_2D)
+            assert got.degenerate and got.value == -math.inf
+        with pytest.raises(ValueError, match="degenerate J: not positive-definite at node 3"):
+            gap_bounds(stack, GAUSSIAN_2D)
 
 
 class TestVanTrees:

@@ -1,9 +1,6 @@
 """Density optimization on the simplex, KKT certification, and capacity."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -330,16 +327,29 @@ class TestExactStep:
                 kinds.add("root")
         assert kinds == {"bound", "root"}
 
-    def test_package_does_not_import_scipy_optimize(self):
-        import popcode_mi
+    def test_descent_direction_returns_zero_at_once(self, toy):
+        """With f'(0) < 0 the step is 0 after two slope evaluations (at the bound
+        and at 0), not after the Newton loop's full budget."""
+        import dataclasses
 
-        src = os.path.dirname(os.path.dirname(popcode_mi.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        code = "import sys, popcode_mi.cli; print('scipy.optimize' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        class CountingWeights(np.ndarray):
+            calls = 0
+
+            def __matmul__(self, other):
+                CountingWeights.calls += 1
+                return np.asarray(self) @ other
+
+        alpha = np.full(toy.k1, 1.0 / toy.k1)
+        grad = gradient(alpha, toy)
+        direction = np.zeros(toy.k1)
+        best, worst = int(np.argmax(grad)), int(np.argmin(grad))
+        direction[worst], direction[best] = 1.0, -1.0
+        assert grad @ direction < 0.0
+        counted = dataclasses.replace(toy)
+        object.__setattr__(counted, "weights", toy.weights.view(CountingWeights))
+        gamma = _line_search(_iterate(alpha, toy), direction, float(alpha[best]), counted, 0.0)
+        assert gamma == 0.0
+        assert CountingWeights.calls <= 2 * 3  # a slope evaluation is three weighted sums
 
 
 class TestKKT:
