@@ -122,7 +122,8 @@ class TestCephesI0:
 
     def test_overflowing_prior_is_rejected_by_the_quadrature_check(self):
         # kappa = 2500: e^kappa overflows, and the density tabulates as 0.
-        with pytest.raises(ValueError, match=r"^prior density quadrature is 0\.0, expected 1 within 1e-8$"):
+        message = r"^prior density quadrature is 0\.0, expected 1 within 1e-8$"
+        with pytest.raises(ValueError, match=message):
             GridPrior.von_mises(math.pi, 0.01, 1000)
 
 

@@ -275,7 +275,6 @@ class TestGapBounds:
             with pytest.raises(ValueError, match="degenerate J: not positive-definite at node 3"):
                 gap_bounds(stack, GAUSSIAN_2D)
 
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_upper_triangle_is_degenerate(self, bad):
         """Only the upper triangle of node 3 is not finite."""
