@@ -34,7 +34,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 from numpy.random import default_rng
 
 from . import __version__
@@ -243,7 +242,7 @@ def _write_sidecar(experiment: str, cfg: dict, chash: str, wall_time: float, ext
     }
     payload.update(extra)
     with open(cfg["out"] + ".json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -257,18 +256,9 @@ def _environment(cfg: dict) -> dict:
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "workers": _worker_count(cfg),
     }
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def _centers(n: int, span: float) -> np.ndarray:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import chol_logdet
+from .models import _concentration, _positive
 
 __all__ = ["GaussianPrior", "GridPrior", "p_plus", "DEFAULT_GRID_SIZE"]
 
@@ -181,16 +182,16 @@ class GridPrior:
                   m: int = DEFAULT_GRID_SIZE) -> "GridPrior":
         """Circular-normal prior exp(-kappa (1 - cos(2 pi x / T))) / Z.
 
-        ``kappa = (T / (2 pi width))^2``; the normalizer has the closed
-        form ``Z = T e^{-kappa} I_0(kappa)`` with I_0 the modified Bessel
+        ``kappa = (T / (2 pi width))^2``, checked as the tuning curves'
+        concentration is: a bad or too small width or period is an error
+        naming it.  The normalizer has the closed form
+        ``Z = T e^{-kappa} I_0(kappa)`` with I_0 the modified Bessel
         function, evaluated by Cephes' algorithm (:func:`_i0`), so no numeric
         normalization step is involved.  Past kappa = 709.78 (widths below
         about T / 167) I_0 overflows to ``inf``, the tabulated density is 0
         and the quadrature check rejects the prior.
         """
-        if period <= 0 or width <= 0:
-            raise ValueError(f"period and width must be positive, got {period}, {width}")
-        kappa = (period / (2.0 * math.pi * width)) ** 2
+        kappa = _concentration(period, width)
         omega = 2.0 * math.pi / period
         log_z = math.log(period) - kappa + math.log(_i0(kappa))
         dx = period / m
@@ -207,9 +208,7 @@ class GridPrior:
     @classmethod
     def uniform(cls, period: float, m: int = DEFAULT_GRID_SIZE) -> "GridPrior":
         """Flat prior on [-T/2, T/2); zero curvature and score."""
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
-        dx = period / m
+        dx = _positive("period", period) / m
         nodes = -period / 2.0 + dx * np.arange(m)
         zeros = np.zeros(m)
         return cls(
@@ -233,7 +232,7 @@ class GridPrior:
             raise ValueError(f"nodes and pdf must be equal-length 1-D arrays, got {nodes.shape}, {pdf.shape}")
         if np.any(pdf <= 0):
             raise ValueError("tabulated density must be strictly positive")
-        dx = period / nodes.size
+        dx = _positive("period", period) / nodes.size
         steps = np.diff(nodes)
         if not np.allclose(steps, dx, rtol=1e-10, atol=1e-12):
             raise ValueError("nodes must be a uniform grid with spacing period / len(nodes)")

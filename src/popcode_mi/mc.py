@@ -34,6 +34,7 @@ import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
 
 from .fisher import GridPrior
+from .models import _count
 
 __all__ = ["MCConfig", "MCResult", "mc_mutual_information"]
 
@@ -48,12 +49,9 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.j_max < 1:
-            raise ValueError(f"j_max must be at least 1, got {self.j_max}")
-        if self.i_max < 1:
-            raise ValueError(f"i_max must be at least 1, got {self.i_max}")
-        if self.m < 2:
-            raise ValueError(f"grid size m must be at least 2, got {self.m}")
+        _count("j_max", self.j_max)
+        _count("i_max", self.i_max)
+        _count("grid size m", self.m, 2)
 
 
 @dataclass(frozen=True)

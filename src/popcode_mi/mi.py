@@ -197,23 +197,14 @@ def gap_bounds(j, prior) -> GapBounds:
     are undefined there.
     """
     stack, weights = _materialize(j, prior)
-    m, k = stack.shape[0], stack.shape[1]
-    p = _curvature_stack(prior, m)
-    pp = _p_plus_matrix(prior)
-    logdets, linv = (logdet_grid(stack), None) if k == 1 else inverse_factors(stack)
+    logdets, linv = inverse_factors(stack)
     singular = logdets == -np.inf
     if np.any(singular):
         raise ValueError(f"degenerate J: not positive-definite at node {int(np.argmax(singular))}")
-    if k == 1:
-        jvals = stack[:, 0, 0]
-        traces = p[:, 0, 0] / jvals
-        frob = np.abs(traces)
-        traces_plus = pp[0, 0] / jvals
-    else:
-        w = linv @ p @ np.swapaxes(linv, 1, 2)
-        traces = np.trace(w, axis1=1, axis2=2)
-        frob = np.sqrt(np.einsum("mab,mab->m", w, w))
-        traces_plus = np.einsum("mab,mab->m", linv @ pp, linv)
+    w = linv @ _curvature_stack(prior, len(stack)) @ np.swapaxes(linv, 1, 2)
+    traces = np.trace(w, axis1=1, axis2=2)
+    frob = np.sqrt(np.einsum("mab,mab->m", w, w))
+    traces_plus = np.einsum("mab,mab->m", linv @ _p_plus_matrix(prior), linv)
     return GapBounds(
         varsigma=float(np.dot(weights, traces)),
         varsigma1=float(np.dot(weights, frob)),

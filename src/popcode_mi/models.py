@@ -15,6 +15,7 @@ closed-form decorrelation transform ``Sigma^(-1/2)``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,6 +41,25 @@ def _positive(name: str, value) -> float:
     return value
 
 
+def _count(name: str, value, minimum: int = 1) -> None:
+    """Raise unless ``value`` is an integer (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
+def _concentration(period, width) -> float:
+    """The von Mises concentration ``(T / (2 pi width))^2``, validated.
+
+    Period and width must be positive and finite, and a width so small
+    that the concentration leaves the float range is an error naming it.
+    """
+    ratio = _positive("period", period) / (2.0 * math.pi * _positive("width", width))
+    if not ratio < 1e154:  # the square passes 1e308 (and overflows past 1.34e154)
+        raise ValueError(f"width {float(width)!r} is too small for period {float(period)!r}: "
+                         "the concentration (T / (2 pi width))^2 exceeds 1e308")
+    return ratio ** 2
+
+
 def _tuning_params(amplitude, width, period, centers):
     """Validated von Mises parameters: ``(amplitude, concentration, centers)``.
 
@@ -48,7 +68,7 @@ def _tuning_params(amplitude, width, period, centers):
     index of the first one at fault.
     """
     amplitude = _positive("amplitude", amplitude)
-    conc = (_positive("period", period) / (2.0 * math.pi * _positive("width", width))) ** 2
+    conc = _concentration(period, width)
     centers = np.asarray(centers, dtype=float)
     flat = np.atleast_1d(centers)
     if not np.all(np.isfinite(flat)):
@@ -270,8 +290,7 @@ class CorrelatedGaussianPopulation:
     correlation: float
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        _positive("scale", self.scale)
         if not -1.0 < self.correlation < 1.0:
             raise ValueError(f"correlation must lie in (-1, 1), got {self.correlation}")
 
@@ -289,8 +308,7 @@ def decorrelation_transform(pop: CorrelatedGaussianPopulation, n: int) -> np.nda
     ``M Sigma M^T = I_N``.  The minus branch of the square root is chosen so
     b1 -> 0 as c -> 0, continuous with the uncorrelated case.
     """
-    if n < 1:
-        raise ValueError(f"population size must be at least 1, got {n}")
+    _count("population size", n)
     a, c = pop.scale, pop.correlation
     if n >= 2 and c <= -1.0 / (n - 1):
         raise ValueError(

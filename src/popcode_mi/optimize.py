@@ -35,7 +35,7 @@ import numpy as np
 from ._linalg import chol_logdet, inverse_factors, logdet_grid  # noqa: F401
 from .fisher import GridPrior
 from .mi import LOG_2PI_E, _mean_logdet
-from .models import _positive, _tuning_params, _von_mises
+from .models import _count, _positive, _tuning_params, _von_mises
 
 __all__ = [
     "OptimizationProblem",
@@ -106,8 +106,7 @@ class OptimizationProblem:
         _nonnegative("x-weight", w, "node")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError(f"x-weights must sum to 1, got {float(w.sum())!r}")
-        if self.n < 1:
-            raise ValueError(f"population size must be at least 1, got {self.n}")
+        _count("population size", self.n)
         expected_p = (m,) if s.ndim == 2 else (m, s.shape[2], s.shape[3])
         if p.shape != expected_p:
             raise ValueError(f"p_values shape {p.shape}, expected {expected_p}")
@@ -206,9 +205,7 @@ def _iterate(alpha: np.ndarray, prob: OptimizationProblem) -> _Iterate:
 
 def objective(alpha, prob: OptimizationProblem) -> float:
     """I[alpha] in nats; -inf where G is singular at a node of positive weight."""
-    g = _g(np.asarray(alpha, dtype=float), prob)
-    stack = g.reshape(-1, 1, 1) if prob.scalar else g
-    return _value(logdet_grid(stack), stack.shape[1], prob)
+    return _iterate(np.asarray(alpha, dtype=float), prob).value
 
 
 def _gradient_at(it: _Iterate, prob: OptimizationProblem, mu: float) -> np.ndarray:
@@ -498,6 +495,4 @@ def capacity_prior(j, nodes, support_length: float):
 def redundancy(info, capacity: float) -> float:
     """R = 1 - I/C, the unused fraction of channel capacity."""
     value = float(getattr(info, "value", info))
-    if capacity <= 0:
-        raise ValueError(f"redundancy undefined: capacity must be positive, got {capacity}")
-    return 1.0 - value / capacity
+    return 1.0 - value / _positive("capacity", capacity)

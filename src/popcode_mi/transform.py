@@ -413,13 +413,27 @@ class BlockedInfo:
         return self.p[:, self.k1 :, self.k1 :]
 
 
-def _as_node_stack(a, k: int) -> np.ndarray:
+def _as_node_stack(a, k: Optional[int] = None) -> np.ndarray:
+    """``a`` as an (M, K, K) stack, a single matrix promoted to one node;
+    K is ``a``'s own unless given."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 2:
         a = a[None]
-    if a.ndim != 3 or a.shape[1] != k or a.shape[2] != k:
+    if k is None:
+        k = a.shape[1] if a.ndim == 3 else "K"
+    if a.ndim != 3 or a.shape[1:] != (k, k):
         raise ValueError(f"expected (M, {k}, {k}) matrix stack, got shape {a.shape}")
     return a
+
+
+def _node_weights(weights, m: int) -> np.ndarray:
+    """Per-node averaging weights: uniform when None, else exactly M of them."""
+    if weights is None:
+        return np.full(m, 1.0 / m)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (m,):
+        raise ValueError(f"need {m} node weights, got shape {weights.shape}")
+    return weights
 
 
 def partition_info(j, p, k1: int, weights=None, h_x: float = 0.0) -> BlockedInfo:
@@ -429,12 +443,8 @@ def partition_info(j, p, k1: int, weights=None, h_x: float = 0.0) -> BlockedInfo
     across nodes when given as one matrix.  Both blocks must be nonempty
     (1 <= k1 < K) and every matrix symmetric.
     """
-    j = np.asarray(j, dtype=float)
-    if j.ndim == 2:
-        j = j[None]
-    k = j.shape[1]
-    j = _as_node_stack(j, k)
-    m = j.shape[0]
+    j = _as_node_stack(j)
+    m, k = j.shape[0], j.shape[1]
     p = np.asarray(p, dtype=float)
     p = np.broadcast_to(np.atleast_2d(p), j.shape) if p.ndim == 2 else _as_node_stack(p, k)
     if p.shape[0] != m:
@@ -445,13 +455,7 @@ def partition_info(j, p, k1: int, weights=None, h_x: float = 0.0) -> BlockedInfo
     asym = float(np.max(np.abs(g - np.transpose(g, (0, 2, 1)))))
     if asym > 1e-10 * (1.0 + float(np.max(np.abs(g)))):
         raise ValueError(f"G blocks must be symmetric; max asymmetry {asym!r}")
-    if weights is None:
-        weights = np.full(m, 1.0 / m)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (m,):
-            raise ValueError(f"need {m} node weights, got shape {weights.shape}")
-    return BlockedInfo(j=j, p=p, g=g, k1=k1, weights=weights, h_x=h_x)
+    return BlockedInfo(j=j, p=p, g=g, k1=k1, weights=_node_weights(weights, m), h_x=h_x)
 
 
 @dataclass(frozen=True)
@@ -528,14 +532,9 @@ def select_k1(j, eps_dr: float = 0.01, weights=None) -> int:
     """
     if not 0.0 < eps_dr < 1.0:
         raise ValueError(f"eps_dr must lie in (0, 1), got {eps_dr}")
-    j = np.asarray(j, dtype=float)
-    if j.ndim == 2:
-        j = j[None]
+    j = _as_node_stack(j)
     m, k = j.shape[0], j.shape[1]
-    if weights is None:
-        weights = np.full(m, 1.0 / m)
-    else:
-        weights = np.asarray(weights, dtype=float)
+    weights = _node_weights(weights, m)
     diag_means = np.tensordot(weights, np.diagonal(j, axis1=1, axis2=2), axes=(0, 0))
     total_trace = float(np.sum(diag_means))
     # The Cholesky factor of a leading block is the leading block of the

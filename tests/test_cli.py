@@ -5,12 +5,14 @@ import math
 import os
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from popcode_mi.cli import _build_parser, _resolve, main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 def write_config(path, payload):
@@ -99,6 +101,11 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "cfg.json", {"n": 5, "m": 50, "width": -1.0})
         assert main(["capacity", "--config", cfg]) == 2
         assert "width" in capsys.readouterr().err
+
+    def test_overflowing_prior_width_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", dict(TINY_CAPACITY, prior_width=1e-200))
+        assert main(["capacity", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 3
+        assert "numerical failure: width 1e-200 is too small for period" in capsys.readouterr().err
 
     def test_experiment_mismatch_is_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json",
@@ -221,9 +228,9 @@ class TestSidecar:
 
     def test_environment_is_recorded(self, sidecar):
         env = sidecar["environment"]
+        assert set(env) == {"python", "numpy", "blas", "workers"}
         assert env["python"] == sys.version.split()[0]
         assert env["numpy"] == np.__version__
-        assert env["scipy"] == scipy.__version__
         assert set(env["blas"]) == {"name", "version"} and env["blas"]["name"]
         assert env["workers"] == (os.cpu_count() or 1)
 
@@ -312,6 +319,16 @@ class TestFlagPrecedence:
         assert cfg["j_max"] == 50_000
         assert cfg["m"] == 500
         assert cfg["n_list"][-1] == 100
+
+    @pytest.mark.parametrize("experiment", ["fig1", "fig2", "optimize", "capacity"])
+    def test_bundled_config_is_the_defaults(self, experiment):
+        """``scripts/configs/<experiment>.json`` resolves to exactly the no-config
+        values, types included (they enter the config hash through JSON)."""
+        config = CONFIGS / f"{experiment}.json"
+        bundled = _resolve(experiment, _build_parser().parse_args(
+            [experiment, "--config", str(config)]))
+        default = _resolve(experiment, _build_parser().parse_args([experiment]))
+        assert json.dumps(bundled, sort_keys=True) == json.dumps(default, sort_keys=True)
 
     def test_explicit_config_beats_stored_paper_scale(self, tmp_path):
         cfg = write_config(tmp_path / "f.json", {"paper_scale": True, "j_max": 123})

@@ -93,6 +93,25 @@ class TestGridPriorConstruction:
             GridPrior(np.array([0.0]), np.array([0.0]),
                       np.array([0.0]), np.array([0.0]), 1.0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(period=math.nan), r"^period must be positive and finite, got nan$"),
+        (dict(width=math.nan), r"^width must be positive and finite, got nan$"),
+        (dict(width=-0.5), r"^width must be positive and finite, got -0\.5$"),
+        (dict(width=1e-300), r"^width 1e-300 is too small for period 3\.14159"),
+    ])
+    def test_von_mises_names_the_bad_parameter(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            GridPrior.von_mises(**kwargs)
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf, 0.0])
+    def test_uniform_and_table_need_positive_finite_period(self, period):
+        message = rf"^period must be positive and finite, got {period!r}$"
+        with pytest.raises(ValueError, match=message):
+            GridPrior.uniform(period)
+        nodes = np.linspace(-1.0, 1.0, 50, endpoint=False)
+        with pytest.raises(ValueError, match=message):
+            GridPrior.from_table(nodes, np.ones(50), period)
+
     def test_from_table_matches_analytic_constructor(self, prior):
         tabulated = GridPrior.from_table(prior.nodes, analytic_pdf(prior.nodes), PERIOD)
         assert tabulated.entropy() == pytest.approx(prior.entropy(), rel=1e-10)

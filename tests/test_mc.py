@@ -28,6 +28,19 @@ class TestMCConfig:
         with pytest.raises(ValueError):
             MCConfig(**kwargs)
 
+    @pytest.mark.parametrize("key, value, minimum", [
+        ("j_max", math.nan, 1), ("j_max", 2.5, 1), ("j_max", True, 1),
+        ("i_max", 10.0, 1), ("m", 2.0, 2), ("m", 1, 2),
+    ])
+    def test_counts_must_be_integers(self, key, value, minimum):
+        name = "grid size m" if key == "m" else key
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer of at least {minimum}, "
+                                             rf"got {value!r}$"):
+            MCConfig(**dict({"j_max": 10, "i_max": 10, "m": 100}, **{key: value}))
+
+    def test_numpy_integers_are_counts(self):
+        assert MCConfig(j_max=np.int64(10), i_max=np.int32(3), m=np.uint16(5)).m == 5
+
     def test_grid_size_must_match_prior(self, prior):
         cfg = MCConfig(j_max=100, i_max=10, m=60)
         with pytest.raises(ValueError, match="nodes but config expects"):

@@ -118,6 +118,24 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match=r"^noise sigma must be positive and finite"):
             GaussianNoisePopulation([bump()], sigma=value)
 
+    def test_overflowing_concentration_names_the_width(self):
+        """(T / (2 pi width))^2 past the float range is a named error, not an OverflowError."""
+        with pytest.raises(ValueError, match=r"^width 1e-300 is too small for period "):
+            VonMisesTuning(20.0, 1e-300, math.pi, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_correlated_scale_needs_positive_finite(self, value):
+        with pytest.raises(ValueError, match=rf"^scale must be positive and finite, got {value!r}$"):
+            CorrelatedGaussianPopulation(mean_fn=lambda x: np.zeros(2), scale=value,
+                                         correlation=0.1)
+
+    @pytest.mark.parametrize("n", [0, 2.5, math.nan])
+    def test_decorrelation_size_is_a_count(self, n):
+        pop = CorrelatedGaussianPopulation(mean_fn=lambda x: np.zeros(2), scale=1.0,
+                                           correlation=0.1)
+        with pytest.raises(ValueError, match=r"^population size must be an integer of at least 1"):
+            decorrelation_transform(pop, n)
+
 
 class TestFisherKernels:
     def test_poisson_kernel_zero_at_peak(self):

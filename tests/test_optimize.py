@@ -621,3 +621,8 @@ class TestRedundancy:
     def test_nonpositive_capacity_rejected(self):
         with pytest.raises(ValueError):
             redundancy(1.0, 0.0)
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf])
+    def test_capacity_must_be_finite(self, capacity):
+        with pytest.raises(ValueError, match=rf"^capacity must be positive and finite, got {capacity!r}$"):
+            redundancy(1.0, capacity)

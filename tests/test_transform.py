@@ -425,6 +425,14 @@ class TestSelectK1:
     def test_no_cutoff_returns_k(self):
         assert select_k1(np.diag([2.0, 2.0, 2.0])) == 3
 
+    def test_weights_must_match_the_nodes(self):
+        with pytest.raises(ValueError, match=r"^need 4 node weights, got shape \(3,\)$"):
+            select_k1(np.stack([np.eye(3)] * 4), weights=np.full(3, 1 / 3))
+
+    def test_stack_must_be_square(self):
+        with pytest.raises(ValueError, match=r"matrix stack, got shape \(4, 3, 2\)$"):
+            select_k1(np.ones((4, 3, 2)))
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             select_k1(np.eye(2), eps_dr=0.0)
