@@ -26,6 +26,10 @@ __all__ = ["GaussianPrior", "GridPrior", "p_plus", "DEFAULT_GRID_SIZE"]
 #: Default number of quadrature nodes for grid priors.
 DEFAULT_GRID_SIZE = 1000
 
+#: ln(2 pi e), the per-dimension constant of a Gaussian's entropy and of
+#: every log-det formula.
+LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
+
 # Chebyshev coefficients of Cephes' I_0 (Moshier, "Methods and Programs for
 # Mathematical Functions", 1989): exp(-x) I_0(x) on [0, 8] in (x/2 - 2), and
 # exp(-x) sqrt(x) I_0(x) on (8, inf) in (32/x - 2).
@@ -111,7 +115,7 @@ class GaussianPrior:
     def entropy(self) -> float:
         """Differential entropy, (1/2) ln det(2 pi e cov)."""
         sign, logdet = np.linalg.slogdet(self.cov)
-        return 0.5 * (self.k * (math.log(2.0 * math.pi) + 1.0) + logdet)
+        return 0.5 * (self.k * LOG_2PI_E + logdet)
 
     def p_plus(self) -> np.ndarray:
         """P_plus = cov^{-1} (score covariance of a Gaussian)."""

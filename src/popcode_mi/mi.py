@@ -27,7 +27,8 @@ import numpy as np
 
 # sym_inv_sqrt stays importable here: perfbench wraps it by module attribute.
 from ._linalg import chol_logdet, inverse_factors, logdet_grid, sym_inv_sqrt  # noqa: F401
-from .fisher import GridPrior, p_plus as _p_plus_matrix
+from .fisher import LOG_2PI_E, GridPrior, p_plus as _p_plus_matrix
+from .models import _nonnegative
 
 __all__ = [
     "MIApproximation",
@@ -40,9 +41,6 @@ __all__ = [
     "gap_bounds",
     "van_trees_bound",
 ]
-
-#: ln(2 pi e), the per-dimension constant in every log-det formula.
-LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ def _materialize(j, prior):
         raise ValueError(f"cannot align J of shape {j.shape} with a {where}")
     if stack.shape[1:] != (k, k):
         raise ValueError(f"J is {stack.shape[1]}x{stack.shape[2]} per node, the {where} is {k}-D")
-    return stack, prior.masses if grid else np.full(m, 1.0 / m)
+    return stack, prior.masses if grid else _node_weights(None, m)
 
 
 def _curvature_stack(prior, m: int) -> np.ndarray:
@@ -115,8 +113,23 @@ def _curvature_stack(prior, m: int) -> np.ndarray:
     return np.broadcast_to(p, (m,) + p.shape)
 
 
+def _node_weights(weights, m: int) -> np.ndarray:
+    """The weights of an average over M nodes: uniform when None, else M
+    finite, nonnegative weights that sum to 1 within 1e-9.  The errors name
+    the first node at fault, or the sum."""
+    if weights is None:
+        return np.full(m, 1.0 / m)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (m,):
+        raise ValueError(f"need {m} node weights, got shape {weights.shape}")
+    _nonnegative("node weight", weights, "node")
+    if abs(weights.sum() - 1.0) > 1e-9:
+        raise ValueError(f"node weights must sum to 1, got {float(weights.sum())!r}")
+    return weights
+
+
 def _mean_logdet(logdets: np.ndarray, weights: np.ndarray) -> float:
-    """``<ln det>`` of per-node log-determinants under nonnegative weights;
+    """``<ln det>`` of per-node log-determinants under :func:`_node_weights`;
     -inf iff a positive-weight node is singular (``-inf``)."""
     singular = logdets == -np.inf
     if np.any(singular):
@@ -124,6 +137,12 @@ def _mean_logdet(logdets: np.ndarray, weights: np.ndarray) -> float:
             return -math.inf
         logdets = np.where(singular, 0.0, logdets)
     return float(np.dot(weights, logdets))
+
+
+def _info(mean_logdet: float, k: int, h: float) -> float:
+    """``(1/2)(<ln det G> - K ln 2 pi e) + H``: the information of a K-D
+    node average, H the input entropy."""
+    return 0.5 * (mean_logdet - k * LOG_2PI_E) + h
 
 
 def _log_det_mi(kind: str, j, prior) -> MIApproximation:
@@ -148,7 +167,7 @@ def _log_det_mi(kind: str, j, prior) -> MIApproximation:
         logdet = _mean_logdet(logdet_grid(stack if reg is None else stack + reg), weights)
     if logdet == -math.inf:
         return MIApproximation(value=-math.inf, kind=kind, degenerate=True)
-    return MIApproximation(value=0.5 * (logdet - k * LOG_2PI_E) + prior.entropy(), kind=kind)
+    return MIApproximation(value=_info(logdet, k, prior.entropy()), kind=kind)
 
 
 def i_f(j, prior) -> MIApproximation:

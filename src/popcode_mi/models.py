@@ -41,6 +41,14 @@ def _positive(name: str, value) -> float:
     return value
 
 
+def _nonnegative(name: str, values: np.ndarray, where: str) -> None:
+    """Raise naming the first entry of ``values`` that is negative or not finite."""
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
+    if bad.size:
+        raise ValueError(f"{name} must be finite and nonnegative, "
+                         f"got {float(values[bad[0]])!r} at {where} {bad[0]}")
+
+
 def _count(name: str, value, minimum: int = 1) -> None:
     """Raise unless ``value`` is an integer (not a bool) of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:

@@ -34,8 +34,8 @@ import numpy as np
 # chol_logdet stays importable here: perfbench wraps it by module attribute.
 from ._linalg import chol_logdet, inverse_factors, logdet_grid  # noqa: F401
 from .fisher import GridPrior
-from .mi import LOG_2PI_E, _mean_logdet
-from .models import _count, _positive, _tuning_params, _von_mises
+from .mi import LOG_2PI_E, _info, _mean_logdet, _node_weights
+from .models import _count, _nonnegative, _positive, _tuning_params, _von_mises
 
 __all__ = [
     "OptimizationProblem",
@@ -51,14 +51,6 @@ __all__ = [
 ]
 
 
-def _nonnegative(name: str, values: np.ndarray, where: str) -> None:
-    """Raise naming the first entry of ``values`` that is negative or not finite."""
-    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
-    if bad.size:
-        raise ValueError(f"{name} must be finite and nonnegative, "
-                         f"got {float(values[bad[0]])!r} at {where} {bad[0]}")
-
-
 @dataclass(frozen=True)
 class OptimizationProblem:
     """A fixed theta-grid instance of the density optimization.
@@ -66,11 +58,12 @@ class OptimizationProblem:
     ``s_values`` holds the per-subclass Fisher kernels on the x-sample:
     shape (M, K1) for scalar stimuli or (M, K1, K, K) in general.
     ``p_values`` is the prior curvature per node ((M,) or (M, K, K));
-    it enters only when ``kind == "I_G"``.  ``weights`` are the x-average
-    weights (prior masses for quadrature nodes, uniform for i.i.d.
-    samples) and ``h_x`` the prior entropy, so objective values are the
-    information itself in nats.  An average-power budget is the pair
-    ``power_cost`` (per-subclass expected cost c_k) and ``power_budget``.
+    it enters only when ``kind == "I_G"``.  ``weights`` are the node
+    weights of the x-average (prior masses for quadrature nodes, uniform
+    for i.i.d. samples; finite, nonnegative and summing to 1) and ``h_x``
+    the prior entropy, so objective values are the information itself in
+    nats.  An average-power budget is the pair ``power_cost``
+    (per-subclass expected cost c_k) and ``power_budget``.
     """
 
     kind: str
@@ -87,11 +80,9 @@ class OptimizationProblem:
         if self.kind not in ("I_G", "I_F"):
             raise ValueError(f"objective kind must be 'I_G' or 'I_F', got {self.kind!r}")
         s = np.asarray(self.s_values, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
         thetas = np.asarray(self.thetas, dtype=float)
         p = np.asarray(self.p_values, dtype=float)
         object.__setattr__(self, "s_values", s)
-        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "p_values", p)
         if s.ndim not in (2, 4):
@@ -101,11 +92,8 @@ class OptimizationProblem:
             raise ValueError(f"{thetas.shape[0]} thetas for {k1} kernel columns")
         if k1 < 1 or m < 1:
             raise ValueError("need at least one subclass and one x-sample point")
-        if w.shape != (m,):
-            raise ValueError(f"need {m} x-weights, got shape {w.shape}")
-        _nonnegative("x-weight", w, "node")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"x-weights must sum to 1, got {float(w.sum())!r}")
+        # Through asarray, None is a malformed weight vector here, not "uniform".
+        object.__setattr__(self, "weights", _node_weights(np.asarray(self.weights, dtype=float), m))
         _count("population size", self.n)
         expected_p = (m,) if s.ndim == 2 else (m, s.shape[2], s.shape[3])
         if p.shape != expected_p:
@@ -189,18 +177,14 @@ class _Iterate:
     linv: Optional[np.ndarray]
 
 
-def _value(logdets: np.ndarray, k: int, prob: OptimizationProblem) -> float:
-    """I from the per-node log-determinants of the K x K matrices G."""
-    return 0.5 * (_mean_logdet(logdets, prob.weights) - k * LOG_2PI_E) + prob.h_x
-
-
 def _iterate(alpha: np.ndarray, prob: OptimizationProblem) -> _Iterate:
     g = _g(alpha, prob)
     if prob.scalar:
         logdets, linv, k = logdet_grid(g.reshape(-1, 1, 1)), None, 1
     else:
         (logdets, linv), k = inverse_factors(g), g.shape[1]
-    return _Iterate(alpha=alpha, g=g, logdets=logdets, value=_value(logdets, k, prob), linv=linv)
+    value = _info(_mean_logdet(logdets, prob.weights), k, prob.h_x)
+    return _Iterate(alpha=alpha, g=g, logdets=logdets, value=value, linv=linv)
 
 
 def objective(alpha, prob: OptimizationProblem) -> float:

@@ -34,7 +34,7 @@ from numpy.random import Generator
 # sym_inv_sqrt stays importable here: perfbench wraps it by module attribute.
 from ._linalg import (chol_logdet, cholesky_stack, factor_logdets,  # noqa: F401
                       inverse_factors, logdet_grid, sym_inv_sqrt)
-from .mi import LOG_2PI_E
+from .mi import LOG_2PI_E, _info, _mean_logdet, _node_weights
 
 __all__ = [
     "WhiteningTransform",
@@ -57,20 +57,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WhiteningTransform:
-    """Forward map x~ = D^{-1/2} U^T (x - mean) with cov(x) = U D U^T.
+    """Forward map x~ = L x, L = D^{-1/2} U^T, with cov(x) = U D U^T.
 
     ``u`` holds the covariance eigenvectors as columns, ``eigenvalues``
     the variances in descending order (all positive); applying
-    :meth:`forward` to the source variable yields unit covariance.
+    :meth:`forward` to a centered source variable yields unit covariance.
     """
 
     u: np.ndarray
     eigenvalues: np.ndarray
-    mean: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.eigenvalues.size
 
     @property
     def matrix(self) -> np.ndarray:
@@ -78,51 +73,36 @@ class WhiteningTransform:
         return (self.u / np.sqrt(self.eigenvalues)).T
 
     @property
-    def inverse_matrix(self) -> np.ndarray:
-        """L^{-1} = U D^{1/2}."""
-        return self.u * np.sqrt(self.eigenvalues)
-
-    @property
     def entropy_shift(self) -> float:
         """H(X~) - H(X) = ln |det L| = -(1/2) sum ln eigenvalues."""
         return -0.5 * float(np.sum(np.log(self.eigenvalues)))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Whiten one K-vector or an (M, K) batch of rows."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self.matrix @ (x - self.mean)
-        return (x - self.mean) @ self.matrix.T
+        """Whiten one K-vector or the rows of an (M, K) batch."""
+        return np.asarray(x, dtype=float) @ self.matrix.T
 
     def inverse(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.ndim == 1:
-            return self.inverse_matrix @ z + self.mean
-        return z @ self.inverse_matrix.T + self.mean
+        """Undo :meth:`forward` with L^{-1} = U D^{1/2}."""
+        return np.asarray(z, dtype=float) @ (self.u * np.sqrt(self.eigenvalues)).T
 
 
-def whiten(data) -> WhiteningTransform:
-    """Build a whitening transform from a covariance or a sample matrix.
+def whiten(cov) -> WhiteningTransform:
+    """Build the whitening transform of a K x K covariance matrix.
 
-    A square symmetric array is taken as the covariance itself; anything
-    else is treated as samples in rows, centered by the column mean, with
-    covariance ``X^T X / M``.  (Image patches get their dedicated
-    per-patch centering in :func:`patch_covariance`; pass the resulting
-    matrix here.)
+    The matrix must be symmetric to 1e-10; samples are reduced to their
+    covariance first, e.g. ``np.cov(samples, rowvar=False, bias=True)``
+    (image patches by :func:`patch_covariance`).
 
     Raises ``ValueError`` when the covariance is rank-deficient, naming
     the first null eigen-direction.
     """
-    a = np.asarray(data, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D covariance or sample matrix, got shape {a.shape}")
-    if a.shape[0] == a.shape[1] and np.allclose(a, a.T, rtol=1e-10, atol=1e-10):
-        cov = 0.5 * (a + a.T)
-        mean = np.zeros(a.shape[0])
-    else:
-        mean = a.mean(axis=0)
-        centered = a - mean
-        cov = centered.T @ centered / a.shape[0]
+    a = np.asarray(cov, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a K x K covariance matrix, got shape {a.shape}")
+    if not np.allclose(a, a.T, rtol=1e-10, atol=1e-10):
+        asym = float(np.max(np.abs(a - a.T)))
+        raise ValueError(f"covariance must be symmetric; max asymmetry {asym!r}")
+    cov = 0.5 * (a + a.T)
     eigvals, u = np.linalg.eigh(cov)
     # Stable sort keeps eigh's natural basis within ties, so an isotropic
     # covariance maps to the identity rather than an axis permutation.
@@ -135,10 +115,10 @@ def whiten(data) -> WhiteningTransform:
         raise ValueError(
             f"covariance is rank-deficient: eigenvalue {float(eigvals[i])!r} along direction {i}"
         )
-    return WhiteningTransform(u=u, eigenvalues=eigvals, mean=mean)
+    return WhiteningTransform(u=u, eigenvalues=eigvals)
 
 
-def pushforward_info(j, transform, h_x: float = 0.0):
+def pushforward_info(j, l_mat, h_x: float = 0.0):
     """Push J(x) and the input entropy through an invertible linear map.
 
     For ``x~ = L x`` the Fisher matrix transforms by congruence,
@@ -149,8 +129,8 @@ def pushforward_info(j, transform, h_x: float = 0.0):
     ----------
     j : ndarray
         A (K, K) matrix or an (M, K, K) stack, transformed per node.
-    transform : WhiteningTransform or (K, K) array_like
-        The forward map L.
+    l_mat : (K, K) array_like
+        The forward map L, e.g. :attr:`WhiteningTransform.matrix`.
     h_x : float
         Entropy of the source variable.
 
@@ -158,10 +138,7 @@ def pushforward_info(j, transform, h_x: float = 0.0):
     -------
     (j_transformed, h_transformed)
     """
-    if isinstance(transform, WhiteningTransform):
-        l_mat = transform.matrix
-    else:
-        l_mat = np.atleast_2d(np.asarray(transform, dtype=float))
+    l_mat = np.atleast_2d(np.asarray(l_mat, dtype=float))
     sign, logabsdet = np.linalg.slogdet(l_mat)
     if sign == 0:
         raise ValueError("transform matrix is singular; the map must be invertible")
@@ -225,7 +202,7 @@ def fig2_gap_from_gram(gram: np.ndarray, spectrum: np.ndarray) -> Fig2Gap:
     if logdet_b == -math.inf:
         return Fig2Gap(i_g=i_g, i_f=-math.inf, di_f=-math.inf, rel_di_f=-math.inf)
     h_y = 0.5 * (k * LOG_2PI_E + float(np.sum(np.log(d))))
-    i_f = 0.5 * (logdet_b - k * LOG_2PI_E) + h_y
+    i_f = _info(logdet_b, k, h_y)
     di_f = -0.5 * (chol_logdet(b + np.diag(1.0 / d)) - logdet_b)
     return Fig2Gap(i_g=i_g, i_f=i_f, di_f=di_f, rel_di_f=di_f / i_g)
 
@@ -426,22 +403,14 @@ def _as_node_stack(a, k: Optional[int] = None) -> np.ndarray:
     return a
 
 
-def _node_weights(weights, m: int) -> np.ndarray:
-    """Per-node averaging weights: uniform when None, else exactly M of them."""
-    if weights is None:
-        return np.full(m, 1.0 / m)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (m,):
-        raise ValueError(f"need {m} node weights, got shape {weights.shape}")
-    return weights
-
-
 def partition_info(j, p, k1: int, weights=None, h_x: float = 0.0) -> BlockedInfo:
     """Bundle J and P stacks, partitioned after coordinate k1.
 
     Single matrices are promoted to one-node stacks; ``p`` broadcasts
     across nodes when given as one matrix.  Both blocks must be nonempty
-    (1 <= k1 < K) and every matrix symmetric.
+    (1 <= k1 < K) and every matrix symmetric.  ``weights`` follow the node
+    rule of :mod:`popcode_mi.mi`: uniform when None, else finite,
+    nonnegative and summing to 1.
     """
     j = _as_node_stack(j)
     m, k = j.shape[0], j.shape[1]
@@ -463,14 +432,12 @@ class ReductionCheck:
     """Outcome of one block-reduction validity check.
 
     ``trace_mean`` is the averaged coupling trace (small means the
-    factored value is trustworthy), ``value`` the factored information in
-    nats, and ``relative`` the trace scaled by the magnitude of the
-    factored log-determinant average.
+    factored value is trustworthy) and ``value`` the factored information
+    in nats.
     """
 
     trace_mean: float
     value: float
-    relative: float
 
 
 def _reduction_check(blocked: BlockedInfo, second: np.ndarray, what: str,
@@ -483,7 +450,6 @@ def _reduction_check(blocked: BlockedInfo, second: np.ndarray, what: str,
     ``ln det G11 + ln det second``.  Both blocks must be positive-definite
     on every node; the error names the first node at fault.
     """
-    k = blocked.k
     logdet11, linv11 = inverse_factors(blocked.g11)
     logdet2, linv2 = inverse_factors(second)
     logdets = logdet11 + logdet2
@@ -494,11 +460,8 @@ def _reduction_check(blocked: BlockedInfo, second: np.ndarray, what: str,
     y = linv11 @ blocked.g12
     inner = inner_of(np.swapaxes(y, 1, 2) @ y)
     traces = np.einsum("mab,mab->m", linv2 @ inner, linv2)
-    trace_mean = float(np.dot(blocked.weights, traces))
-    mean_logdet = float(np.dot(blocked.weights, logdets))
-    value = 0.5 * (mean_logdet - k * LOG_2PI_E) + blocked.h_x
-    relative = abs(trace_mean) / abs(mean_logdet) if mean_logdet != 0.0 else math.inf
-    return ReductionCheck(trace_mean=trace_mean, value=value, relative=relative)
+    value = _info(_mean_logdet(logdets, blocked.weights), blocked.k, blocked.h_x)
+    return ReductionCheck(trace_mean=float(np.dot(blocked.weights, traces)), value=value)
 
 
 def reduce_check_A(blocked: BlockedInfo) -> ReductionCheck:
@@ -528,13 +491,17 @@ def select_k1(j, eps_dr: float = 0.01, weights=None) -> int:
 
     Works in whitened-rotated coordinates (energy sorted descending):
     returns the smallest K1 with ``<Tr J22> <= eps_dr * <ln det(J11 + I)>``,
-    or K when no strict reduction qualifies.
+    or K when no strict reduction qualifies.  ``weights`` follow the node
+    rule of :func:`partition_info`; a zero-weight node is skipped, as in
+    :mod:`popcode_mi.mi`, even where J is singular or not finite.
     """
     if not 0.0 < eps_dr < 1.0:
         raise ValueError(f"eps_dr must lie in (0, 1), got {eps_dr}")
     j = _as_node_stack(j)
     m, k = j.shape[0], j.shape[1]
     weights = _node_weights(weights, m)
+    if np.any(weights == 0.0):  # skipped outright: a non-finite J there must not reach the traces
+        j, weights = j[weights > 0.0], weights[weights > 0.0]
     diag_means = np.tensordot(weights, np.diagonal(j, axis1=1, axis2=2), axes=(0, 0))
     total_trace = float(np.sum(diag_means))
     # The Cholesky factor of a leading block is the leading block of the
@@ -548,7 +515,7 @@ def select_k1(j, eps_dr: float = 0.01, weights=None) -> int:
         gammas = factor_logdets(a[:, :k1, :k1], chol[:, :k1, :k1])
         if np.any(failed):
             gammas[failed] = logdet_grid(a[failed, :k1, :k1])
-        gamma = float(np.dot(weights, gammas))
+        gamma = _mean_logdet(gammas, weights)
         if tail_trace <= eps_dr * gamma:
             return k1
     return k

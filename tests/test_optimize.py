@@ -537,9 +537,9 @@ class TestBuildProblemValidation:
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(weights=[math.nan, 0.5, 0.25, 0.25]),
-         "x-weight must be finite and nonnegative, got nan at node 0"),
+         "node weight must be finite and nonnegative, got nan at node 0"),
         (dict(weights=[1.5, -0.5, 0.0, 0.0]),
-         "x-weight must be finite and nonnegative, got -0.5 at node 1"),
+         "node weight must be finite and nonnegative, got -0.5 at node 1"),
         (dict(power_budget=math.nan), "power budget must be positive and finite, got nan"),
         (dict(power_cost=[1.0, math.inf]),
          "power cost must be finite and nonnegative, got inf at subclass 1"),

@@ -73,8 +73,8 @@ class TestWhiten:
         rng = np.random.default_rng(2)
         sigma = random_spd(rng, 8)
         samples = rng.multivariate_normal(np.zeros(8), sigma, size=10_000)
-        t = whiten(samples)
-        white = t.forward(samples)
+        t = whiten(np.cov(samples, rowvar=False, bias=True))
+        white = t.forward(samples - samples.mean(axis=0))
         cov = white.T @ white / white.shape[0]
         assert np.linalg.norm(cov - np.eye(8)) < 0.05
 
@@ -82,7 +82,17 @@ class TestWhiten:
         x = np.zeros((100, 3))
         x[:, :2] = np.random.default_rng(3).standard_normal((100, 2))
         with pytest.raises(ValueError, match="rank-deficient"):
+            whiten(np.cov(x, rowvar=False, bias=True))
+
+    def test_samples_are_not_a_covariance(self):
+        """A sample matrix is rejected, square or not: whiten takes a covariance."""
+        x = np.random.default_rng(3).standard_normal((100, 3))
+        message = r"^expected a K x K covariance matrix, got shape \(100, 3\)$"
+        with pytest.raises(ValueError, match=message):
             whiten(x)
+        square = np.array([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match=r"^covariance must be symmetric; max asymmetry 1\.0$"):
+            whiten(square)
 
 
 class TestPushforward:
@@ -90,7 +100,7 @@ class TestPushforward:
         rng = np.random.default_rng(4)
         j = random_spd(rng, 3)
         t = whiten(np.eye(3))
-        jt, h = pushforward_info(j, t, h_x=1.25)
+        jt, h = pushforward_info(j, t.matrix, h_x=1.25)
         np.testing.assert_allclose(jt, j, atol=1e-12)
         assert h == pytest.approx(1.25, rel=1e-12)
 
@@ -99,7 +109,7 @@ class TestPushforward:
         c = 2.0
         t = whiten(np.diag([c**2, c**2]))
         j = np.array([[3.0, 1.0], [1.0, 2.0]])
-        jt, h = pushforward_info(j, t, h_x=0.0)
+        jt, h = pushforward_info(j, t.matrix, h_x=0.0)
         np.testing.assert_allclose(jt, c**2 * j, rtol=1e-12)
         assert h == pytest.approx(-2 * math.log(c), rel=1e-12)
 
@@ -113,7 +123,7 @@ class TestPushforward:
         j = random_spd(rng, k, jitter=0.05)
         before = i_g(j, GaussianPrior(np.zeros(k), sigma)).value
         t = whiten(sigma)
-        jt, _ = pushforward_info(j, t)
+        jt, _ = pushforward_info(j, t.matrix)
         after = i_g(jt, GaussianPrior(np.zeros(k), np.eye(k))).value
         assert after == pytest.approx(before, abs=1e-9)
 
@@ -444,3 +454,48 @@ class TestSelectK1:
         j = np.diag(np.sort(rng.uniform(1e-8, 10.0, 12))[::-1])
         sizes = [select_k1(j, eps_dr=e) for e in (1e-4, 1e-2, 0.5)]
         assert sizes[0] >= sizes[1] >= sizes[2]
+
+
+class TestNodeWeights:
+    """The block reductions and ``select_k1`` average over nodes by mi's one rule."""
+
+    @pytest.mark.parametrize("weights, message", [
+        ([math.nan, 1.0], "node weight must be finite and nonnegative, got nan at node 0"),
+        ([1.5, -0.5], "node weight must be finite and nonnegative, got -0.5 at node 1"),
+        ([5.0, 5.0], "node weights must sum to 1, got 10.0"),
+    ])
+    def test_bad_weights_are_rejected(self, weights, message):
+        j = np.stack([np.eye(3)] * 2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            partition_info(j, np.eye(3), 1, weights=weights)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            select_k1(j, weights=weights)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_a_zero_weight_node_changes_nothing(self, seed):
+        """Inserting a node of weight 0 leaves every average as it was; for
+        ``select_k1`` the inserted node is singular in every block, or not finite."""
+        rng = np.random.default_rng(seed)
+        m, k = int(rng.integers(1, 6)), int(rng.integers(2, 7))
+        # Energy decays along the axes, so the selected K1 depends on eps_dr.
+        root = np.sqrt(np.logspace(1.0, -4.0, k))
+        j = np.stack([root[:, None] * random_spd(rng, k, jitter=0.2) * root for _ in range(m)])
+        w = rng.uniform(0.5, 1.5, m)
+        w /= w.sum()
+        at = int(rng.integers(0, m + 1))
+        w_pad = np.insert(w, at, 0.0)
+
+        p, k1 = random_spd(rng, k, jitter=0.5), int(rng.integers(1, k))
+        j_pad = np.insert(j, at, random_spd(rng, k), axis=0)
+        for check in (reduce_check_A, reduce_check_B):
+            want = check(partition_info(j, p, k1, weights=w, h_x=0.4))
+            got = check(partition_info(j_pad, p, k1, weights=w_pad, h_x=0.4))
+            assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-12)
+            assert got.trace_mean == pytest.approx(want.trace_mean, rel=1e-12, abs=1e-12)
+
+        for singular in (-np.eye(k), np.diag(np.full(k, np.inf)), np.full((k, k), np.nan)):
+            j_singular = np.insert(j, at, singular, axis=0)
+            for eps_dr in (1e-4, 1e-3, 1e-2, 0.3):
+                assert (select_k1(j_singular, eps_dr=eps_dr, weights=w_pad)
+                        == select_k1(j, eps_dr=eps_dr, weights=w))
