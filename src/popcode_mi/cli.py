@@ -90,6 +90,7 @@ def _patch_path(key, value):
 _positive = _check(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
                    and 0 < v < math.inf, "a positive finite number")
 _count = _check(_is_count, "a positive integer")
+_grid_size = _check(lambda v: v >= 2, "at least 2")  # after _count
 _counts = _check(lambda v: isinstance(v, list) and v != [] and all(map(_is_count, v)),
                  "a nonempty list of positive integers")
 _distinct = _check(lambda v: len(set(v)) == len(v), "free of repeated values")
@@ -128,7 +129,7 @@ _EXPERIMENT_KEYS = {
                    _counts, _distinct),
         "j_max": (_Scaled(50_000, 500_000), _count),
         "i_max": (100, _count),
-        "m": (_Scaled(500, 1000), _count, _check(lambda v: v >= 2, "at least 2")),
+        "m": (_Scaled(500, 1000), _count, _grid_size),
         "repeats": (10, _count),
     },
     "fig2": {
@@ -141,7 +142,7 @@ _EXPERIMENT_KEYS = {
         "k1": (10, _count),
         "theta_span": (1.0, _positive),
         "n": (100, _count),
-        "m": (500, _count),
+        "m": (500, _count, _grid_size),
         "objective": ("I_G", _check(lambda v: v in ("I_G", "I_F"), "'I_G' or 'I_F'")),
         "tol": (1e-8, _positive),
         "max_iters": (10_000, _count),
@@ -150,7 +151,7 @@ _EXPERIMENT_KEYS = {
     },
     "capacity": {
         "n": (30, _count),
-        "m": (500, _count),
+        "m": (500, _count, _grid_size),
     },
 }
 

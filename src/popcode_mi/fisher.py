@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import chol_logdet
-from .models import _concentration, _positive
+from .models import _concentration, _count, _positive
 
 __all__ = ["GaussianPrior", "GridPrior", "p_plus", "DEFAULT_GRID_SIZE"]
 
@@ -188,13 +188,15 @@ class GridPrior:
 
         ``kappa = (T / (2 pi width))^2``, checked as the tuning curves'
         concentration is: a bad or too small width or period is an error
-        naming it.  The normalizer has the closed form
+        naming it, as is a grid size ``m`` that is not an integer of at
+        least 2.  The normalizer has the closed form
         ``Z = T e^{-kappa} I_0(kappa)`` with I_0 the modified Bessel
         function, evaluated by Cephes' algorithm (:func:`_i0`), so no numeric
         normalization step is involved.  Past kappa = 709.78 (widths below
         about T / 167) I_0 overflows to ``inf``, the tabulated density is 0
         and the quadrature check rejects the prior.
         """
+        _count("grid size m", m, 2)
         kappa = _concentration(period, width)
         omega = 2.0 * math.pi / period
         log_z = math.log(period) - kappa + math.log(_i0(kappa))
@@ -212,6 +214,7 @@ class GridPrior:
     @classmethod
     def uniform(cls, period: float, m: int = DEFAULT_GRID_SIZE) -> "GridPrior":
         """Flat prior on [-T/2, T/2); zero curvature and score."""
+        _count("grid size m", m, 2)
         dx = _positive("period", period) / m
         nodes = -period / 2.0 + dx * np.arange(m)
         zeros = np.zeros(m)

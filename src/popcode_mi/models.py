@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -285,15 +284,12 @@ class CorrelatedGaussianPopulation:
 
     Parameters
     ----------
-    mean_fn : callable
-        Maps a stimulus to the N-vector of mean responses g(x).
     scale : float
         Common response variance a > 0.
     correlation : float
         Pairwise correlation coefficient, -1 < c < 1.
     """
 
-    mean_fn: Callable[[np.ndarray], np.ndarray]
     scale: float
     correlation: float
 

@@ -45,7 +45,6 @@ __all__ = [
     "maximize",
     "FWResult",
     "KKTReport",
-    "kkt_check",
     "capacity_prior",
     "redundancy",
 ]
@@ -119,34 +118,25 @@ class OptimizationProblem:
 
 def build_problem(thetas, prior: GridPrior, n: int, *, kind: str = "I_G",
                   amplitude: float = 20.0, width: float = 0.5,
-                  response_kind: str = "poisson", noise_sigma: float = 1.0,
                   peak_power: Optional[float] = None,
                   avg_power: Optional[float] = None) -> OptimizationProblem:
     """Set up a 1-D tuning-center optimization on a grid prior's nodes.
 
-    Candidate subclasses are von Mises curves centered at ``thetas`` with
-    a common amplitude and width.  A peak-power cap replaces the
-    amplitude outright (the optimum always saturates it); an
-    average-power budget bounds c.alpha, with per-class cost
-    c_k = <f(x; theta_k)> (Poisson) or <f^2> (Gaussian noise).
+    Candidate subclasses are Poisson neurons with von Mises curves centered
+    at ``thetas`` and a common amplitude and width, so S = f'^2 / f.  A
+    peak-power cap replaces the amplitude outright (the optimum always
+    saturates it); an average-power budget bounds c.alpha, with per-class
+    cost c_k = <f(x; theta_k)>, the mean rate.
     """
     if peak_power is not None:
         amplitude = _positive("peak power", peak_power)
-    if response_kind not in ("poisson", "gaussian"):
-        raise ValueError(f"response_kind must be 'poisson' or 'gaussian', got {response_kind!r}")
     amplitude, conc, thetas = _tuning_params(amplitude, width, prior.period, np.atleast_1d(thetas))
     rates, derivs, _ = _von_mises(amplitude, conc, thetas, prior.period, prior.nodes)
-    if response_kind == "poisson":
-        s_values = derivs**2 / rates
-        cost = prior.masses @ rates
-    else:
-        s_values = derivs**2 / _positive("noise sigma", noise_sigma) ** 2
-        cost = prior.masses @ rates**2
     power_cost = power_budget = None
     if avg_power is not None:
-        power_cost, power_budget = cost, _positive("average power budget", avg_power)
+        power_cost, power_budget = prior.masses @ rates, _positive("average power budget", avg_power)
     return OptimizationProblem(
-        kind=kind, thetas=thetas, n=n, s_values=s_values,
+        kind=kind, thetas=thetas, n=n, s_values=derivs**2 / rates,
         p_values=prior.curvature_values(), weights=prior.masses,
         h_x=prior.entropy(), power_cost=power_cost, power_budget=power_budget,
     )
@@ -231,21 +221,13 @@ class KKTReport:
     inequality_violation: float
 
 
-def kkt_check(alpha, prob: OptimizationProblem, active_tol: float = 1e-6,
-              mu: float = 0.0) -> KKTReport:
-    """Measure how far alpha is from the KKT conditions at the power multiplier
-    ``mu`` the solver found (0 without a binding budget); ``lambda1`` is the
-    alpha-weighted mean of ``grad - mu c`` on the active set."""
-    return _kkt_report(_iterate(np.asarray(alpha, dtype=float), prob), prob, active_tol, mu)
-
-
-def _kkt_report(it: _Iterate, prob: OptimizationProblem, active_tol: float,
-                mu: float) -> KKTReport:
-    """:func:`kkt_check` at a factored iterate."""
+def _kkt_report(it: _Iterate, prob: OptimizationProblem, mu: float) -> KKTReport:
+    """How far the iterate is from the KKT conditions at the power multiplier
+    ``mu`` (0 without a binding budget).  The active set is the weights above
+    1e-6, never empty on the simplex for K1 < 10^6; ``lambda1`` is the
+    alpha-weighted mean of ``grad - mu c`` on it."""
     alpha, grad = it.alpha, _gradient_at(it, prob, 0.0)
-    active = alpha > active_tol
-    if not np.any(active):
-        raise ValueError(f"degenerate density: no weight exceeds active_tol = {active_tol}")
+    active = alpha > 1e-6
     shifted = grad - mu * prob.power_cost if mu else grad
     lambda1 = float(np.dot(alpha[active], shifted[active]) / np.sum(alpha[active]))
     equality = float(np.max(np.abs(shifted[active] - lambda1)))
@@ -344,9 +326,10 @@ def _frank_wolfe(prob: OptimizationProblem, it: _Iterate, mu: float, tol: float,
     return it, gap, max_iters, False
 
 
-def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
+def maximize(prob: OptimizationProblem, tol: float = 1e-8,
              max_iters: int = 10_000) -> FWResult:
-    """Globally maximize the concave objective over the feasible weights.
+    """Globally maximize the concave objective over the feasible weights,
+    starting from uniform weights.
 
     Frank-Wolfe steps are pairwise — mass moves from the worst supported
     subclass to the best one by the exact maximizing step — which converges
@@ -367,17 +350,12 @@ def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if init is None:
-        alpha = np.full(prob.k1, 1.0 / prob.k1)
-    else:
-        alpha = np.array(init, dtype=float)
-        if abs(alpha.sum() - 1.0) > 1e-9 or np.any(alpha < 0):
-            raise ValueError("initial weights must lie on the simplex")
+    _count("max_iters", max_iters)
     cost, budget = prob.power_cost, prob.power_budget
     if cost is not None and float(cost.min()) > budget:
         raise ValueError(f"infeasible power constraint: min cost {float(cost.min())!r} "
                          f"exceeds budget {budget!r}")
-    it = _iterate(alpha, prob)
+    it = _iterate(np.full(prob.k1, 1.0 / prob.k1), prob)
     trace = [it.value]
     it, gap, steps, converged = _frank_wolfe(prob, it, 0.0, tol, max_iters, trace)
     alpha, mu, eps = it.alpha, 0.0, np.finfo(float).eps
@@ -439,7 +417,7 @@ def maximize(prob: OptimizationProblem, init=None, tol: float = 1e-8,
             if it is not hi[1]:
                 trace.append(hi[1].value)
             mu, it, _, gap = hi
-    report = _kkt_report(it, prob, 1e-6, mu)
+    report = _kkt_report(it, prob, mu)
     return FWResult(alpha=it.alpha, report=report, trace=np.array(trace),
                     gap=gap, iterations=steps, converged=converged)
 
@@ -476,7 +454,6 @@ def capacity_prior(j, nodes, support_length: float):
     return pstar, capacity
 
 
-def redundancy(info, capacity: float) -> float:
+def redundancy(info: float, capacity: float) -> float:
     """R = 1 - I/C, the unused fraction of channel capacity."""
-    value = float(getattr(info, "value", info))
-    return 1.0 - value / _positive("capacity", capacity)
+    return 1.0 - float(info) / _positive("capacity", capacity)

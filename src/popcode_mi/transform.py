@@ -118,6 +118,15 @@ def whiten(cov) -> WhiteningTransform:
     return WhiteningTransform(u=u, eigenvalues=eigvals)
 
 
+def _finite(what: str, a: np.ndarray) -> None:
+    """Raise naming the row and column of the first non-finite entry of ``a``."""
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"{what} has a non-finite value {float(a[row, col])!r} "
+                         f"at row {row}, column {col}")
+
+
 def pushforward_info(j, l_mat, h_x: float = 0.0):
     """Push J(x) and the input entropy through an invertible linear map.
 
@@ -130,7 +139,8 @@ def pushforward_info(j, l_mat, h_x: float = 0.0):
     j : ndarray
         A (K, K) matrix or an (M, K, K) stack, transformed per node.
     l_mat : (K, K) array_like
-        The forward map L, e.g. :attr:`WhiteningTransform.matrix`.
+        The forward map L, finite and invertible, e.g.
+        :attr:`WhiteningTransform.matrix`.
     h_x : float
         Entropy of the source variable.
 
@@ -139,6 +149,7 @@ def pushforward_info(j, l_mat, h_x: float = 0.0):
     (j_transformed, h_transformed)
     """
     l_mat = np.atleast_2d(np.asarray(l_mat, dtype=float))
+    _finite("transform matrix", l_mat)
     sign, logabsdet = np.linalg.slogdet(l_mat)
     if sign == 0:
         raise ValueError("transform matrix is singular; the map must be invertible")
@@ -174,13 +185,16 @@ def fig2_gap_from_gram(gram: np.ndarray, spectrum: np.ndarray) -> Fig2Gap:
     Zero spectrum entries are legal: a zero-variance direction multiplies
     ``det(D^{1/2} B D^{1/2} + I)`` by exactly 1, so ``I_G`` stays finite,
     while ``H(Y)`` and ``D^{-1}`` diverge and the ``I_F`` family is
-    reported as ``-inf``.  Negative entries are rejected.
+    reported as ``-inf``.  Negative and non-finite entries are rejected.
     """
     b = np.asarray(gram, dtype=float)
     d = np.asarray(spectrum, dtype=float)
     k = d.size
     if b.shape != (k, k):
         raise ValueError(f"Gram matrix shape {b.shape} does not match spectrum length {k}")
+    bad = np.flatnonzero(~np.isfinite(d))
+    if bad.size:
+        raise ValueError(f"spectrum has a non-finite entry: {float(d[bad[0]])!r} at index {bad[0]}")
     if np.any(d < 0.0):
         i = int(np.argmin(d))
         raise ValueError(f"spectrum has a negative entry: {float(d[i])!r} at index {i}")
@@ -317,23 +331,28 @@ def load_patches(path) -> np.ndarray:
 
     Binary layout: uint32 M, uint32 K (little-endian), then M*K float32
     values row-major.  Paths ending in ``.csv`` are parsed as
-    comma-separated text instead.
+    comma-separated text instead.  An empty matrix and a non-finite value
+    are rejected, the latter naming its row and column.
     """
     path = str(path)
     if path.lower().endswith(".csv"):
         patches = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
-        return patches
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ValueError(f"patch file {path!r} too short for its 8-byte header")
-        m, k = (int(v) for v in np.frombuffer(header, dtype="<u4"))
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    if data.size != m * k:
-        raise ValueError(
-            f"patch file {path!r} declares {m}x{k} values but contains {data.size}"
-        )
-    return data.reshape(m, k).astype(float)
+    else:
+        with open(path, "rb") as fh:
+            header = fh.read(8)
+            if len(header) != 8:
+                raise ValueError(f"patch file {path!r} too short for its 8-byte header")
+            m, k = (int(v) for v in np.frombuffer(header, dtype="<u4"))
+            data = np.frombuffer(fh.read(), dtype="<f4")
+        if data.size != m * k:
+            raise ValueError(
+                f"patch file {path!r} declares {m}x{k} values but contains {data.size}"
+            )
+        patches = data.reshape(m, k).astype(float)
+    if patches.size == 0:
+        raise ValueError(f"patch file {path!r} holds no patch values (shape {patches.shape})")
+    _finite(f"patch file {path!r}", patches)
+    return patches
 
 
 def patch_covariance(patches: np.ndarray) -> np.ndarray:

@@ -132,7 +132,7 @@ def test_05_decorrelation_inverse_root():
         n = int(rng.integers(2, 201))
         c = float(rng.uniform(-1.0 / (n - 1) + 1e-3, 0.999))
         a = float(rng.uniform(0.1, 10.0))
-        pop = CorrelatedGaussianPopulation(lambda x: np.zeros(n), a, c)
+        pop = CorrelatedGaussianPopulation(a, c)
         mat = decorrelation_transform(pop, n)
         sigma = pop.covariance(n)
         worst = max(worst, float(np.linalg.norm(mat @ sigma @ mat.T - np.eye(n))))

@@ -107,6 +107,12 @@ class TestExitCodes:
         assert main(["capacity", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 3
         assert "numerical failure: width 1e-200 is too small for period" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["fig1", "optimize", "capacity"])
+    def test_one_node_grid_is_a_config_error(self, experiment, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", dict(TINY[experiment], m=1))
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "configuration error: m must be at least 2, got 1" in capsys.readouterr().err
+
     def test_experiment_mismatch_is_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json",
                            dict(TINY_CAPACITY, experiment="fig1"))
@@ -403,6 +409,20 @@ class TestFig2:
                            {"widths": [2], "n_list": [100], "patch_file": str(path)})
         assert main(["fig2", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
         assert "cannot ingest patch file" in capsys.readouterr().err
+
+    def test_unusable_patch_values_are_a_config_error(self, tmp_path, capsys):
+        patches = np.random.default_rng(0).normal(size=(50, 4))
+        patches[7, 2] = math.nan
+        csv_path = tmp_path / "nan.csv"
+        np.savetxt(csv_path, patches, delimiter=",")
+        empty = write_patch_file(tmp_path / "empty.bin", np.zeros((0, 4)))
+        for path, reason in ((str(csv_path), "non-finite value nan at row 7, column 2"),
+                             (empty, "holds no patch values")):
+            cfg = write_config(tmp_path / "f2.json",
+                               {"widths": [2], "n_list": [100], "patch_file": path})
+            assert main(["fig2", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+            err = capsys.readouterr().err
+            assert "configuration error: cannot ingest patch file" in err and reason in err
 
 
 class TestOptimizeAndFig1Runs:

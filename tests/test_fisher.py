@@ -103,6 +103,14 @@ class TestGridPriorConstruction:
         with pytest.raises(ValueError, match=message):
             GridPrior.von_mises(**kwargs)
 
+    @pytest.mark.parametrize("m", [0, 1, 2.5, True])
+    def test_constructors_name_a_bad_grid_size(self, m):
+        message = rf"^grid size m must be an integer of at least 2, got {m!r}$"
+        with pytest.raises(ValueError, match=message):
+            GridPrior.von_mises(m=m)
+        with pytest.raises(ValueError, match=message):
+            GridPrior.uniform(1.0, m=m)
+
     @pytest.mark.parametrize("period", [math.nan, math.inf, 0.0])
     def test_uniform_and_table_need_positive_finite_period(self, period):
         message = rf"^period must be positive and finite, got {period!r}$"

@@ -126,13 +126,11 @@ class TestParameterValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_correlated_scale_needs_positive_finite(self, value):
         with pytest.raises(ValueError, match=rf"^scale must be positive and finite, got {value!r}$"):
-            CorrelatedGaussianPopulation(mean_fn=lambda x: np.zeros(2), scale=value,
-                                         correlation=0.1)
+            CorrelatedGaussianPopulation(scale=value, correlation=0.1)
 
     @pytest.mark.parametrize("n", [0, 2.5, math.nan])
     def test_decorrelation_size_is_a_count(self, n):
-        pop = CorrelatedGaussianPopulation(mean_fn=lambda x: np.zeros(2), scale=1.0,
-                                           correlation=0.1)
+        pop = CorrelatedGaussianPopulation(scale=1.0, correlation=0.1)
         with pytest.raises(ValueError, match=r"^population size must be an integer of at least 1"):
             decorrelation_transform(pop, n)
 
@@ -264,8 +262,7 @@ class TestLinearGaussianModel:
 class TestDecorrelationTransform:
     def test_two_cell_closed_form(self):
         """N=2, a=1, c=0.5: b0 = sqrt(2), b1 = (1 - 1/sqrt(3)) / 2."""
-        pop = CorrelatedGaussianPopulation(mean_fn=lambda x: np.zeros(2),
-                                           scale=1.0, correlation=0.5)
+        pop = CorrelatedGaussianPopulation(scale=1.0, correlation=0.5)
         m = decorrelation_transform(pop, 2)
         b0 = math.sqrt(2.0)
         b1 = (1.0 - 1.0 / math.sqrt(3.0)) / 2.0
@@ -274,8 +271,7 @@ class TestDecorrelationTransform:
 
     @pytest.mark.parametrize("n,a,c", [(2, 1.0, 0.5), (5, 0.3, 0.9), (8, 2.0, -0.1)])
     def test_whitens_the_covariance(self, n, a, c):
-        pop = CorrelatedGaussianPopulation(mean_fn=lambda x: np.zeros(n),
-                                           scale=a, correlation=c)
+        pop = CorrelatedGaussianPopulation(scale=a, correlation=c)
         m = decorrelation_transform(pop, n)
         sigma = pop.covariance(n)
         np.testing.assert_allclose(m @ sigma @ m.T, np.eye(n), atol=1e-10)
@@ -287,16 +283,14 @@ class TestDecorrelationTransform:
             n = int(rng.integers(2, 12))
             a = float(rng.uniform(0.1, 5.0))
             c = float(rng.uniform(-1.0 / (n - 1) + 1e-3, 0.999))
-            pop = CorrelatedGaussianPopulation(mean_fn=lambda x: np.zeros(n),
-                                               scale=a, correlation=c)
+            pop = CorrelatedGaussianPopulation(scale=a, correlation=c)
             m = decorrelation_transform(pop, n)
             err = np.linalg.norm(m @ pop.covariance(n) @ m.T - np.eye(n))
             assert err < 1e-10
 
     def test_singular_boundary_raises(self):
         n = 4
-        pop = CorrelatedGaussianPopulation(mean_fn=lambda x: np.zeros(n),
-                                           scale=1.0, correlation=-1.0 / (n - 1))
+        pop = CorrelatedGaussianPopulation(scale=1.0, correlation=-1.0 / (n - 1))
         with pytest.raises(ValueError, match="singular"):
             decorrelation_transform(pop, n)
 

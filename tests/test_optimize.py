@@ -14,11 +14,11 @@ from popcode_mi.models import LinearGaussianModel
 from popcode_mi.optimize import (
     OptimizationProblem,
     _iterate,
+    _kkt_report,
     _line_search,
     build_problem,
     capacity_prior,
     gradient,
-    kkt_check,
     maximize,
     objective,
     redundancy,
@@ -158,11 +158,11 @@ class TestMaximize:
         assert objective(res.alpha, toy) >= -ref.fun - res.gap
         assert objective(res.alpha, toy) == pytest.approx(-ref.fun, abs=1e-8)
 
-    def test_rejects_bad_init(self, toy):
-        with pytest.raises(ValueError):
-            maximize(toy, init=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            maximize(toy, init=np.array([0.7, 0.2, 0.2]))
+    @pytest.mark.parametrize("max_iters", [-3, 0, True, 2.5])
+    def test_rejects_a_bad_step_cap(self, toy, max_iters):
+        with pytest.raises(ValueError,
+                           match=f"^max_iters must be an integer of at least 1, got {max_iters!r}$"):
+            maximize(toy, max_iters=max_iters)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
     def test_rejects_non_positive_tol(self, toy, tol):
@@ -355,7 +355,7 @@ class TestExactStep:
 class TestKKT:
     def test_violations_small_at_the_optimum(self, toy):
         res = maximize(toy, tol=1e-9)
-        report = kkt_check(res.alpha, toy)
+        report = res.report
         assert report.equality_violation < 1e-5
         assert report.inequality_violation <= 1e-12
         g = report.gradient
@@ -365,15 +365,11 @@ class TestKKT:
 
     def test_violation_grows_away_from_the_optimum(self, toy):
         res = maximize(toy, tol=1e-9)
-        base = kkt_check(res.alpha, toy).equality_violation
+        base = res.report.equality_violation
         nudged = res.alpha + np.array([0.15, -0.05, -0.10])
         nudged = np.clip(nudged, 0, None)
         nudged /= nudged.sum()
-        assert kkt_check(nudged, toy).equality_violation > base
-
-    def test_empty_active_set_rejected(self, toy):
-        with pytest.raises(ValueError, match="active_tol"):
-            kkt_check(np.array([0.4, 0.3, 0.3]), toy, active_tol=0.5)
+        assert _kkt_report(_iterate(nudged, toy), toy, 0.0).equality_violation > base
 
 
 class TestPowerConstraints:
@@ -523,8 +519,7 @@ class TestBuildProblemValidation:
         (dict(amplitude=math.inf), "amplitude must be positive and finite, got inf"),
         (dict(width=math.nan), "width must be positive and finite, got nan"),
         (dict(peak_power=math.nan), "peak power must be positive and finite, got nan"),
-        (dict(response_kind="gaussian", noise_sigma=math.nan),
-         "noise sigma must be positive and finite, got nan"),
+        (dict(width=math.inf), "width must be positive and finite, got inf"),
         (dict(avg_power=math.nan), "average power budget must be positive and finite, got nan"),
     ])
     def test_rejects_non_finite_parameter(self, toy_prior, kwargs, message):

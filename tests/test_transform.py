@@ -113,6 +113,12 @@ class TestPushforward:
         np.testing.assert_allclose(jt, c**2 * j, rtol=1e-12)
         assert h == pytest.approx(-2 * math.log(c), rel=1e-12)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_map_is_named(self, value):
+        with pytest.raises(ValueError,
+                           match=rf"^transform matrix has a non-finite value {value!r} at row 0, column 1$"):
+            pushforward_info(np.eye(2), [[1.0, value], [0.0, 1.0]])
+
     @settings(max_examples=20)
     @given(st.integers(0, 2**32 - 1))
     def test_i_g_invariant_under_whitening(self, seed):
@@ -184,6 +190,12 @@ class TestFig2Gap:
     def test_negative_spectrum_rejected(self):
         with pytest.raises(ValueError, match="negative entry"):
             fig2_gap_from_gram(np.eye(2), np.array([1.0, -0.25]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_spectrum_rejected(self, value):
+        with pytest.raises(ValueError,
+                           match=rf"^spectrum has a non-finite entry: {value!r} at index 1$"):
+            fig2_gap_from_gram(np.eye(3), np.array([1.0, value, 0.5]))
 
     def test_singular_gram_reports_divergence(self):
         """N < K makes B rank-deficient: I_F family is -inf, I_G finite."""
@@ -306,6 +318,27 @@ class TestPatchIO:
             fh.write(struct.pack("<II", 10, 9))
             fh.write(b"\x00" * 11)
         with pytest.raises(ValueError):
+            load_patches(path)
+
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    def test_empty_patch_matrix_rejected(self, tmp_path):
+        binary, text = tmp_path / "empty.bin", tmp_path / "empty.csv"
+        binary.write_bytes(struct.pack("<II", 0, 9))
+        text.write_text("")
+        for path in (binary, text):
+            with pytest.raises(ValueError, match="holds no patch values"):
+                load_patches(path)
+
+    @pytest.mark.parametrize("suffix", [".bin", ".csv"])
+    def test_non_finite_patch_value_is_named(self, tmp_path, suffix):
+        x = self._patches()
+        x[4, 6] = -math.inf
+        path = tmp_path / f"p{suffix}"
+        if suffix == ".csv":
+            np.savetxt(path, x, delimiter=",")
+        else:
+            path.write_bytes(struct.pack("<II", *x.shape) + x.astype("<f4").tobytes())
+        with pytest.raises(ValueError, match=r"non-finite value -inf at row 4, column 6$"):
             load_patches(path)
 
     def test_patch_covariance_removes_the_dc_direction(self):
