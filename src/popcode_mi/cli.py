@@ -296,9 +296,13 @@ def _run_fig1(cfg: dict) -> tuple[list, list, dict]:
                           seed=int(run_seeds[i, rep]))
         return mc_mutual_information(populations[i], prior, mc_cfg)
 
+    # Largest populations (the longest runs) first, so the pool does not end
+    # on one long run; each run has its own seed, so the order moves no bits.
     tasks = [(i, rep) for i in range(len(n_list)) for rep in range(repeats)]
+    order = sorted(tasks, key=lambda t: n_list[t[0]], reverse=True)
     with ThreadPoolExecutor(max_workers=_worker_count(cfg)) as pool:
-        mc_runs = list(pool.map(lambda t: one_mc(*t), tasks))
+        futures = {t: pool.submit(one_mc, *t) for t in order}
+        mc_runs = [futures[t].result() for t in tasks]
 
     rows = []
     for i, n in enumerate(n_list):

@@ -202,11 +202,7 @@ def fig2_gap_from_gram(gram: np.ndarray, spectrum: np.ndarray) -> Fig2Gap:
     pos = d > 0.0
     root = np.sqrt(d[pos])
     core = root[:, None] * b[np.ix_(pos, pos)] * root[None, :]
-    if core.size:
-        eigs = np.linalg.eigvalsh(0.5 * (core + core.T))
-        i_g = 0.5 * float(np.sum(np.log1p(eigs)))
-    else:
-        i_g = 0.0
+    i_g = 0.5 * chol_logdet(core + np.eye(core.shape[0])) if core.size else 0.0
 
     if not np.all(pos):
         rel = -math.inf if i_g > 0.0 else math.nan
@@ -336,7 +332,7 @@ def load_patches(path) -> np.ndarray:
     """
     path = str(path)
     if path.lower().endswith(".csv"):
-        patches = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+        patches = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     else:
         with open(path, "rb") as fh:
             header = fh.read(8)

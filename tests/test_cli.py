@@ -194,6 +194,19 @@ class TestReproducibility:
         assert main(["fig1", "--config", cfg, "--seed", "11", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_fig1_csv_bytes_do_not_depend_on_workers(self, tmp_path):
+        # M = 4096 gives 256-row likelihood chunks, so j_max = 700 spans three;
+        # n_list is not sorted, so largest-first submission reorders the runs.
+        outputs = set()
+        for workers in (1, 3):
+            cfg = write_config(tmp_path / f"w{workers}.json",
+                               {"n_list": [2, 5, 3], "j_max": 700, "i_max": 10, "m": 4096,
+                                "repeats": 2, "workers": workers})
+            out = tmp_path / f"w{workers}.csv"
+            assert main(["fig1", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
+
     def test_different_seed_changes_monte_carlo_columns_only(self, tmp_path):
         cfg = write_config(tmp_path / "fig1.json", TINY_FIG1)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

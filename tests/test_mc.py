@@ -1,10 +1,11 @@
 """Monte Carlo reference estimator and its bootstrap error bars."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
@@ -123,14 +124,23 @@ def reference_mc(model, prior, cfg):
     )
     log_masses = np.log(prior.masses)
     stim_idx = stim_rng.choice(cfg.m, size=cfg.j_max, p=prior.masses)
-    chunk = max(256, (1 << 22) // max(cfg.m, rates.shape[1]))
+    if model.response_kind == "poisson":
+        # ln f_n(x) = (u @ v)[n, x]: u's columns are ln A - k, k cos(w c) and
+        # k sin(w c), v's rows 1, cos(w x) and sin(w x).
+        omega = 2 * np.pi / model.period
+        amp, conc, centers = (np.array([getattr(c, key) for c in model.tuning])
+                              for key in ("amplitude", "concentration", "center"))
+        u = np.column_stack([np.log(amp) - conc, conc * np.cos(omega * centers),
+                             conc * np.sin(omega * centers)])
+        v = np.stack([np.ones(cfg.m), np.cos(omega * prior.nodes), np.sin(omega * prior.nodes)])
+    chunk = max(256, (1 << 20) // cfg.m)
     terms = np.empty(cfg.j_max)
     for lo in range(0, cfg.j_max, chunk):
         hi = min(lo + chunk, cfg.j_max)
         idx = stim_idx[lo:hi]
         if model.response_kind == "poisson":
             responses = resp_rng.poisson(rates[idx]).astype(float)
-            core = responses @ np.log(rates).T - np.sum(rates, axis=1)
+            core = (responses @ u) @ v - np.sum(rates, axis=1)
         else:
             responses = rates[idx] + model.sigma * resp_rng.standard_normal(rates[idx].shape)
             core = (responses @ rates.T - 0.5 * np.sum(rates**2, axis=1)) / model.sigma**2
@@ -195,10 +205,45 @@ class TestEstimatorMatchesReference:
         lambda: GaussianNoisePopulation(ring_population(8).tuning, sigma=0.5),
     ], ids=["poisson", "gaussian"])
     def test_bit_identical_to_scipy_chunk_loop(self, make, seed, prior_small):
-        # j_max spans two chunks and a partial third.
+        # j_max spans nine 5,242-row chunks and a partial tenth.
         cfg = MCConfig(j_max=50_000, i_max=10, m=200, seed=seed)
         model = make()
         assert mc_mutual_information(model, prior_small, cfg) == reference_mc(model, prior_small, cfg)
+
+
+class TestFactoredPoissonCore:
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.floats(0.2, 20.0),
+           st.sampled_from([2048, 4096, 5000]), st.integers(257, 1600))
+    def test_matches_log_rate_matmul(self, seed, n, period, m, j_max):
+        """Every chunk's core equals r @ ln(rates)^T - sum_n rates to 1e-12 of its
+        largest entry, for amplitudes 0.01-100, any period, centers over two
+        periods and widths down to 0.05 T / pi (concentration 100)."""
+        chunk = max(256, (1 << 20) // m)
+        assume(j_max % chunk)
+        rng = np.random.default_rng(seed)
+        amplitudes = 10.0 ** rng.uniform(-2.0, 2.0, n)
+        widths = rng.uniform(0.05, 1.0, n) * period / math.pi
+        widths[0] = 0.05 * period / math.pi
+        centers = rng.uniform(-period, period, n)
+        pop = PoissonPopulation([VonMisesTuning(amplitude=a, width=w, period=period, center=c)
+                                 for a, w, c in zip(amplitudes, widths, centers)])
+        prior = GridPrior.von_mises(period, period / 4, m)
+        rates = pop.rate_matrix(prior.nodes)
+        blocks, real_core = [], mc._log_lik_core
+
+        def spy(responses, terms, out):
+            core = real_core(responses, terms, out)
+            blocks.append((responses.copy(), core.copy()))  # ``out`` is reused
+            return core
+
+        with mock.patch.object(mc, "_log_lik_core", spy):
+            mc_mutual_information(pop, prior, MCConfig(j_max=j_max, i_max=2, m=m, seed=seed))
+        assert [len(r) for r, _ in blocks] == [min(chunk, j_max - lo)
+                                               for lo in range(0, j_max, chunk)]
+        for responses, core in blocks:
+            want = responses @ np.log(rates).T - np.sum(rates, axis=1)
+            assert np.max(np.abs(core - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestRateValidation:

@@ -51,7 +51,8 @@ def closed_form(curve: VonMisesTuning, x):
 def core_terms(model, responses, xs) -> np.ndarray:
     """The estimator's x-dependent log-likelihood terms, shape (len(responses), len(xs))."""
     responses = np.atleast_2d(np.asarray(responses, dtype=float))
-    terms = mc._loglik_terms(model, np.asarray(model.rate_matrix(xs), dtype=float))
+    xs = np.asarray(xs, dtype=float)
+    terms = mc._loglik_terms(model, np.asarray(model.rate_matrix(xs), dtype=float), xs)
     return mc._log_lik_core(responses, terms, np.empty((responses.shape[0], len(xs))))
 
 

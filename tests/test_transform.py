@@ -312,6 +312,11 @@ class TestPatchIO:
         np.savetxt(path, x, delimiter=",")
         np.testing.assert_allclose(load_patches(path), x, rtol=1e-12)
 
+    def test_one_column_csv_is_one_pixel_per_patch(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("1.0\n2.0\n3.5\n")
+        np.testing.assert_array_equal(load_patches(path), [[1.0], [2.0], [3.5]])
+
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         with open(path, "wb") as fh:
