@@ -22,15 +22,19 @@ codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple
 from typing import NamedTuple
 
 import numpy as np
@@ -248,7 +252,7 @@ def _write_sidecar(experiment: str, cfg: dict, chash: str, wall_time: float, ext
 
 
 def _environment(cfg: dict) -> dict:
-    """Library versions the output's bits rest on, and the worker count used.
+    """Library versions the output's bits rest on, and the thread counts used.
 
     The Monte Carlo columns depend on numpy's ``exp``/``log1p`` and on the
     BLAS behind the likelihood matmul, so both are recorded with the run.
@@ -259,6 +263,7 @@ def _environment(cfg: dict) -> dict:
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "workers": _worker_count(cfg),
+        "blas_threads": None if _openblas() is None else 1,
     }
 
 
@@ -277,7 +282,48 @@ def _ring_population(cfg: dict, n: int) -> PoissonPopulation:
 
 
 def _worker_count(cfg: dict) -> int:
-    return cfg["workers"] or os.cpu_count() or 1
+    """The configured workers, or one per CPU this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cfg["workers"] or cpus or 1
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS, loaded on first use; None, with one warning, if absent."""
+    import ctypes
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        name = [f for f in os.listdir(libs)
+                if f.startswith("libscipy_openblas64_-") and f.endswith(".so")][0]
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        lib.scipy_openblas_get_num_threads64_.argtypes = []
+        lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+        lib.scipy_openblas_set_num_threads64_.restype = None
+    except (IndexError, OSError, AttributeError):
+        warnings.warn("numpy's bundled OpenBLAS is not reachable, so CSV bytes may depend "
+                      "on OPENBLAS_NUM_THREADS")
+        return None
+    return lib
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold BLAS at one thread, restoring its count on exit.
+
+    The thread pools are the parallelism: a threaded BLAS under them
+    oversubscribes the CPUs, and its sums split by thread count change bits.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
 
 
 def _child_seeds(cfg: dict, shape) -> np.ndarray:
@@ -300,7 +346,7 @@ def _run_fig1(cfg: dict) -> tuple[list, list, dict]:
     # on one long run; each run has its own seed, so the order moves no bits.
     tasks = [(i, rep) for i in range(len(n_list)) for rep in range(repeats)]
     order = sorted(tasks, key=lambda t: n_list[t[0]], reverse=True)
-    with ThreadPoolExecutor(max_workers=_worker_count(cfg)) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=_worker_count(cfg)) as pool:
         futures = {t: pool.submit(one_mc, *t) for t in order}
         mc_runs = [futures[t].result() for t in tasks]
 
@@ -351,25 +397,15 @@ def _fig2_spectra(cfg: dict) -> dict:
 
 def _run_fig2(cfg: dict) -> tuple[list, list, dict]:
     spectra = _fig2_spectra(cfg)
-    widths = [w for w in cfg["widths"] if w in spectra]
-    cells = [(w, n) for w in widths for n in cfg["n_list"]]
-    cell_seeds = _child_seeds(cfg, len(cells))
-
-    def one_cell(idx: int, pool: ThreadPoolExecutor):
-        w, n = cells[idx]
-        rng = default_rng(int(cell_seeds[idx]))
-        gram = random_mixing_gram(w * w, n, rng, pool=pool)
-        return fig2_gap_from_gram(gram, spectra[w])
-
-    # Largest cells (N K^2 flops) first: idle threads then help the cells
-    # still running with their remaining column blocks.
-    order = sorted(range(len(cells)), key=lambda i: cells[i][1] * cells[i][0] ** 4, reverse=True)
-    with ThreadPoolExecutor(max_workers=_worker_count(cfg)) as pool:
-        futures = {i: pool.submit(one_cell, i, pool) for i in order}
-        gaps = [futures[i].result() for i in range(len(cells))]
-
-    rows = [[w, w * w, n, gap.i_g, gap.i_f, gap.di_f, gap.rel_di_f]
-            for (w, n), gap in zip(cells, gaps)]
+    widths, n_list, gaps = list(spectra), cfg["n_list"], {}
+    # Widest (longest) stream first; each width's gaps run on the pool while
+    # the caller sums the next width's blocks.
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=_worker_count(cfg)) as pool:
+        for w, seed in sorted(zip(widths, _child_seeds(cfg, len(widths))), reverse=True):
+            grams = random_mixing_gram(w * w, max(n_list), int(seed), pool, n_list)
+            for n in n_list:
+                gaps[w, n] = pool.submit(fig2_gap_from_gram, grams[n], spectra[w])
+    rows = [[w, w * w, n, *astuple(gaps[w, n].result())] for w in widths for n in n_list]
     header = ["w", "K", "N", "I_G", "I_F", "dI_F", "DI_F"]
     extra = {"source": "patch_file" if cfg["patch_file"] else "synthetic_power_law"}
     return header, rows, extra
@@ -471,7 +507,8 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args.experiment, args)
         start = time.perf_counter()
-        header, rows, extra = _RUNNERS[args.experiment](cfg)
+        with _one_blas_thread():
+            header, rows, extra = _RUNNERS[args.experiment](cfg)
         wall = time.perf_counter() - start
         if cfg["bits"]:
             rows, extra = _in_bits(header, rows, extra)

@@ -14,6 +14,10 @@ The module also carries the mixing-matrix experiment: for a Gaussian
 prior with a given covariance spectrum and a random wide mixing matrix A,
 the exact MI (= I_G) and the Fisher-only value I_F have closed forms
 whose gap quantifies how badly I_F fails when K is large relative to N.
+A seed's mixing columns are one stream of ``_BLOCK``-column blocks, each
+drawn by its own SFC64 generator, so threads draw blocks in any order;
+every population size N reads its Gram off the stream's running sum, so
+the sizes share their leading columns (common random numbers).
 
 File ingestion for real image-patch data accepts a small binary format
 (header: two little-endian uint32 giving M patches and K pixels, then
@@ -23,13 +27,13 @@ M*K little-endian float32, row-major) or a plain CSV matrix.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import Executor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.random import Generator
+from numpy.random import SFC64, Generator, SeedSequence
 
 # sym_inv_sqrt stays importable here: perfbench wraps it by module attribute.
 from ._linalg import (chol_logdet, cholesky_stack, factor_logdets,  # noqa: F401
@@ -217,97 +221,54 @@ def fig2_gap_from_gram(gram: np.ndarray, spectrum: np.ndarray) -> Fig2Gap:
     return Fig2Gap(i_g=i_g, i_f=i_f, di_f=di_f, rel_di_f=di_f / i_g)
 
 
-def random_mixing_gram(k: int, n: int, rng: Generator, block: int = 4096,
-                       pool: Optional[Executor] = None) -> np.ndarray:
-    """Gram matrix A A^T of a K x N matrix of standard-normal entries with
-    unit-norm columns.
+#: Columns per block of the mixing stream; it divides every bundled fig2 N.
+_BLOCK = 2500
 
-    Columns are generated in blocks so A itself (K x N, possibly hundreds
-    of MB) is never held.  The draw order is per-column: column j is the
-    j-th row of ``rng.standard_normal((n, k))``.  The Gram's last bits
-    depend on ``block``, through the order in which block products are
-    summed (the CLI fixes ``block`` at 4096).
 
-    With a ``pool``, blocks are also multiplied by helper tasks on its
-    threads.  Blocks are still drawn from ``rng`` in order and their
-    products summed in block order, so ``pool`` never changes the bits.
-    The call waits only for blocks that running threads have claimed, so
-    it may itself run as a task of ``pool``.
+def random_mixing_gram(k: int, n: int, seed: int, pool: Optional[ThreadPoolExecutor] = None,
+                       prefixes=()) -> dict:
+    """Gram matrices A A^T of the leading columns of a seeded mixing stream.
+
+    Columns are K standard normals scaled to unit norm.  Block b holds the
+    ``_BLOCK`` columns from ``b * _BLOCK`` on, as the rows of
+    ``Generator(SFC64(SeedSequence(seed, spawn_key=(b,)))).standard_normal``.
+    Returns ``{count: gram}`` for ``n`` and each of ``prefixes`` (in 1..n);
+    a block that straddles a count is drawn once and its product split.
+    Products are summed in column order on the calling thread, so ``pool``
+    never changes the bits.  Its threads run at most two blocks each ahead
+    of the sum, and the caller runs a block none has started, so the call
+    may itself be a task of ``pool``.
     """
-    stream = _GramStream(k, n, rng, block)
-    if pool is not None:
-        for _ in range(stream.n_blocks - 1):
-            pool.submit(stream.work)
-    stream.work()
-    return stream.result()
+    cuts = sorted({n, *prefixes})
+    if cuts[0] < 1 or cuts[-1] > n:
+        raise ValueError(f"prefix counts must lie in 1..{n}, got {sorted(prefixes)}")
 
+    def products(b: int) -> list:
+        lo, hi = b * _BLOCK, min((b + 1) * _BLOCK, n)
+        a = Generator(SFC64(SeedSequence(seed, spawn_key=(b,)))).standard_normal((hi - lo, k)).T
+        a /= np.sqrt(np.einsum("ij,ij->j", a, a))
+        inside = [c for c in cuts if lo < c < hi]
+        parts = np.split(a, [c - lo for c in inside], axis=1)
+        return [(end, part @ part.T) for end, part in zip(inside + [hi], parts)]
 
-class _GramStream:
-    """Shared state of one streaming Gram.
-
-    Any number of threads run :meth:`work`.  A block is claimed and drawn
-    under ``_draw``, so ``rng`` yields the blocks in order; normalisation
-    and the product run outside it, and finished products are added into
-    ``gram`` in block order under ``_done``.
-    """
-
-    def __init__(self, k: int, n: int, rng: Generator, block: int):
-        self.k, self.n, self.rng, self.block = k, n, rng, block
-        self.n_blocks = -(-n // block)
-        self.gram = np.zeros((k, k))
-        self._draw = threading.Lock()
-        self._claimed = 0
-        self._done = threading.Condition()
-        self._ready = {}  # finished products waiting for an earlier block
-        self._folded = 0
-        self._error = None
-
-    def work(self):
-        """Claim and process blocks until none is left; keep any error for :meth:`result`."""
-        try:
-            while self._error is None:
-                with self._draw:
-                    i = self._claimed
-                    if i == self.n_blocks:
-                        return
-                    self._claimed += 1
-                    lo = i * self.block
-                    a = self.rng.standard_normal((min(self.block, self.n - lo), self.k)).T
-                a /= _column_norms(a)
-                product = a @ a.T
-                del a  # free the columns before the next draw
-                self._fold(i, product)
-        except Exception as exc:
-            with self._done:
-                if self._error is None:
-                    self._error = exc
-                self._done.notify_all()
-
-    def _fold(self, i: int, product: np.ndarray):
-        with self._done:
-            self._ready[i] = product
-            while self._folded in self._ready:
-                self.gram += self._ready.pop(self._folded)
-                self._folded += 1
-            if self._folded == self.n_blocks:
-                self._done.notify_all()
-
-    def result(self) -> np.ndarray:
-        """Wait until every block is summed, then return the Gram; or raise the first error."""
-        with self._done:
-            self._done.wait_for(lambda: self._folded == self.n_blocks or self._error is not None)
-        if self._error is not None:
-            raise self._error
-        return self.gram
-
-
-def _column_norms(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(a, axis=0)`` bit for bit, squaring 256 columns at a time."""
-    out = np.empty(a.shape[1])
-    for lo in range(0, a.shape[1], 256):
-        sub = a[:, lo:lo + 256]
-        np.sqrt(np.add.reduce(sub * sub, axis=0), out=out[lo:lo + 256])
-    return out
+    n_blocks = -(-n // _BLOCK)
+    depth = 0 if pool is None else 2 * pool._max_workers
+    pending = deque()  # futures of the blocks after the last one summed
+    grams, gram = {}, np.zeros((k, k))
+    try:
+        for b in range(n_blocks):
+            while len(pending) < depth and b + len(pending) < n_blocks:
+                pending.append(pool.submit(products, b + len(pending)))
+            future = pending.popleft() if pending else None
+            parts = products(b) if future is None or future.cancel() else future.result()
+            for end, product in parts:
+                gram += product
+                if end in cuts:
+                    grams[end] = gram if end == n else gram.copy()
+    finally:
+        for future in pending:
+            future.cancel()
+    return grams
 
 
 def power_law_spectrum(k: int, exponent: float = 2.0) -> np.ndarray:

@@ -247,11 +247,14 @@ class TestSidecar:
 
     def test_environment_is_recorded(self, sidecar):
         env = sidecar["environment"]
-        assert set(env) == {"python", "numpy", "blas", "workers"}
+        assert set(env) == {"python", "numpy", "blas", "workers", "blas_threads"}
         assert env["python"] == sys.version.split()[0]
         assert env["numpy"] == np.__version__
         assert set(env["blas"]) == {"name", "version"} and env["blas"]["name"]
-        assert env["workers"] == (os.cpu_count() or 1)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        assert env["workers"] == cpus
+        assert env["blas_threads"] == 1
 
     def test_config_is_fully_resolved(self, sidecar):
         assert sidecar["config"]["n"] == 5
@@ -415,6 +418,18 @@ class TestFig2:
             outputs.add(out.read_bytes())
         assert len(outputs) == 1
 
+    def test_csv_bytes_do_not_depend_on_workers_with_shared_prefixes(self, tmp_path):
+        # Unsorted widths and n_list; N = 3700 splits the second 2,500-column
+        # block and N = 7500 ends the third.
+        outputs = set()
+        for workers in (1, 2, 5):
+            cfg = write_config(tmp_path / f"w{workers}.json",
+                               {"widths": [3, 2], "n_list": [7500, 3700, 40], "workers": workers})
+            out = tmp_path / f"w{workers}.csv"
+            assert main(["fig2", "--config", cfg, "--seed", "8", "--out", str(out)]) == 0
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
+
     def test_truncated_patch_file_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "trunc.bin"
         path.write_bytes(struct.pack("<II", 10, 4) + b"\x00" * 7)
@@ -491,21 +506,60 @@ class TestOptimizeAndFig1Runs:
                 row["I_std"] / row["I_MC"], rel=1e-12)
 
 
+def run_module(module, argv, **env):
+    """``python -m module *argv`` in a subprocess that imports this checkout's package."""
+    import subprocess
+
+    import popcode_mi
+
+    src = os.path.dirname(os.path.dirname(popcode_mi.__file__))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["popcode_mi", "popcode_mi.cli"])
     def test_python_dash_m_runs_the_experiment(self, module, tmp_path):
-        import subprocess
-
-        import popcode_mi
-
         cfg = write_config(tmp_path / "cap.json", TINY_CAPACITY)
         out = tmp_path / "cap.csv"
-        src = os.path.dirname(os.path.dirname(popcode_mi.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-m", module, "capacity", "--config", cfg,
-                               "--out", str(out)], env=env, capture_output=True, text=True)
+        proc = run_module(module, ["capacity", "--config", cfg, "--out", str(out)])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("popcode-mi capacity: 50 rows")
         header, rows = read_rows(out)
         assert header[:2] == ["x", "p_star"] and len(rows) == 50
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("experiment, payload", [
+        ("fig1", {"n_list": [30, 4], "j_max": 3000, "i_max": 10, "m": 500, "repeats": 2}),
+        # K = 196: OpenBLAS splits this width's products and Choleskys by thread.
+        ("fig2", {"widths": [14, 3], "n_list": [5000, 700]}),
+    ])
+    def test_csv_bytes_do_not_depend_on_openblas_threads(self, experiment, payload, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", dict(payload, workers=2))
+        outputs = set()
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.csv"
+            proc = run_module("popcode_mi", [experiment, "--config", cfg, "--seed", "3",
+                                             "--out", str(out)], OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
+
+    def test_unreachable_openblas_warns_once_and_records_null(self, tmp_path, monkeypatch):
+        from popcode_mi import cli
+
+        monkeypatch.setattr(cli.os, "listdir", lambda path: [])
+        cli._openblas.cache_clear()
+        try:
+            cfg = write_config(tmp_path / "cap.json", TINY_CAPACITY)
+            with pytest.warns(UserWarning, match="OpenBLAS is not reachable") as caught:
+                for name in ("a", "b"):
+                    assert main(["capacity", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            assert len(caught) == 1
+            with open(tmp_path / "b.json") as fh:
+                assert json.load(fh)["environment"]["blas_threads"] is None
+        finally:
+            cli._openblas.cache_clear()

@@ -1,5 +1,6 @@
 """Whitening, information pushforward, spectrum-gap analysis, block reduction."""
 
+import itertools
 import math
 import struct
 import sys
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import SFC64, Generator, SeedSequence
 
+from popcode_mi import transform
 from popcode_mi.fisher import GaussianPrior
 from popcode_mi.mi import LOG_2PI_E, i_g
 from popcode_mi.transform import (
@@ -165,12 +168,13 @@ class TestFig2Gap:
         assert abs(gaps[2]) < 1e-4
 
     def test_matrix_and_gram_paths_agree(self):
-        rng_a = np.random.default_rng(7)
-        rng_b = np.random.default_rng(7)
-        k, n = 6, 5000
+        k, n, block = 6, 5000, transform._BLOCK
+        columns = [mixing_columns(k, min(block, n - lo),
+                                  Generator(SFC64(SeedSequence(7, spawn_key=(lo // block,)))))
+                   for lo in range(0, n, block)]
         spectrum = power_law_spectrum(k)
-        a = gap_of(mixing_columns(k, n, rng_a), spectrum)
-        b = fig2_gap_from_gram(random_mixing_gram(k, n, rng_b, block=512), spectrum)
+        a = gap_of(np.hstack(columns), spectrum)
+        b = fig2_gap_from_gram(random_mixing_gram(k, n, 7)[n], spectrum)
         assert a.i_g == pytest.approx(b.i_g, rel=1e-12)
         assert a.i_f == pytest.approx(b.i_f, rel=1e-12)
 
@@ -213,80 +217,117 @@ class TestFig2Gap:
 
     def test_mixing_matrix_has_unit_columns(self):
         """Tr(A A^T) is the sum of the squared column norms, one per column."""
-        gram = random_mixing_gram(4, 100, np.random.default_rng(10))
-        assert np.trace(gram) == pytest.approx(100.0, rel=1e-12)
+        n = 2 * transform._BLOCK + 100
+        grams = random_mixing_gram(4, n, 10, prefixes=[100, transform._BLOCK, transform._BLOCK + 7])
+        assert sorted(grams) == [100, transform._BLOCK, transform._BLOCK + 7, n]
+        for count, gram in grams.items():
+            assert np.trace(gram) == pytest.approx(count, rel=1e-12)
 
 
-def looped_gram(k, n, rng, block):
-    """The serial streaming Gram, kept as the oracle for the pooled one."""
-    gram = np.zeros((k, k))
+def serial_grams(k, n, seed, prefixes=()):
+    """The block-seeded mixing stream summed serially: the oracle for the pooled sum."""
+    block = transform._BLOCK
+    cuts = sorted({n, *prefixes})
+    grams, gram = {}, np.zeros((k, k))
     for lo in range(0, n, block):
-        a = rng.standard_normal((min(block, n - lo), k)).T
-        a /= np.linalg.norm(a, axis=0)
-        gram += a @ a.T
-    return gram
+        hi = min(lo + block, n)
+        rng = Generator(SFC64(SeedSequence(seed, spawn_key=(lo // block,))))
+        a = rng.standard_normal((hi - lo, k)).T
+        a /= np.sqrt(np.einsum("ij,ij->j", a, a))
+        edges = [lo] + [c for c in cuts if lo < c < hi] + [hi]
+        for start, end in zip(edges, edges[1:]):
+            part = a[:, start - lo:end - lo]
+            gram += part @ part.T
+            if end in cuts:
+                grams[end] = gram.copy()
+    return grams
 
 
-class FailingRNG:
-    """Draws like ``default_rng(seed)`` but raises on draw number ``fail_at``."""
-
-    def __init__(self, seed, fail_at):
-        self.rng, self.calls, self.fail_at = np.random.default_rng(seed), 0, fail_at
-
-    def standard_normal(self, shape):
-        self.calls += 1
-        if self.calls == self.fail_at:
-            raise FloatingPointError("draw failed")
-        return self.rng.standard_normal(shape)
+def as_bytes(grams):
+    return {count: gram.tobytes() for count, gram in grams.items()}
 
 
 class TestRandomMixingGram:
     BLOCK = 64
 
+    @pytest.fixture()
+    def small_blocks(self, monkeypatch):
+        """Blocks of ``BLOCK`` columns, so a few hundred columns span several."""
+        monkeypatch.setattr(transform, "_BLOCK", self.BLOCK)
+
     @pytest.mark.parametrize("workers", [None, 1, 2, 4])
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
-    def test_threads_match_the_serial_loop_bit_for_bit(self, n, workers):
-        k = 7
-        want = looped_gram(k, n, np.random.default_rng(n), self.BLOCK).tobytes()
+    def test_threads_match_the_serial_loop_bit_for_bit(self, n, workers, small_blocks):
+        # The prefix (n + 1) // 2 splits a block whenever n > 2.
+        k, prefixes = 7, [(n + 1) // 2]
+        want = as_bytes(serial_grams(k, n, n, prefixes))
         if workers is None:
-            got = random_mixing_gram(k, n, np.random.default_rng(n), self.BLOCK)
+            got = random_mixing_gram(k, n, n, prefixes=prefixes)
         else:
             with ThreadPoolExecutor(workers) as pool:
-                got = random_mixing_gram(k, n, np.random.default_rng(n), self.BLOCK, pool=pool)
-        assert got.tobytes() == want
+                got = random_mixing_gram(k, n, n, pool, prefixes)
+        assert as_bytes(got) == want
+
+    @pytest.mark.parametrize("n", [transform._BLOCK - 1, transform._BLOCK, transform._BLOCK + 1,
+                                   3 * transform._BLOCK + 17])
+    def test_threads_match_the_serial_loop_at_the_cli_block(self, n):
+        k, prefixes = 5, [n // 3, n - 1]
+        with ThreadPoolExecutor(2) as pool:
+            got = random_mixing_gram(k, n, 21, pool, prefixes)
+        assert as_bytes(got) == as_bytes(serial_grams(k, n, 21, prefixes))
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_a_block_aligned_prefix_is_the_shorter_stream(self, blocks):
+        k, p = 6, blocks * transform._BLOCK
+        longer = random_mixing_gram(k, 3 * transform._BLOCK + 17, 4, prefixes=[p])[p]
+        assert longer.tobytes() == random_mixing_gram(k, p, 4)[p].tobytes()
+
+    def test_prefix_counts_outside_the_stream_are_rejected(self):
+        with pytest.raises(ValueError, match=r"^prefix counts must lie in 1\.\.10, got \[0, 4\]$"):
+            random_mixing_gram(3, 10, 0, prefixes=[4, 0])
+        with pytest.raises(ValueError, match=r"got \[11\]$"):
+            random_mixing_gram(3, 10, 0, prefixes=[11])
 
     def test_column_norms_match_numpy_on_a_full_block(self):
-        # K = 900 and 4096 columns: the widest fig2 block, normalised in slices.
-        k, n = 900, 4096
-        want = looped_gram(k, n, np.random.default_rng(3), 4096)
-        assert random_mixing_gram(k, n, np.random.default_rng(3)).tobytes() == want.tobytes()
+        # K = 900: the widest fig2 block, normalised by a fused dot product.
+        k, n = 900, transform._BLOCK
+        a = Generator(SFC64(SeedSequence(3, spawn_key=(0,)))).standard_normal((n, k)).T
+        a /= np.linalg.norm(a, axis=0)
+        np.testing.assert_allclose(random_mixing_gram(k, n, 3)[n], a @ a.T, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("workers", [2, 5])
-    def test_cells_sharing_a_pool_neither_deadlock_nor_change_bits(self, workers):
-        # Each cell runs as a task of the pool its helpers are queued on, as
-        # in the CLI; a deadlock times out instead of hanging the suite.
+    def test_cells_sharing_a_pool_neither_deadlock_nor_change_bits(self, workers, small_blocks):
+        # Each call runs as a task of the pool its blocks are queued on; a
+        # deadlock times out instead of hanging the suite.
         cells = [(5, 3 * self.BLOCK + 17), (3, 5 * self.BLOCK), (6, self.BLOCK + 1), (2, 1)] * 3
-        want = [looped_gram(k, n, np.random.default_rng(i), self.BLOCK) for i, (k, n) in enumerate(cells)]
+        want = [as_bytes(serial_grams(k, n, i, [n // 2 or 1])) for i, (k, n) in enumerate(cells)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         pool, futures = ThreadPoolExecutor(workers), []
         try:
-            futures = [pool.submit(random_mixing_gram, k, n, np.random.default_rng(i), self.BLOCK, pool=pool)
+            futures = [pool.submit(random_mixing_gram, k, n, i, pool, [n // 2 or 1])
                        for i, (k, n) in enumerate(cells)]
-            got = [f.result(timeout=60) for f in futures]
+            got = [as_bytes(f.result(timeout=60)) for f in futures]
         finally:
             sys.setswitchinterval(interval)
             pool.shutdown(wait=all(f.done() for f in futures), cancel_futures=True)
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert got == want
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_failed_draw_is_raised_by_the_caller(self, workers):
-        # With one worker the caller draws every block itself; with two a
-        # helper may be the one that fails.
+    def test_a_failed_draw_is_raised_by_the_caller(self, workers, small_blocks, monkeypatch):
+        # With one worker the caller, itself that worker, draws every block;
+        # with two a helper may be the one that fails.
+        calls = itertools.count(1)
+
+        def generator(bit_generator):
+            if next(calls) == 3:
+                raise FloatingPointError("draw failed")
+            return Generator(bit_generator)
+
+        monkeypatch.setattr(transform, "Generator", generator)
         pool = ThreadPoolExecutor(workers)
         try:
-            call = pool.submit(random_mixing_gram, 4, 6 * self.BLOCK, FailingRNG(0, fail_at=3),
-                               self.BLOCK, pool=pool)
+            call = pool.submit(random_mixing_gram, 4, 6 * self.BLOCK, 0, pool)
             with pytest.raises(FloatingPointError, match="draw failed"):
                 call.result(timeout=60)
         finally:
