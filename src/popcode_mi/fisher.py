@@ -21,10 +21,7 @@ import numpy as np
 from ._linalg import chol_logdet
 from .models import _concentration, _count, _positive
 
-__all__ = ["GaussianPrior", "GridPrior", "p_plus", "DEFAULT_GRID_SIZE"]
-
-#: Default number of quadrature nodes for grid priors.
-DEFAULT_GRID_SIZE = 1000
+__all__ = ["GaussianPrior", "GridPrior"]
 
 #: ln(2 pi e), the per-dimension constant of a Gaussian's entropy and of
 #: every log-det formula.
@@ -164,6 +161,7 @@ class GridPrior:
     def __post_init__(self):
         for name in ("nodes", "log_pdf", "log_pdf_d1", "log_pdf_d2"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        _positive("period", self.period)
         m = self.nodes.size
         if m < 2:
             raise ValueError(f"grid prior needs at least 2 nodes, got {m}")
@@ -183,7 +181,7 @@ class GridPrior:
 
     @classmethod
     def von_mises(cls, period: float = math.pi, width: float = math.pi / 4,
-                  m: int = DEFAULT_GRID_SIZE) -> "GridPrior":
+                  m: int = 1000) -> "GridPrior":
         """Circular-normal prior exp(-kappa (1 - cos(2 pi x / T))) / Z.
 
         ``kappa = (T / (2 pi width))^2``, checked as the tuning curves'
@@ -212,7 +210,7 @@ class GridPrior:
         )
 
     @classmethod
-    def uniform(cls, period: float, m: int = DEFAULT_GRID_SIZE) -> "GridPrior":
+    def uniform(cls, period: float, m: int = 1000) -> "GridPrior":
         """Flat prior on [-T/2, T/2); zero curvature and score."""
         _count("grid size m", m, 2)
         dx = _positive("period", period) / m
@@ -223,33 +221,6 @@ class GridPrior:
             log_pdf=np.full(m, -math.log(period)),
             log_pdf_d1=zeros,
             log_pdf_d2=zeros,
-            period=period,
-        )
-
-    @classmethod
-    def from_table(cls, nodes, pdf, period: float) -> "GridPrior":
-        """Tabulated positive density; derivatives by 4th-order differences.
-
-        The density is renormalized by the rectangle rule before taking
-        logs, so mildly unnormalized tables are accepted.
-        """
-        nodes = np.asarray(nodes, dtype=float)
-        pdf = np.asarray(pdf, dtype=float)
-        if nodes.shape != pdf.shape or nodes.ndim != 1:
-            raise ValueError(f"nodes and pdf must be equal-length 1-D arrays, got {nodes.shape}, {pdf.shape}")
-        if np.any(pdf <= 0):
-            raise ValueError("tabulated density must be strictly positive")
-        dx = _positive("period", period) / nodes.size
-        steps = np.diff(nodes)
-        if not np.allclose(steps, dx, rtol=1e-10, atol=1e-12):
-            raise ValueError("nodes must be a uniform grid with spacing period / len(nodes)")
-        pdf = pdf / (np.sum(pdf) * dx)
-        log_pdf = np.log(pdf)
-        return cls(
-            nodes=nodes,
-            log_pdf=log_pdf,
-            log_pdf_d1=_central_diff4(log_pdf, dx),
-            log_pdf_d2=_central_diff4_second(log_pdf, dx),
             period=period,
         )
 
@@ -288,10 +259,3 @@ class GridPrior:
         if not np.all(np.isfinite(integrand)):
             raise ValueError("score quadrature diverged: non-finite d ln p/dx on the grid")
         return self.average(integrand)
-
-
-def p_plus(prior) -> np.ndarray:
-    """P_plus = <(d ln p/dx)(d ln p/dx)^T> as a K x K matrix."""
-    value = prior.p_plus()
-    return np.atleast_2d(np.asarray(value, dtype=float))
-

@@ -117,11 +117,10 @@ def logsumexp(buf: np.ndarray, log_masses: np.ndarray) -> np.ndarray:
 def _loglik_terms(model, rates: np.ndarray, xs: np.ndarray):
     """Grid-only factors of the x-dependent part of ln p(r | x).
 
-    Returns ``(factors, offset, scale)`` such that the core terms of a
-    block of responses are ``(responses @ f_1 @ ... @ f_k - offset) / scale``
-    over ``factors = (f_1, ..., f_k)`` (``scale`` is None when there is no
-    division).  Terms constant in x are omitted; they cancel in the
-    estimator's log-ratio.
+    Returns ``(factors, offset)`` such that the core terms of a block of
+    responses are ``responses @ f_1 @ ... @ f_k - offset`` over
+    ``factors = (f_1, ..., f_k)``.  Terms constant in x are omitted; they
+    cancel in the estimator's log-ratio.
     """
     if model.response_kind == "poisson":
         # sum_n [r_n ln f_n(x) - f_n(x)]; the -ln r_n! sum is x-free.  Von Mises
@@ -132,9 +131,9 @@ def _loglik_terms(model, rates: np.ndarray, xs: np.ndarray):
         u = np.column_stack([np.log(amp) - conc, conc * np.cos(omega * centers),
                              conc * np.sin(omega * centers)])
         v = np.stack([np.ones(len(xs)), np.cos(omega * xs), np.sin(omega * xs)])
-        return (u, v), np.sum(rates, axis=1), None
-    # Gaussian: -(|r|^2 - 2 r.f(x) + |f(x)|^2) / (2 sigma^2) up to x-free terms.
-    return (rates.T,), 0.5 * np.sum(rates**2, axis=1), model.sigma**2
+        return (u, v), np.sum(rates, axis=1)
+    # Unit Gaussian noise: -(|r|^2 - 2 r.f(x) + |f(x)|^2) / 2 up to x-free terms.
+    return (rates.T,), 0.5 * np.sum(rates**2, axis=1)
 
 
 def _log_lik_core(responses: np.ndarray, terms, out: np.ndarray) -> np.ndarray:
@@ -143,20 +142,18 @@ def _log_lik_core(responses: np.ndarray, terms, out: np.ndarray) -> np.ndarray:
     Shape (chunk, M): row j holds the core terms for response j against
     every grid stimulus; ``terms`` comes from :func:`_loglik_terms`.
     """
-    (*head, last), offset, scale = terms
+    (*head, last), offset = terms
     for factor in head:
         responses = responses @ factor
     np.matmul(responses, last, out=out)
     out -= offset
-    if scale is not None:
-        out /= scale
     return out
 
 
 def _sample_responses_block(model, rates_block: np.ndarray, rng: Generator) -> np.ndarray:
     if model.response_kind == "poisson":
         return rng.poisson(rates_block).astype(float)
-    return rates_block + model.sigma * rng.standard_normal(rates_block.shape)
+    return rates_block + rng.standard_normal(rates_block.shape)
 
 
 def mc_mutual_information(model, prior: GridPrior, cfg: MCConfig) -> MCResult:

@@ -27,7 +27,7 @@ import numpy as np
 
 # sym_inv_sqrt stays importable here: perfbench wraps it by module attribute.
 from ._linalg import chol_logdet, inverse_factors, logdet_grid, sym_inv_sqrt  # noqa: F401
-from .fisher import LOG_2PI_E, GridPrior, p_plus as _p_plus_matrix
+from .fisher import LOG_2PI_E, GridPrior
 from .models import _nonnegative
 
 __all__ = [
@@ -145,6 +145,11 @@ def _info(mean_logdet: float, k: int, h: float) -> float:
     return 0.5 * (mean_logdet - k * LOG_2PI_E) + h
 
 
+def _p_plus_matrix(prior) -> np.ndarray:
+    """The prior's score covariance P_plus as a K x K matrix."""
+    return np.atleast_2d(prior.p_plus())
+
+
 def _log_det_mi(kind: str, j, prior) -> MIApproximation:
     """``(1/2)(<ln det(J + R)> - K ln 2 pi e) + H(X)``, the formula of every kind.
 
@@ -156,15 +161,13 @@ def _log_det_mi(kind: str, j, prior) -> MIApproximation:
     """
     stack, weights = _materialize(j, prior)
     m, k = stack.shape[0], stack.shape[1]
-    reg = None
-    if kind == "I_G":
-        reg = _curvature_stack(prior, m)
-    elif kind != "I_F":
-        reg = _p_plus_matrix(prior)
     if kind == "I_VT":
-        logdet = chol_logdet(np.tensordot(weights, stack, axes=(0, 0)) + reg)
+        logdet = chol_logdet(np.tensordot(weights, stack, axes=(0, 0)) + _p_plus_matrix(prior))
+    elif kind == "I_F":
+        logdet = _mean_logdet(logdet_grid(stack), weights)
     else:
-        logdet = _mean_logdet(logdet_grid(stack if reg is None else stack + reg), weights)
+        reg = _curvature_stack(prior, m) if kind == "I_G" else _p_plus_matrix(prior)
+        logdet = _mean_logdet(logdet_grid(stack + reg), weights)
     if logdet == -math.inf:
         return MIApproximation(value=-math.inf, kind=kind, degenerate=True)
     return MIApproximation(value=_info(logdet, k, prior.entropy()), kind=kind)

@@ -2,10 +2,10 @@
 
 The stimulus ``x`` lives on a periodic interval ``[-T/2, T/2)``.  Each
 neuron's mean response is a circular-normal (von Mises) tuning curve, and
-the response noise is either Poisson or additive Gaussian.  One vectorised
-kernel evaluates every curve's rate and derivative on a stimulus grid; the
-populations and the density optimizer both call it.  Response sampling and
-likelihoods live in :mod:`popcode_mi.mc`.
+a population's responses are conditionally independent Poisson counts.
+One vectorised kernel evaluates every curve's rate and derivative on a
+stimulus grid; the population and the density optimizer both call it.
+Response sampling and likelihoods live in :mod:`popcode_mi.mc`.
 
 A linear-Gaussian channel and a uniformly-correlated Gaussian population
 are included as analytically tractable references; the latter carries the
@@ -25,7 +25,6 @@ from ._linalg import chol_logdet
 __all__ = [
     "VonMisesTuning",
     "PoissonPopulation",
-    "GaussianNoisePopulation",
     "LinearGaussianModel",
     "CorrelatedGaussianPopulation",
     "decorrelation_transform",
@@ -52,6 +51,15 @@ def _count(name: str, value, minimum: int = 1) -> None:
     """Raise unless ``value`` is an integer (not a bool) of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
+def _finite(what: str, a: np.ndarray) -> None:
+    """Raise naming the row and column of the first non-finite entry of ``a``."""
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"{what} has a non-finite value {float(a[row, col])!r} "
+                         f"at row {row}, column {col}")
 
 
 def _concentration(period, width) -> float:
@@ -135,23 +143,6 @@ class VonMisesTuning:
         object.__setattr__(self, "concentration", conc)
 
 
-def _stack_tuning(pop) -> None:
-    """Check a population's curves and stack them into kernel arrays once."""
-    tuning = tuple(pop.tuning)
-    if not tuning:
-        raise ValueError("population needs at least one neuron")
-    periods = {c.period for c in tuning}
-    if len(periods) != 1:
-        raise ValueError(f"all tuning curves must share one period, got {sorted(periods)}")
-    object.__setattr__(pop, "tuning", tuning)
-    object.__setattr__(pop, "_bank", (
-        np.array([c.amplitude for c in tuning]),
-        np.array([c.concentration for c in tuning]),
-        np.array([c.center for c in tuning]),
-        tuning[0].period,
-    ))
-
-
 @dataclass(frozen=True)
 class PoissonPopulation:
     """Population of conditionally independent Poisson neurons.
@@ -166,7 +157,19 @@ class PoissonPopulation:
     response_kind = "poisson"
 
     def __post_init__(self):
-        _stack_tuning(self)
+        tuning = tuple(self.tuning)
+        if not tuning:
+            raise ValueError("population needs at least one neuron")
+        periods = {c.period for c in tuning}
+        if len(periods) != 1:
+            raise ValueError(f"all tuning curves must share one period, got {sorted(periods)}")
+        object.__setattr__(self, "tuning", tuning)
+        object.__setattr__(self, "_bank", (
+            np.array([c.amplitude for c in tuning]),
+            np.array([c.concentration for c in tuning]),
+            np.array([c.center for c in tuning]),
+            tuning[0].period,
+        ))
 
     @property
     def size(self) -> int:
@@ -187,41 +190,6 @@ class PoissonPopulation:
 
 
 @dataclass(frozen=True)
-class GaussianNoisePopulation:
-    """Tuning-curve population with additive Gaussian response noise.
-
-    The response of neuron n is ``r_n = f(x; theta_n) + sigma * z_n`` with
-    standard-normal z_n, independent across neurons.
-    """
-
-    tuning: tuple
-    sigma: float
-    _bank: tuple = field(init=False, repr=False, compare=False)
-
-    response_kind = "gaussian"
-
-    def __post_init__(self):
-        _stack_tuning(self)
-        _positive("noise sigma", self.sigma)
-
-    @property
-    def size(self) -> int:
-        return len(self.tuning)
-
-    @property
-    def period(self) -> float:
-        return self.tuning[0].period
-
-    def rate_matrix(self, xs) -> np.ndarray:
-        """Mean rates on a stimulus grid, shape (len(xs), N)."""
-        return _von_mises(*self._bank, xs)[0]
-
-    def fisher_values(self, xs) -> np.ndarray:
-        """Scalar J(x) = sum_n f'(x; theta_n)^2 / sigma^2 on a grid."""
-        return np.sum(_von_mises(*self._bank, xs)[1] ** 2, axis=1) / self.sigma**2
-
-
-@dataclass(frozen=True)
 class LinearGaussianModel:
     """Linear channel r = A^T x + z with unit Gaussian noise and Gaussian prior.
 
@@ -236,7 +204,6 @@ class LinearGaussianModel:
     cov: np.ndarray
 
     response_kind = "gaussian"
-    sigma = 1.0
 
     def __post_init__(self):
         mixing = np.atleast_2d(np.asarray(self.mixing, dtype=float))
@@ -250,6 +217,7 @@ class LinearGaussianModel:
             raise ValueError(
                 f"shape mismatch: mixing {mixing.shape}, mean {mean.shape}, cov {cov.shape}"
             )
+        _finite("mixing matrix", mixing)
         if chol_logdet(cov) == -math.inf:
             raise ValueError("prior covariance must be symmetric positive-definite")
 

@@ -428,12 +428,13 @@ def capacity_prior(j, nodes, support_length: float):
     ``j`` gives the information matrix per node — an (M,) array of
     scalars or an (M, K, K) stack.  The optimal density is proportional to ``det(.)^{1/2}`` (Jeffreys form
     when J is used), and the capacity is
-    ``ln integral det(./2 pi e)^{1/2} dx`` by the rectangle rule.
+    ``ln integral det(./2 pi e)^{1/2} dx`` by the rectangle rule over the
+    grid's ``support_length``, which must be positive and finite.
 
     Returns ``(pstar, capacity)`` with ``pstar`` integrating to 1.
     """
     nodes = np.asarray(nodes, dtype=float)
-    dx = support_length / nodes.size
+    dx = _positive("support_length", support_length) / nodes.size
     mats = np.asarray(j, dtype=float)
     if mats.ndim == 1:
         mats = mats.reshape(-1, 1, 1)

@@ -39,9 +39,9 @@ from numpy.random import SFC64, Generator, SeedSequence
 from ._linalg import (chol_logdet, cholesky_stack, factor_logdets,  # noqa: F401
                       inverse_factors, logdet_grid, sym_inv_sqrt)
 from .mi import LOG_2PI_E, _info, _mean_logdet, _node_weights
+from .models import _count, _finite
 
 __all__ = [
-    "WhiteningTransform",
     "whiten",
     "pushforward_info",
     "Fig2Gap",
@@ -59,50 +59,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WhiteningTransform:
-    """Forward map x~ = L x, L = D^{-1/2} U^T, with cov(x) = U D U^T.
+def whiten(cov) -> np.ndarray:
+    """The whitening map L = D^{-1/2} U^T of a K x K covariance U D U^T.
 
-    ``u`` holds the covariance eigenvectors as columns, ``eigenvalues``
-    the variances in descending order (all positive); applying
-    :meth:`forward` to a centered source variable yields unit covariance.
-    """
+    ``x~ = L x`` has unit covariance; the rows of L follow the variances
+    in descending order.  The matrix must be finite and symmetric to
+    1e-10; samples are reduced to their covariance first, e.g.
+    ``np.cov(samples, rowvar=False, bias=True)`` (image patches by
+    :func:`patch_covariance`).
 
-    u: np.ndarray
-    eigenvalues: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The forward linear map L = D^{-1/2} U^T."""
-        return (self.u / np.sqrt(self.eigenvalues)).T
-
-    @property
-    def entropy_shift(self) -> float:
-        """H(X~) - H(X) = ln |det L| = -(1/2) sum ln eigenvalues."""
-        return -0.5 * float(np.sum(np.log(self.eigenvalues)))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Whiten one K-vector or the rows of an (M, K) batch."""
-        return np.asarray(x, dtype=float) @ self.matrix.T
-
-    def inverse(self, z: np.ndarray) -> np.ndarray:
-        """Undo :meth:`forward` with L^{-1} = U D^{1/2}."""
-        return np.asarray(z, dtype=float) @ (self.u * np.sqrt(self.eigenvalues)).T
-
-
-def whiten(cov) -> WhiteningTransform:
-    """Build the whitening transform of a K x K covariance matrix.
-
-    The matrix must be symmetric to 1e-10; samples are reduced to their
-    covariance first, e.g. ``np.cov(samples, rowvar=False, bias=True)``
-    (image patches by :func:`patch_covariance`).
-
-    Raises ``ValueError`` when the covariance is rank-deficient, naming
-    the first null eigen-direction.
+    Raises ``ValueError`` naming the first non-finite entry, or, when the
+    covariance is rank-deficient, the first null eigen-direction.
     """
     a = np.asarray(cov, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a K x K covariance matrix, got shape {a.shape}")
+    _finite("covariance", a)
     if not np.allclose(a, a.T, rtol=1e-10, atol=1e-10):
         asym = float(np.max(np.abs(a - a.T)))
         raise ValueError(f"covariance must be symmetric; max asymmetry {asym!r}")
@@ -119,16 +91,7 @@ def whiten(cov) -> WhiteningTransform:
         raise ValueError(
             f"covariance is rank-deficient: eigenvalue {float(eigvals[i])!r} along direction {i}"
         )
-    return WhiteningTransform(u=u, eigenvalues=eigvals)
-
-
-def _finite(what: str, a: np.ndarray) -> None:
-    """Raise naming the row and column of the first non-finite entry of ``a``."""
-    bad = np.argwhere(~np.isfinite(a))
-    if bad.size:
-        row, col = bad[0]
-        raise ValueError(f"{what} has a non-finite value {float(a[row, col])!r} "
-                         f"at row {row}, column {col}")
+    return (u / np.sqrt(eigvals)).T
 
 
 def pushforward_info(j, l_mat, h_x: float = 0.0):
@@ -143,8 +106,7 @@ def pushforward_info(j, l_mat, h_x: float = 0.0):
     j : ndarray
         A (K, K) matrix or an (M, K, K) stack, transformed per node.
     l_mat : (K, K) array_like
-        The forward map L, finite and invertible, e.g.
-        :attr:`WhiteningTransform.matrix`.
+        The forward map L, finite and invertible, e.g. :func:`whiten`'s.
     h_x : float
         Entropy of the source variable.
 
@@ -394,6 +356,7 @@ def partition_info(j, p, k1: int, weights=None, h_x: float = 0.0) -> BlockedInfo
     p = np.broadcast_to(np.atleast_2d(p), j.shape) if p.ndim == 2 else _as_node_stack(p, k)
     if p.shape[0] != m:
         raise ValueError(f"J has {m} nodes but P has {p.shape[0]}")
+    _count("k1", k1)
     if not 1 <= k1 < k:
         raise ValueError(f"k1 must satisfy 1 <= k1 < K = {k}, got {k1}")
     g = j + p

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from popcode_mi import fisher
 from popcode_mi.fisher import GridPrior
 from popcode_mi.models import PoissonPopulation, VonMisesTuning
 
@@ -44,6 +45,15 @@ def ring_population(n: int) -> PoissonPopulation:
         for c in centers
     ]
     return PoissonPopulation(tuning)
+
+
+def tabulated_prior(nodes: np.ndarray, pdf: np.ndarray, period: float) -> GridPrior:
+    """Grid prior from a positive density table on a uniform periodic grid:
+    renormalized by the rectangle rule, derivatives by 4th-order differences."""
+    dx = period / nodes.size
+    log_pdf = np.log(pdf / (np.sum(pdf) * dx))
+    return GridPrior(nodes, log_pdf, fisher._central_diff4(log_pdf, dx),
+                     fisher._central_diff4_second(log_pdf, dx), period=period)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,13 @@
-"""Every name a module exports through ``__all__`` exists, and every name
-it imports is used."""
+"""Every name a module exports through ``__all__`` exists and is reached by
+a run, the README, an acceptance test or the benchmark, and every name it
+imports is used."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +23,43 @@ def test_every_export_resolves():
                for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert len(modules) > 5
     assert missing == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+PUBLIC_MODULES = ("models", "fisher", "mi", "mc", "transform", "optimize", "cli")
+
+
+def _words(text: str) -> set:
+    return set(re.findall(r"\w+", text))
+
+
+def test_public_names_are_reached():
+    """Each ``__all__`` name appears as a word in the README, ``cli``, the
+    benchmark or the acceptance tests, so no public name serves unit tests
+    alone.  A dataclass also counts when a reached function returns it or a
+    reached dataclass has a field of its type."""
+    sources = [ROOT / "README.md", ROOT / "src" / "popcode_mi" / "cli.py",
+               ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    words = set().union(*(_words(path.read_text(encoding="utf-8")) for path in sources))
+    exported = {}
+    for name in PUBLIC_MODULES:
+        module = importlib.import_module(f"popcode_mi.{name}")
+        exported.update({f"{name}.{attr}": getattr(module, attr) for attr in module.__all__})
+    reached = {key for key in exported if key.split(".")[1] in words}
+    grown = True
+    while grown:  # close under return and field annotations
+        named = set()
+        for key in reached:
+            obj = exported[key]
+            if dataclasses.is_dataclass(obj):
+                named |= set().union(*(_words(str(f.type)) for f in dataclasses.fields(obj)))
+            elif callable(obj):
+                named |= _words(str(getattr(obj, "__annotations__", {}).get("return", "")))
+        new = {key for key, obj in exported.items() if key not in reached
+               and dataclasses.is_dataclass(obj) and key.split(".")[1] in named}
+        reached |= new
+        grown = bool(new)
+    assert sorted(set(exported) - reached) == []
 
 
 # perfbench wraps these by module attribute, so they stay importable there.

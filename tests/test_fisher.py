@@ -1,5 +1,6 @@
 """Priors, their curvature/score summaries, and how J and the prior terms combine."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import i0
 
-from popcode_mi.fisher import GaussianPrior, GridPrior, _i0, p_plus
-from popcode_mi.mi import LOG_2PI_E, i_g, i_g_plus, van_trees_bound
+from popcode_mi.fisher import GaussianPrior, GridPrior, _i0
+from popcode_mi.mi import LOG_2PI_E, _p_plus_matrix, i_g, i_g_plus, van_trees_bound
 from popcode_mi.models import PoissonPopulation, VonMisesTuning
 from popcode_mi.optimize import build_problem
 
-from conftest import NOT_PD_COVARIANCES
+from conftest import NOT_PD_COVARIANCES, tabulated_prior
 
 PERIOD = math.pi
 PRIOR_WIDTH = math.pi / 4
@@ -116,12 +117,12 @@ class TestGridPriorConstruction:
         message = rf"^period must be positive and finite, got {period!r}$"
         with pytest.raises(ValueError, match=message):
             GridPrior.uniform(period)
-        nodes = np.linspace(-1.0, 1.0, 50, endpoint=False)
+        table = tabulated_prior(np.linspace(-1.0, 1.0, 50, endpoint=False), np.ones(50), 2.0)
         with pytest.raises(ValueError, match=message):
-            GridPrior.from_table(nodes, np.ones(50), period)
+            dataclasses.replace(table, period=period)
 
     def test_from_table_matches_analytic_constructor(self, prior):
-        tabulated = GridPrior.from_table(prior.nodes, analytic_pdf(prior.nodes), PERIOD)
+        tabulated = tabulated_prior(prior.nodes, analytic_pdf(prior.nodes), PERIOD)
         assert tabulated.entropy() == pytest.approx(prior.entropy(), rel=1e-10)
         np.testing.assert_allclose(tabulated.curvature_values(),
                                    prior.curvature_values(), rtol=1e-6, atol=1e-8)
@@ -252,5 +253,5 @@ class TestAssemble:
         assert van_trees_bound(j, gp).value == pytest.approx(want, rel=1e-14)
 
     def test_wrappers_promote_to_matrix(self, prior):
-        assert p_plus(prior).shape == (1, 1)
-        assert p_plus(GaussianPrior(np.zeros(2), np.eye(2))).shape == (2, 2)
+        assert _p_plus_matrix(prior).shape == (1, 1)
+        assert _p_plus_matrix(GaussianPrior(np.zeros(2), np.eye(2))).shape == (2, 2)

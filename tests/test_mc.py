@@ -13,10 +13,9 @@ from popcode_mi import mc
 from popcode_mi.fisher import GaussianPrior, GridPrior
 from popcode_mi.mc import MCConfig, MCResult, mc_mutual_information
 from popcode_mi.mi import exact_gaussian_mi, i_g
-from popcode_mi.models import (GaussianNoisePopulation, LinearGaussianModel, PoissonPopulation,
-                               VonMisesTuning)
+from popcode_mi.models import LinearGaussianModel, PoissonPopulation, VonMisesTuning
 
-from conftest import ring_population
+from conftest import ring_population, tabulated_prior
 
 
 class TestMCConfig:
@@ -65,9 +64,7 @@ class TestEstimatorExactCases:
         sigma = math.sqrt(0.8)
         nodes = np.linspace(-4 * sigma, 4 * sigma, 400, endpoint=False)
         nodes = nodes + (nodes[1] - nodes[0]) / 2
-        pdf = np.exp(-0.5 * nodes**2 / 0.8)
-        pdf /= pdf.sum() * (nodes[1] - nodes[0])
-        prior = GridPrior.from_table(nodes, pdf, period=8 * sigma)
+        prior = tabulated_prior(nodes, np.exp(-0.5 * nodes**2 / 0.8), period=8 * sigma)
         out = mc_mutual_information(model, prior,
                                     MCConfig(j_max=40_000, i_max=60, m=400, seed=4))
         closed = exact_gaussian_mi(model)
@@ -108,11 +105,10 @@ class TestBootstrap:
 
 class TestGaussianNoisePath:
     def test_gaussian_population_runs_and_is_finite(self):
-        tuning = [VonMisesTuning(amplitude=20.0, width=0.5, period=math.pi, center=c)
-                  for c in (-0.25, 0.0, 0.25)]
-        pop = GaussianNoisePopulation(tuning, sigma=1.5)
+        """The unit-noise Gaussian branch, on a three-unit linear-Gaussian channel."""
+        model = LinearGaussianModel(np.array([[2.0, -1.0, 0.5]]), np.zeros(1), np.eye(1))
         prior = GridPrior.von_mises(m=128)
-        out = mc_mutual_information(pop, prior, MCConfig(j_max=3_000, i_max=20, m=128))
+        out = mc_mutual_information(model, prior, MCConfig(j_max=3_000, i_max=20, m=128))
         assert np.isfinite(out.i_mc) and out.i_mc > 0.0
 
 
@@ -142,8 +138,8 @@ def reference_mc(model, prior, cfg):
             responses = resp_rng.poisson(rates[idx]).astype(float)
             core = (responses @ u) @ v - np.sum(rates, axis=1)
         else:
-            responses = rates[idx] + model.sigma * resp_rng.standard_normal(rates[idx].shape)
-            core = (responses @ rates.T - 0.5 * np.sum(rates**2, axis=1)) / model.sigma**2
+            responses = rates[idx] + resp_rng.standard_normal(rates[idx].shape)
+            core = responses @ rates.T - 0.5 * np.sum(rates**2, axis=1)
         terms[lo:hi] = core[np.arange(hi - lo), idx] - scipy_logsumexp(core + log_masses, axis=1)
     replicates = np.array([np.mean(terms[boot_rng.integers(0, cfg.j_max, size=cfg.j_max)])
                            for _ in range(cfg.i_max)])
@@ -202,7 +198,7 @@ class TestEstimatorMatchesReference:
     @pytest.mark.parametrize("seed", [3, 17])
     @pytest.mark.parametrize("make", [
         lambda: ring_population(12),
-        lambda: GaussianNoisePopulation(ring_population(8).tuning, sigma=0.5),
+        lambda: LinearGaussianModel(np.linspace(-1.5, 2.0, 8)[None, :], np.zeros(1), np.eye(1)),
     ], ids=["poisson", "gaussian"])
     def test_bit_identical_to_scipy_chunk_loop(self, make, seed, prior_small):
         # j_max spans nine 5,242-row chunks and a partial tenth.
@@ -252,7 +248,7 @@ class TestRateValidation:
         ("gaussian", np.nan), ("gaussian", -np.inf),
     ])
     def test_bad_rate_names_node_and_neuron(self, noise, rate, prior_small):
-        base = PoissonPopulation if noise == "poisson" else GaussianNoisePopulation
+        base = PoissonPopulation if noise == "poisson" else LinearGaussianModel
 
         class BadRate(base):
             def rate_matrix(self, x):
@@ -260,7 +256,9 @@ class TestRateValidation:
                 rates[7, 1] = rate
                 return rates
 
-        tuning = ring_population(3).tuning
-        pop = BadRate(tuning) if noise == "poisson" else BadRate(tuning, sigma=1.0)
+        if noise == "poisson":
+            pop = BadRate(ring_population(3).tuning)
+        else:
+            pop = BadRate(np.ones((1, 3)), np.zeros(1), np.eye(1))
         with pytest.raises(ValueError, match=rf"node 7, neuron 1 has rate {rate!r}$"):
             mc_mutual_information(pop, prior_small, MCConfig(j_max=500, i_max=5, m=200))

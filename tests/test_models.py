@@ -16,12 +16,13 @@ from scipy.stats import poisson as sp_poisson
 
 from popcode_mi import mc
 from popcode_mi.mc import MCConfig, mc_mutual_information
+from popcode_mi.mi import exact_gaussian_mi
 from popcode_mi.models import (
     CorrelatedGaussianPopulation,
-    GaussianNoisePopulation,
     LinearGaussianModel,
     PoissonPopulation,
     VonMisesTuning,
+    _von_mises,
     decorrelation_transform,
 )
 
@@ -38,6 +39,11 @@ def bump(center: float = 0.0, amplitude: float = 20.0, width: float = 0.5,
 def rate(curve: VonMisesTuning, x) -> np.ndarray:
     """One curve's rates at ``x`` through the population kernel."""
     return PoissonPopulation([curve]).rate_matrix(np.atleast_1d(x))[:, 0]
+
+
+def derivative(curve: VonMisesTuning, x) -> np.ndarray:
+    """One curve's derivative f'(x) through the kernel the optimizer uses."""
+    return _von_mises(*PoissonPopulation([curve])._bank, np.atleast_1d(x))[1][:, 0]
 
 
 def closed_form(curve: VonMisesTuning, x):
@@ -83,18 +89,19 @@ class TestVonMisesTuning:
         assert rate(bump(), x)[0] > 0.0
 
     def test_derivative_matches_finite_difference(self):
-        """fisher_values agrees with central differences of rate_matrix."""
+        """The kernel's derivative and fisher_values agree with central
+        differences of rate_matrix."""
         curve = bump(center=0.2)
-        poisson, gauss = PoissonPopulation([curve]), GaussianNoisePopulation([curve], sigma=1.0)
+        poisson = PoissonPopulation([curve])
         xs = np.linspace(-1.5, 1.5, 25)
         h = 1e-6
         fd = (poisson.rate_matrix(xs + h) - poisson.rate_matrix(xs - h))[:, 0] / (2 * h)
-        np.testing.assert_allclose(gauss.fisher_values(xs), fd**2, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(derivative(curve, xs), fd, rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(poisson.fisher_values(xs), fd**2 / rate(curve, xs),
                                    rtol=1e-6, atol=1e-8)
 
     def test_derivative_zero_at_peak(self):
-        assert GaussianNoisePopulation([bump(center=0.4)], sigma=1.0).fisher_values([0.4])[0] == 0.0
+        assert derivative(bump(center=0.4), 0.4)[0] == 0.0
 
 
 class TestParameterValidation:
@@ -113,11 +120,6 @@ class TestParameterValidation:
     def test_center_must_be_finite(self, value):
         with pytest.raises(ValueError, match=rf"^center must be finite, got {value!r}$"):
             VonMisesTuning(**dict(self.BASE, center=value))
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
-    def test_noise_sigma_needs_positive_finite(self, value):
-        with pytest.raises(ValueError, match=r"^noise sigma must be positive and finite"):
-            GaussianNoisePopulation([bump()], sigma=value)
 
     def test_overflowing_concentration_names_the_width(self):
         """(T / (2 pi width))^2 past the float range is a named error, not an OverflowError."""
@@ -149,17 +151,14 @@ class TestFisherKernels:
         expected = closed_form(curve, x)[0] * (curve.concentration * omega * np.sin(omega * x)) ** 2
         assert PoissonPopulation([curve]).fisher_values([x])[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_gaussian_kernel_value(self):
+    def test_derivative_value(self):
         curve = bump(center=-0.2)
         x = 0.11
-        expected = closed_form(curve, x)[1] ** 2 / 0.3**2
-        got = GaussianNoisePopulation([curve], sigma=0.3).fisher_values([x])[0]
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert derivative(curve, x)[0] == pytest.approx(closed_form(curve, x)[1], rel=1e-12)
 
     @given(st.floats(-1.5, 1.5), st.floats(-0.5, 0.5))
     def test_kernels_nonnegative(self, x, center):
         assert PoissonPopulation([bump(center=center)]).fisher_values([x])[0] >= 0.0
-        assert GaussianNoisePopulation([bump(center=center)], sigma=1.0).fisher_values([x])[0] >= 0.0
 
     def test_rate_underflow_raises(self, prior_small):
         """A rate that underflows to exactly zero is an error, not a flooring case."""
@@ -223,22 +222,6 @@ class TestPoissonPopulation:
             PoissonPopulation([bump(period=np.pi), bump(period=2 * np.pi)])
 
 
-class TestGaussianNoisePopulation:
-    def test_fisher_values(self):
-        pop = GaussianNoisePopulation([bump(center=-0.1), bump(center=0.2)], sigma=0.7)
-        xs = np.array([0.0, 0.5])
-        manual = sum(closed_form(c, xs)[1] ** 2 for c in pop.tuning) / 0.49
-        np.testing.assert_allclose(pop.fisher_values(xs), manual, rtol=1e-12)
-
-    def test_log_likelihood_is_gaussian(self):
-        """Differs from scipy's normal log-density by an x-free constant."""
-        pop = GaussianNoisePopulation([bump()], sigma=2.0)
-        r = 19.0
-        scipy_sum = norm.logpdf(r, loc=pop.rate_matrix(GRID)[:, 0], scale=2.0)
-        constant = -0.5 * math.log(2 * math.pi * 4.0) - r**2 / 8.0
-        np.testing.assert_allclose(scipy_sum - core_terms(pop, [r], GRID)[0], constant, rtol=1e-13)
-
-
 class TestLinearGaussianModel:
     def test_fisher_is_gram(self):
         rng = np.random.default_rng(0)
@@ -258,6 +241,15 @@ class TestLinearGaussianModel:
         for cov in [np.array([[1.0, 2.0], [2.0, 1.0]])] + NOT_PD_COVARIANCES[1:]:
             with pytest.raises(ValueError, match="positive-definite"):
                 LinearGaussianModel(np.eye(2), np.zeros(2), cov=cov)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_mixing(self, value):
+        """Non-finite mixing is named, not carried into exact_gaussian_mi as nan or inf."""
+        mixing = np.array([[1.0, 0.5], [0.0, 2.0]])
+        mixing[1, 0] = value
+        with pytest.raises(ValueError, match=rf"^mixing matrix has a non-finite value {value!r} "
+                                             r"at row 1, column 0$"):
+            exact_gaussian_mi(LinearGaussianModel(mixing, np.zeros(2), np.eye(2)))
 
 
 class TestDecorrelationTransform:

@@ -582,6 +582,14 @@ class TestCapacity:
         with pytest.raises(ValueError, match="^determinant not positive at node 10$"):
             capacity_prior(j, nodes, 1.0)
 
+    @pytest.mark.parametrize("length", [math.nan, -2.0, math.inf])
+    def test_support_length_must_be_positive_and_finite(self, length):
+        """Not a NaN or zero density, nor a bare math domain error."""
+        nodes = np.linspace(-0.5, 0.5, 50, endpoint=False) + 0.01
+        with pytest.raises(ValueError,
+                           match=rf"^support_length must be positive and finite, got {length!r}$"):
+            capacity_prior(np.full(50, 2.0), nodes, length)
+
 
 class TestGaussianCapacity:
     """C = (1/2) ln det(cov J0 + I) for a Gaussian input of fixed covariance

@@ -48,38 +48,52 @@ def gap_of(a, spectrum):
 
 class TestWhiten:
     def test_identity_covariance(self):
-        t = whiten(np.eye(3))
-        np.testing.assert_allclose(np.abs(t.matrix), np.eye(3), atol=1e-12)
+        l_mat = whiten(np.eye(3))
+        np.testing.assert_allclose(np.abs(l_mat), np.eye(3), atol=1e-12)
         x = np.array([0.3, -1.0, 2.0])
-        np.testing.assert_allclose(np.abs(t.forward(x)), np.abs(x), rtol=1e-12)
+        np.testing.assert_allclose(np.abs(x @ l_mat.T), np.abs(x), rtol=1e-12)
 
     def test_diagonal_scaling(self):
-        t = whiten(np.diag([4.0, 1.0]))
-        out = np.abs(t.forward(np.array([2.0, 3.0])))
+        out = np.abs(np.array([2.0, 3.0]) @ whiten(np.diag([4.0, 1.0])).T)
         np.testing.assert_allclose(np.sort(out), np.sort([1.0, 3.0]), rtol=1e-12)
 
     def test_forward_inverse_round_trip(self):
         rng = np.random.default_rng(0)
-        t = whiten(random_spd(rng, 5))
+        l_mat = whiten(random_spd(rng, 5))
         x = rng.standard_normal(5)
-        np.testing.assert_allclose(t.inverse(t.forward(x)), x, rtol=1e-10)
+        np.testing.assert_allclose(np.linalg.solve(l_mat, l_mat @ x), x, rtol=1e-10)
+
+    def test_maps_the_covariance_to_the_identity(self):
+        rng = np.random.default_rng(0)
+        sigma = random_spd(rng, 5)
+        l_mat = whiten(sigma)
+        np.testing.assert_allclose(l_mat @ sigma @ l_mat.T, np.eye(5), atol=1e-10)
 
     def test_entropy_shift_is_half_logdet(self):
+        """Whitening shifts the entropy by ln |det L| = -(1/2) ln det Sigma."""
         rng = np.random.default_rng(1)
         sigma = random_spd(rng, 4)
-        t = whiten(sigma)
-        assert t.entropy_shift == pytest.approx(-0.5 * np.linalg.slogdet(sigma)[1],
-                                                rel=1e-12)
+        _, h = pushforward_info(np.eye(4), whiten(sigma))
+        assert h == pytest.approx(-0.5 * np.linalg.slogdet(sigma)[1], rel=1e-12)
 
     def test_sampled_covariance_whitens(self):
         """10^4 draws from a random 8-D Gaussian whiten to near-identity."""
         rng = np.random.default_rng(2)
         sigma = random_spd(rng, 8)
         samples = rng.multivariate_normal(np.zeros(8), sigma, size=10_000)
-        t = whiten(np.cov(samples, rowvar=False, bias=True))
-        white = t.forward(samples - samples.mean(axis=0))
+        l_mat = whiten(np.cov(samples, rowvar=False, bias=True))
+        white = (samples - samples.mean(axis=0)) @ l_mat.T
         cov = white.T @ white / white.shape[0]
         assert np.linalg.norm(cov - np.eye(8)) < 0.05
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_entry_is_named(self, value):
+        """Not an all-NaN map, nor a NaN asymmetry: the first bad entry is named."""
+        cov = np.eye(3)
+        cov[1, 2] = cov[2, 1] = value
+        with pytest.raises(ValueError,
+                           match=rf"^covariance has a non-finite value {value!r} at row 1, column 2$"):
+            whiten(cov)
 
     def test_rank_deficient_rejected(self):
         x = np.zeros((100, 3))
@@ -102,17 +116,15 @@ class TestPushforward:
     def test_identity_transform_is_a_no_op(self):
         rng = np.random.default_rng(4)
         j = random_spd(rng, 3)
-        t = whiten(np.eye(3))
-        jt, h = pushforward_info(j, t.matrix, h_x=1.25)
+        jt, h = pushforward_info(j, whiten(np.eye(3)), h_x=1.25)
         np.testing.assert_allclose(jt, j, atol=1e-12)
         assert h == pytest.approx(1.25, rel=1e-12)
 
     def test_scaling_transform(self):
         """x -> x/c maps J -> c^2 J and shifts entropy by -ln c per axis."""
         c = 2.0
-        t = whiten(np.diag([c**2, c**2]))
         j = np.array([[3.0, 1.0], [1.0, 2.0]])
-        jt, h = pushforward_info(j, t.matrix, h_x=0.0)
+        jt, h = pushforward_info(j, whiten(np.diag([c**2, c**2])), h_x=0.0)
         np.testing.assert_allclose(jt, c**2 * j, rtol=1e-12)
         assert h == pytest.approx(-2 * math.log(c), rel=1e-12)
 
@@ -131,8 +143,7 @@ class TestPushforward:
         sigma = random_spd(rng, k)
         j = random_spd(rng, k, jitter=0.05)
         before = i_g(j, GaussianPrior(np.zeros(k), sigma)).value
-        t = whiten(sigma)
-        jt, _ = pushforward_info(j, t.matrix)
+        jt, _ = pushforward_info(j, whiten(sigma))
         after = i_g(jt, GaussianPrior(np.zeros(k), np.eye(k))).value
         assert after == pytest.approx(before, abs=1e-9)
 
@@ -428,6 +439,12 @@ class TestBlockReduction:
         skew[0, 1] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
             partition_info(skew, np.eye(3), 1)
+
+    @pytest.mark.parametrize("k1", [1.5, True])
+    def test_k1_must_be_an_integer(self, k1):
+        """Not a TypeError from slicing, nor True taken as 1."""
+        with pytest.raises(ValueError, match=rf"^k1 must be an integer of at least 1, got {k1!r}$"):
+            partition_info(np.eye(3), np.eye(3), k1)
 
     def test_coupling_matrix_eigenvalues_live_in_unit_interval(self):
         """A_x = G22^{-1/2} G21 G11^{-1} G12 G22^{-1/2} has spectrum in [0, 1)."""
