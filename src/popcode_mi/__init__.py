@@ -12,7 +12,7 @@ Submodules
 models     von Mises tuning curves, Poisson populations, linear-Gaussian channel
 fisher     priors: entropy, curvature P(x) and score covariance P+
 mi         the approximation formulas, exact Gaussian MI, gap bounds
-mc         Monte Carlo reference estimator with bootstrap error bars
+mc         Monte Carlo reference estimator for Poisson populations, with bootstrap bars
 transform  input transforms, whitening, block dimensionality reduction
 optimize   population-density optimization, KKT certificates, capacity
 cli        the ``popcode-mi`` experiment runner

@@ -113,22 +113,28 @@ class _Scaled(NamedTuple):
 _LAPTOP_N_LIST = [2, 3, 4, 6, 10, 14, 20, 30, 50, 100]
 
 # Every config key, declared once as (default, *checks).  A key whose
-# default is null may be null; a null ``out`` is ``<experiment>.csv``.
-_SHARED_KEYS = {
+# default is null may be null; a null ``out`` is ``<experiment>.csv``.  Each
+# experiment accepts the run keys and exactly the keys its runner reads.
+_RUN_KEYS = {
     "seed": (0, _seed),
     "out": (None, _out_path),
     "bits": (False, _flag),
-    "paper_scale": (False, _flag),
     "workers": (None, _count),  # null: one per CPU
+}
+
+# The von Mises prior and tuning curves; a ring population adds its centers' span.
+_CURVE_KEYS = {
     "period": (math.pi, _positive),
-    "center_span": (1.0, _positive),
+    "prior_width": (math.pi / 4, _positive),
     "amplitude": (20.0, _positive),
     "width": (0.5, _positive),
-    "prior_width": (math.pi / 4, _positive),
 }
+_RING_KEYS = {**_CURVE_KEYS, "center_span": (1.0, _positive)}
 
 _EXPERIMENT_KEYS = {
     "fig1": {
+        **_RING_KEYS,
+        "paper_scale": (False, _flag),
         "n_list": (_Scaled(_LAPTOP_N_LIST, _LAPTOP_N_LIST + [200, 400, 700, 1000]),
                    _counts, _distinct),
         "j_max": (_Scaled(50_000, 500_000), _count),
@@ -143,6 +149,7 @@ _EXPERIMENT_KEYS = {
         "spectrum_exponent": (2.0, _positive),
     },
     "optimize": {
+        **_CURVE_KEYS,
         "k1": (10, _count),
         "theta_span": (1.0, _positive),
         "n": (100, _count),
@@ -150,10 +157,10 @@ _EXPERIMENT_KEYS = {
         "objective": ("I_G", _check(lambda v: v in ("I_G", "I_F"), "'I_G' or 'I_F'")),
         "tol": (1e-8, _positive),
         "max_iters": (10_000, _count),
-        "peak_power": (None, _positive),
         "avg_power": (None, _positive),
     },
     "capacity": {
+        **_RING_KEYS,
         "n": (30, _count),
         "m": (500, _count, _grid_size),
     },
@@ -176,10 +183,10 @@ def _load_config(path: str) -> dict:
 def _resolve(experiment: str, args: argparse.Namespace) -> dict:
     """Defaults, then the config file, then flags; every key checked.
 
-    A scaled key takes its ``paper_scale`` value when the config leaves it
-    null or unset, and always under the ``--paper-scale`` flag.
+    A scaled (fig1) key takes its ``paper_scale`` value when the config
+    leaves it null or unset, and always under the ``--paper-scale`` flag.
     """
-    keys = {**_SHARED_KEYS, **_EXPERIMENT_KEYS[experiment]}
+    keys = {**_RUN_KEYS, **_EXPERIMENT_KEYS[experiment]}
     cfg = {key: None if isinstance(default, _Scaled) else copy.copy(default)
            for key, (default, *_) in keys.items()}
     file_cfg = _load_config(args.config) if args.config else {}
@@ -191,7 +198,7 @@ def _resolve(experiment: str, args: argparse.Namespace) -> dict:
         raise ConfigError(f"unknown config keys for {experiment}: {sorted(unknown)}")
     cfg.update(file_cfg)
     for key in ("seed", "out", "bits", "paper_scale"):
-        if getattr(args, key) is not None:
+        if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
     if cfg["out"] is None:
         cfg["out"] = f"{experiment}.csv"
@@ -416,8 +423,7 @@ def _run_optimize(cfg: dict) -> tuple[list, list, dict]:
     thetas = _centers(cfg["k1"], cfg["theta_span"])
     prob = build_problem(
         thetas, prior, cfg["n"], kind=cfg["objective"],
-        amplitude=cfg["amplitude"], width=cfg["width"],
-        peak_power=cfg["peak_power"], avg_power=cfg["avg_power"],
+        amplitude=cfg["amplitude"], width=cfg["width"], avg_power=cfg["avg_power"],
     )
     result = maximize(prob, tol=cfg["tol"], max_iters=cfg["max_iters"])
     if not result.converged:
@@ -479,8 +485,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config file (flags override its keys)")
-        p.add_argument("--paper-scale", action="store_true", default=None, dest="paper_scale",
-                       help="full-scale sample counts instead of the laptop defaults")
+        if name == "fig1":
+            p.add_argument("--paper-scale", action="store_true", default=None, dest="paper_scale",
+                           help="full-scale sample counts instead of the laptop defaults")
         p.add_argument("--seed", type=int, default=None, help="unsigned 64-bit RNG seed")
         p.add_argument("--out", default=None, help="output CSV path (sidecar adds .json)")
         p.add_argument("--bits", action="store_true", default=None,

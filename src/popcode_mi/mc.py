@@ -1,6 +1,8 @@
 """Monte Carlo reference estimator of mutual information with bootstrap error.
 
-The estimator draws stimulus/response pairs, evaluates the log-ratio
+The estimator takes a population of conditionally independent Poisson
+neurons with von Mises tuning (the paper's Fig. 1 populations) on a grid
+prior.  It draws stimulus/response pairs, evaluates the log-ratio
 ``ln p(r_j | x_j) - ln p(r_j)`` per pair, and averages:
 
 * stimuli are drawn from the prior's M-point grid masses, so the response
@@ -10,9 +12,8 @@ The estimator draws stimulus/response pairs, evaluates the log-ratio
   j_max x i_max index matrix) to give a standard deviation for the mean.
 
 Likelihood evaluation is chunked into response-by-grid blocks so the full
-j_max x M log-likelihood matrix is never materialized; additive terms that
-cancel between numerator and marginal (the Poisson ``ln r!`` sum, the
-Gaussian ``|r|^2`` term and normalization constant) are dropped before the
+j_max x M log-likelihood matrix is never materialized; the ``ln r!`` sum,
+which cancels between numerator and marginal, is dropped before the
 subtraction, which leaves every intermediate well-scaled.
 
 Von Mises tuning makes the Poisson log-rates rank 3 in (neuron, stimulus):
@@ -42,10 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, SeedSequence, default_rng
+from numpy.random import SeedSequence, default_rng
 
 from .fisher import GridPrior
-from .models import _count
+from .models import PoissonPopulation, _count
 
 __all__ = ["MCConfig", "MCResult", "mc_mutual_information"]
 
@@ -63,6 +64,7 @@ class MCConfig:
         _count("j_max", self.j_max)
         _count("i_max", self.i_max)
         _count("grid size m", self.m, 2)
+        _count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -114,26 +116,20 @@ def logsumexp(buf: np.ndarray, log_masses: np.ndarray) -> np.ndarray:
         return np.log1p(s) + np.log(count) + a_max
 
 
-def _loglik_terms(model, rates: np.ndarray, xs: np.ndarray):
-    """Grid-only factors of the x-dependent part of ln p(r | x).
+def _loglik_terms(pop: PoissonPopulation, rates: np.ndarray, xs: np.ndarray):
+    """The x-dependent part of ln p(r | x), ``sum_n [r_n ln f_n(x) - f_n(x)]``.
 
-    Returns ``(factors, offset)`` such that the core terms of a block of
-    responses are ``responses @ f_1 @ ... @ f_k - offset`` over
-    ``factors = (f_1, ..., f_k)``.  Terms constant in x are omitted; they
-    cancel in the estimator's log-ratio.
+    Returns ``((u, v), offset)``: the core terms of a block of responses are
+    ``(responses @ u) @ v - offset``, with ``(u @ v)[n, m] = ln f_n(x_m)``.
+    The ``-ln r_n!`` sum is x-free and omitted; it cancels in the
+    estimator's log-ratio.
     """
-    if model.response_kind == "poisson":
-        # sum_n [r_n ln f_n(x) - f_n(x)]; the -ln r_n! sum is x-free.  Von Mises
-        # tuning makes ln f_n(x) = (ln A_n - k_n) + k_n cos(w c_n) cos(w x)
-        # + k_n sin(w c_n) sin(w x): rank 3, so r ln f = (r @ U) @ V.
-        amp, conc, centers, period = model._bank
-        omega = 2.0 * np.pi / period
-        u = np.column_stack([np.log(amp) - conc, conc * np.cos(omega * centers),
-                             conc * np.sin(omega * centers)])
-        v = np.stack([np.ones(len(xs)), np.cos(omega * xs), np.sin(omega * xs)])
-        return (u, v), np.sum(rates, axis=1)
-    # Unit Gaussian noise: -(|r|^2 - 2 r.f(x) + |f(x)|^2) / 2 up to x-free terms.
-    return (rates.T,), 0.5 * np.sum(rates**2, axis=1)
+    amp, conc, centers, period = pop._bank
+    omega = 2.0 * np.pi / period
+    u = np.column_stack([np.log(amp) - conc, conc * np.cos(omega * centers),
+                         conc * np.sin(omega * centers)])
+    v = np.stack([np.ones(len(xs)), np.cos(omega * xs), np.sin(omega * xs)])
+    return (u, v), np.sum(rates, axis=1)
 
 
 def _log_lik_core(responses: np.ndarray, terms, out: np.ndarray) -> np.ndarray:
@@ -142,38 +138,30 @@ def _log_lik_core(responses: np.ndarray, terms, out: np.ndarray) -> np.ndarray:
     Shape (chunk, M): row j holds the core terms for response j against
     every grid stimulus; ``terms`` comes from :func:`_loglik_terms`.
     """
-    (*head, last), offset = terms
-    for factor in head:
-        responses = responses @ factor
-    np.matmul(responses, last, out=out)
+    (u, v), offset = terms
+    np.matmul(responses @ u, v, out=out)
     out -= offset
     return out
 
 
-def _sample_responses_block(model, rates_block: np.ndarray, rng: Generator) -> np.ndarray:
-    if model.response_kind == "poisson":
-        return rng.poisson(rates_block).astype(float)
-    return rates_block + rng.standard_normal(rates_block.shape)
-
-
-def mc_mutual_information(model, prior: GridPrior, cfg: MCConfig) -> MCResult:
-    """Estimate I(X; R) in nats for a population model and a grid prior.
+def mc_mutual_information(pop: PoissonPopulation, prior: GridPrior, cfg: MCConfig) -> MCResult:
+    """Estimate I(X; R) in nats for a Poisson population and a grid prior.
 
     The prior must be tabulated on exactly ``cfg.m`` nodes — stimulus
     draws, the marginal mixture, and any companion quadrature then share
     one discretization.  Three independent RNG streams (stimulus indices,
-    response noise, bootstrap indices) are spawned from ``cfg.seed``, so
+    response counts, bootstrap indices) are spawned from ``cfg.seed``, so
     results are reproducible bit-for-bit for a given configuration.
     """
+    if not isinstance(pop, PoissonPopulation):
+        raise TypeError(f"the estimator takes a PoissonPopulation, got {type(pop).__name__}")
     if prior.m != cfg.m:
         raise ValueError(f"prior has {prior.m} nodes but config expects m = {cfg.m}")
-    rates = np.asarray(model.rate_matrix(prior.nodes), dtype=float)
-    poisson = model.response_kind == "poisson"
-    ok = np.isfinite(rates) & (rates > 0) if poisson else np.isfinite(rates)
+    rates = pop.rate_matrix(prior.nodes)
+    ok = np.isfinite(rates) & (rates > 0)
     if not np.all(ok):
         node, neuron = np.argwhere(~ok)[0]
-        need = "positive and finite" if poisson else "finite"
-        raise ValueError(f"{'Poisson' if poisson else 'Gaussian-noise'} rates must be {need}: "
+        raise ValueError("Poisson rates must be positive and finite: "
                          f"node {node}, neuron {neuron} has rate {float(rates[node, neuron])!r}")
 
     stim_rng, resp_rng, boot_rng = (
@@ -183,13 +171,13 @@ def mc_mutual_information(model, prior: GridPrior, cfg: MCConfig) -> MCResult:
     stim_idx = stim_rng.choice(cfg.m, size=cfg.j_max, p=prior.masses)
 
     chunk = max(256, _CHUNK_VALUES // cfg.m)
-    loglik = _loglik_terms(model, rates, prior.nodes)
+    loglik = _loglik_terms(pop, rates, prior.nodes)
     buf = np.empty((min(chunk, cfg.j_max), cfg.m))
     terms = np.empty(cfg.j_max)
     for lo in range(0, cfg.j_max, chunk):
         hi = min(lo + chunk, cfg.j_max)
         idx = stim_idx[lo:hi]
-        responses = _sample_responses_block(model, rates[idx], resp_rng)
+        responses = resp_rng.poisson(rates[idx]).astype(float)
         core = _log_lik_core(responses, loglik, buf[: hi - lo])
         numerator = core[np.arange(hi - lo), idx]
         terms[lo:hi] = numerator - logsumexp(core, log_masses)

@@ -154,8 +154,6 @@ class PoissonPopulation:
     tuning: tuple
     _bank: tuple = field(init=False, repr=False, compare=False)
 
-    response_kind = "poisson"
-
     def __post_init__(self):
         tuning = tuple(self.tuning)
         if not tuning:
@@ -203,8 +201,6 @@ class LinearGaussianModel:
     mean: np.ndarray
     cov: np.ndarray
 
-    response_kind = "gaussian"
-
     def __post_init__(self):
         mixing = np.atleast_2d(np.asarray(self.mixing, dtype=float))
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -221,24 +217,9 @@ class LinearGaussianModel:
         if chol_logdet(cov) == -math.inf:
             raise ValueError("prior covariance must be symmetric positive-definite")
 
-    @property
-    def k(self) -> int:
-        return self.mixing.shape[0]
-
-    @property
-    def size(self) -> int:
-        return self.mixing.shape[1]
-
     def fisher(self) -> np.ndarray:
         """The constant Fisher matrix J = A A^T."""
         return self.mixing @ self.mixing.T
-
-    def rate_matrix(self, xs) -> np.ndarray:
-        """Mean responses on a 1-D stimulus grid (requires K = 1)."""
-        if self.k != 1:
-            raise ValueError(f"grid evaluation needs a 1-D stimulus, got K={self.k}")
-        xs = np.asarray(xs, dtype=float)
-        return xs[:, None] * self.mixing[0][None, :]
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,12 @@ is concave, so pairwise Frank-Wolfe on the simplex, each step solved exactly
 from the closed form of I along a line, converges to the global optimum,
 linearly, and its duality gap doubles as a stopping certificate.  A step
 costs one factorization of G: the gradient, the exact step and the new
-value all read its inverse Cholesky factors.  Two power
-constraints are supported: a peak-rate cap (the optimal tuning amplitude
-saturates it, so amplitudes are set to the cap) and an average-power budget
-c.alpha <= B, priced by its Lagrange multiplier mu: each fixed-mu problem
-max I - mu c.alpha is again a simplex problem, mu is found by a secant
-search on the budget's slack, and gap + mu * slack certifies the result.
+value all read its inverse Cholesky factors.  A peak-rate cap needs no
+constraint: the optimum saturates it, so it is the tuning amplitude
+itself.  An average-power budget c.alpha <= B is priced by its Lagrange
+multiplier mu: each fixed-mu problem max I - mu c.alpha is again a simplex
+problem, mu is found by a secant search on the budget's slack, and
+gap + mu * slack certifies the result.
 
 Channel capacity on a stimulus grid comes from the square-root-
 determinant (Jeffreys-type) prior; the redundancy of any given prior is
@@ -118,18 +118,15 @@ class OptimizationProblem:
 
 def build_problem(thetas, prior: GridPrior, n: int, *, kind: str = "I_G",
                   amplitude: float = 20.0, width: float = 0.5,
-                  peak_power: Optional[float] = None,
                   avg_power: Optional[float] = None) -> OptimizationProblem:
     """Set up a 1-D tuning-center optimization on a grid prior's nodes.
 
     Candidate subclasses are Poisson neurons with von Mises curves centered
     at ``thetas`` and a common amplitude and width, so S = f'^2 / f.  A
-    peak-power cap replaces the amplitude outright (the optimum always
-    saturates it); an average-power budget bounds c.alpha, with per-class
-    cost c_k = <f(x; theta_k)>, the mean rate.
+    peak-rate cap is the ``amplitude`` (the optimum always saturates it);
+    an average-power budget bounds c.alpha, with per-class cost
+    c_k = <f(x; theta_k)>, the mean rate.
     """
-    if peak_power is not None:
-        amplitude = _positive("peak power", peak_power)
     amplitude, conc, thetas = _tuning_params(amplitude, width, prior.period, np.atleast_1d(thetas))
     rates, derivs, _ = _von_mises(amplitude, conc, thetas, prior.period, prior.nodes)
     power_cost = power_budget = None
@@ -429,11 +426,14 @@ def capacity_prior(j, nodes, support_length: float):
     scalars or an (M, K, K) stack.  The optimal density is proportional to ``det(.)^{1/2}`` (Jeffreys form
     when J is used), and the capacity is
     ``ln integral det(./2 pi e)^{1/2} dx`` by the rectangle rule over the
-    grid's ``support_length``, which must be positive and finite.
+    grid's ``support_length``, which must be positive and finite.  ``nodes``
+    is the grid itself, a non-empty 1-D array.
 
     Returns ``(pstar, capacity)`` with ``pstar`` integrating to 1.
     """
     nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1 or not nodes.size:
+        raise ValueError(f"nodes must be a non-empty 1-D grid, got shape {nodes.shape}")
     dx = _positive("support_length", support_length) / nodes.size
     mats = np.asarray(j, dtype=float)
     if mats.ndim == 1:

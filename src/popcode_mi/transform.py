@@ -72,7 +72,7 @@ def whiten(cov) -> np.ndarray:
     covariance is rank-deficient, the first null eigen-direction.
     """
     a = np.asarray(cov, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ValueError(f"expected a K x K covariance matrix, got shape {a.shape}")
     _finite("covariance", a)
     if not np.allclose(a, a.T, rtol=1e-10, atol=1e-10):
@@ -106,7 +106,7 @@ def pushforward_info(j, l_mat, h_x: float = 0.0):
     j : ndarray
         A (K, K) matrix or an (M, K, K) stack, transformed per node.
     l_mat : (K, K) array_like
-        The forward map L, finite and invertible, e.g. :func:`whiten`'s.
+        The forward map L, square, finite and invertible, e.g. :func:`whiten`'s.
     h_x : float
         Entropy of the source variable.
 
@@ -115,12 +115,16 @@ def pushforward_info(j, l_mat, h_x: float = 0.0):
     (j_transformed, h_transformed)
     """
     l_mat = np.atleast_2d(np.asarray(l_mat, dtype=float))
+    j = np.asarray(j, dtype=float)
+    k = l_mat.shape[0]
+    if l_mat.shape != (k, k) or j.ndim not in (2, 3) or j.shape[-2:] != (k, k):
+        raise ValueError(f"l_mat must be K x K and J (K, K) or (M, K, K): got l_mat "
+                         f"{l_mat.shape} and J {j.shape}, K = {k}")
     _finite("transform matrix", l_mat)
     sign, logabsdet = np.linalg.slogdet(l_mat)
     if sign == 0:
         raise ValueError("transform matrix is singular; the map must be invertible")
     l_inv = np.linalg.inv(l_mat)
-    j = np.asarray(j, dtype=float)
     j_new = l_inv.T @ j @ l_inv
     return j_new, h_x + float(logabsdet)
 

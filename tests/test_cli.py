@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from popcode_mi import cli
 from popcode_mi.cli import _build_parser, _resolve, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -113,6 +114,22 @@ class TestExitCodes:
         assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
         assert "configuration error: m must be at least 2, got 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, key", [
+        ("fig2", "amplitude"), ("fig2", "period"), ("optimize", "peak_power"),
+        ("optimize", "center_span"), ("capacity", "paper_scale"),
+    ])
+    def test_key_the_run_does_not_read_is_unknown(self, experiment, key, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", dict(TINY[experiment], **{key: 5}))
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"unknown config keys for {experiment}: ['{key}']" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv*"))
+
+    def test_paper_scale_flag_is_fig1_only(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig2", "--paper-scale"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --paper-scale" in capsys.readouterr().err
+
     def test_experiment_mismatch_is_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json",
                            dict(TINY_CAPACITY, experiment="fig1"))
@@ -128,7 +145,7 @@ class TestExitCodes:
         ("amplitude", {"amplitude": math.inf}),
         ("width", {"width": math.inf}),
         ("period", {"period": math.inf}),
-        ("peak_power", {"peak_power": math.inf}),
+        ("avg_power", {"avg_power": math.inf}),
         ("tol", {"tol": math.inf}),
         ("bits", {"bits": "no"}),
         ("paper_scale", {"paper_scale": "false"}),
@@ -138,10 +155,11 @@ class TestExitCodes:
     ])
     def test_json_booleans_are_not_numbers(self, key, payload, tmp_path, capsys):
         """JSON ``true`` and ``Infinity`` are rejected where a number is expected,
-        and anything but a boolean where a flag is, or a path string for ``out``."""
-        experiment, base = (("optimize", {}) if key in ("peak_power", "tol")
-                            else ("fig2", {"widths": [2], "n_list": [50]}))
-        cfg = write_config(tmp_path / "cfg.json", dict(base, **payload))
+        and anything but a boolean where a flag is, or a path string for ``out``;
+        each key on an experiment that reads it."""
+        experiment = {"amplitude": "fig1", "width": "fig1", "period": "fig1", "paper_scale": "fig1",
+                      "avg_power": "optimize", "tol": "optimize"}.get(key, "fig2")
+        cfg = write_config(tmp_path / "cfg.json", dict(TINY[experiment], **payload))
         out = [] if key == "out" else ["--out", str(tmp_path / "o.csv")]
         assert main([experiment, "--config", cfg] + out) == 2
         assert f"{key} must be" in capsys.readouterr().err
@@ -184,6 +202,33 @@ class TestExitCodes:
                            {"k1": 3, "n": 8, "m": 300, "avg_power": float(cost.min()) + 1e-4})
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "opt.csv")]) == 3
         assert "numerical failure: power multiplier search failed" in capsys.readouterr().err
+
+
+class _Reads(dict):
+    """A config that records which keys are read from it."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("experiment", sorted(TINY))
+def test_every_accepted_key_is_read(experiment, tmp_path):
+    """An experiment accepts the run keys (``seed``, ``out``, ``bits``, ``workers``)
+    and only keys its runner reads, plus ``paper_scale`` where it picks scaled
+    defaults: a key that changes nothing cannot change the config hash."""
+    cfg = write_config(tmp_path / "cfg.json", TINY[experiment])
+    resolved = _resolve(experiment, _build_parser().parse_args([experiment, "--config", cfg]))
+    reads = _Reads(resolved)
+    cli._RUNNERS[experiment](reads)
+    scaled = any(isinstance(default, cli._Scaled)
+                 for default, *_ in cli._EXPERIMENT_KEYS[experiment].values())
+    unread = set(resolved) - reads.read - {"seed", "out", "bits", "workers"}
+    assert sorted(unread - ({"paper_scale"} if scaled else set())) == []
 
 
 class TestReproducibility:
@@ -262,20 +307,22 @@ class TestSidecar:
         assert sidecar["config"]["period"] == pytest.approx(math.pi)
 
     def test_hash_ignores_seed_but_not_science(self, tmp_path):
-        cfg = write_config(tmp_path / "cap.json", TINY_CAPACITY)
         hashes = {}
-        for name, seed, payload in (("a", "1", TINY_CAPACITY),
-                                    ("b", "2", TINY_CAPACITY),
-                                    ("c", "1", dict(TINY_CAPACITY, amplitude=25.0)),
-                                    ("d", "1", dict(TINY_CAPACITY, workers=1)),
-                                    ("e", "1", dict(TINY_CAPACITY, paper_scale=True)),
-                                    ("f", "1", dict(TINY_CAPACITY, paper_scale=False))):
+        for name, experiment, seed, payload in (
+                ("a", "capacity", "1", TINY_CAPACITY),
+                ("b", "capacity", "2", TINY_CAPACITY),
+                ("c", "capacity", "1", dict(TINY_CAPACITY, amplitude=25.0)),
+                ("d", "capacity", "1", dict(TINY_CAPACITY, workers=1)),
+                ("e", "fig1", "1", dict(TINY_FIG1, paper_scale=True)),
+                ("f", "fig1", "1", dict(TINY_FIG1, paper_scale=False)),
+                ("g", "fig1", "1", TINY_FIG1)):
             path = write_config(tmp_path / f"{name}.json", payload)
             out = tmp_path / f"{name}.csv"
-            main(["capacity", "--config", path, "--seed", seed, "--out", str(out)])
+            assert main([experiment, "--config", path, "--seed", seed, "--out", str(out)]) == 0
             with open(str(out) + ".json") as fh:
                 hashes[name] = json.load(fh)["config_hash"]
-        assert hashes["a"] == hashes["b"] == hashes["d"] == hashes["e"] == hashes["f"]
+        assert hashes["a"] == hashes["b"] == hashes["d"]
+        assert hashes["e"] == hashes["f"] == hashes["g"]
         assert hashes["a"] != hashes["c"]
         assert len(hashes["a"]) == 16
 

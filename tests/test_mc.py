@@ -8,14 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
+from scipy.stats import poisson
 
 from popcode_mi import mc
-from popcode_mi.fisher import GaussianPrior, GridPrior
+from popcode_mi.fisher import GridPrior
 from popcode_mi.mc import MCConfig, MCResult, mc_mutual_information
-from popcode_mi.mi import exact_gaussian_mi, i_g
+from popcode_mi.mi import i_g
 from popcode_mi.models import LinearGaussianModel, PoissonPopulation, VonMisesTuning
 
-from conftest import ring_population, tabulated_prior
+from conftest import ring_population
 
 
 class TestMCConfig:
@@ -38,6 +39,12 @@ class TestMCConfig:
                                              rf"got {value!r}$"):
             MCConfig(**dict({"j_max": 10, "i_max": 10, "m": 100}, **{key: value}))
 
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, True])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        """Not OS entropy for None, nor an error from inside numpy."""
+        with pytest.raises(ValueError, match=rf"^seed must be an integer of at least 0, got {seed!r}$"):
+            MCConfig(j_max=10, i_max=10, m=100, seed=seed)
+
     def test_numpy_integers_are_counts(self):
         assert MCConfig(j_max=np.int64(10), i_max=np.int32(3), m=np.uint16(5)).m == 5
 
@@ -57,18 +64,23 @@ class TestEstimatorExactCases:
         assert out.i_mc_star == 0.0
         assert out.i_mc == 0.0
 
-    def test_linear_gaussian_matches_closed_form(self):
-        """K=1 linear channel on a fine grid lands within the bootstrap band."""
-        model = LinearGaussianModel(np.array([[1.0, 0.6]]), np.zeros(1),
-                                    np.array([[0.8]]))
-        sigma = math.sqrt(0.8)
-        nodes = np.linspace(-4 * sigma, 4 * sigma, 400, endpoint=False)
-        nodes = nodes + (nodes[1] - nodes[0]) / 2
-        prior = tabulated_prior(nodes, np.exp(-0.5 * nodes**2 / 0.8), period=8 * sigma)
-        out = mc_mutual_information(model, prior,
-                                    MCConfig(j_max=40_000, i_max=60, m=400, seed=4))
-        closed = exact_gaussian_mi(model)
-        assert abs(out.i_mc - closed) < 5 * out.i_std
+    def test_two_neurons_match_exact_enumeration(self):
+        """Two Poisson neurons on a 64-node grid: the MI summed over every count
+        pair up to 39 (tail mass below 1e-15) lies within the bootstrap band."""
+        pop = PoissonPopulation([VonMisesTuning(amplitude=5.0, width=0.5, period=math.pi, center=c)
+                                 for c in (-0.5, 0.5)])
+        prior = GridPrior.von_mises(m=64)
+        rates = pop.rate_matrix(prior.nodes)
+        counts = np.arange(40)
+        likelihood = (poisson.pmf(counts[None, :, None], rates[:, None, None, 0])
+                      * poisson.pmf(counts[None, None, :], rates[:, None, None, 1]))
+        assert np.max(1.0 - likelihood.sum(axis=(1, 2))) < 1e-15
+        marginal = np.tensordot(prior.masses, likelihood, axes=1)
+        exact = float(prior.masses @ np.sum(likelihood * np.log(likelihood / marginal), axis=(1, 2)))
+        assert exact == pytest.approx(0.63839, abs=1e-5)
+        for seed in range(5):
+            out = mc_mutual_information(pop, prior, MCConfig(j_max=40_000, i_max=60, m=64, seed=seed))
+            assert abs(out.i_mc - exact) < 3 * out.i_std
 
     def test_ring_population_near_i_g(self, prior):
         pop = ring_population(10)
@@ -103,13 +115,12 @@ class TestBootstrap:
         assert abs(out.i_mc - out.i_mc_star) < 3 * out.i_std / math.sqrt(100)
 
 
-class TestGaussianNoisePath:
-    def test_gaussian_population_runs_and_is_finite(self):
-        """The unit-noise Gaussian branch, on a three-unit linear-Gaussian channel."""
+class TestPoissonOnly:
+    def test_other_models_are_a_type_error(self, prior_small):
         model = LinearGaussianModel(np.array([[2.0, -1.0, 0.5]]), np.zeros(1), np.eye(1))
-        prior = GridPrior.von_mises(m=128)
-        out = mc_mutual_information(model, prior, MCConfig(j_max=3_000, i_max=20, m=128))
-        assert np.isfinite(out.i_mc) and out.i_mc > 0.0
+        with pytest.raises(TypeError, match="^the estimator takes a PoissonPopulation, "
+                                            "got LinearGaussianModel$"):
+            mc_mutual_information(model, prior_small, MCConfig(j_max=500, i_max=5, m=200))
 
 
 def reference_mc(model, prior, cfg):
@@ -120,26 +131,21 @@ def reference_mc(model, prior, cfg):
     )
     log_masses = np.log(prior.masses)
     stim_idx = stim_rng.choice(cfg.m, size=cfg.j_max, p=prior.masses)
-    if model.response_kind == "poisson":
-        # ln f_n(x) = (u @ v)[n, x]: u's columns are ln A - k, k cos(w c) and
-        # k sin(w c), v's rows 1, cos(w x) and sin(w x).
-        omega = 2 * np.pi / model.period
-        amp, conc, centers = (np.array([getattr(c, key) for c in model.tuning])
-                              for key in ("amplitude", "concentration", "center"))
-        u = np.column_stack([np.log(amp) - conc, conc * np.cos(omega * centers),
-                             conc * np.sin(omega * centers)])
-        v = np.stack([np.ones(cfg.m), np.cos(omega * prior.nodes), np.sin(omega * prior.nodes)])
+    # ln f_n(x) = (u @ v)[n, x]: u's columns are ln A - k, k cos(w c) and
+    # k sin(w c), v's rows 1, cos(w x) and sin(w x).
+    omega = 2 * np.pi / model.period
+    amp, conc, centers = (np.array([getattr(c, key) for c in model.tuning])
+                          for key in ("amplitude", "concentration", "center"))
+    u = np.column_stack([np.log(amp) - conc, conc * np.cos(omega * centers),
+                         conc * np.sin(omega * centers)])
+    v = np.stack([np.ones(cfg.m), np.cos(omega * prior.nodes), np.sin(omega * prior.nodes)])
     chunk = max(256, (1 << 20) // cfg.m)
     terms = np.empty(cfg.j_max)
     for lo in range(0, cfg.j_max, chunk):
         hi = min(lo + chunk, cfg.j_max)
         idx = stim_idx[lo:hi]
-        if model.response_kind == "poisson":
-            responses = resp_rng.poisson(rates[idx]).astype(float)
-            core = (responses @ u) @ v - np.sum(rates, axis=1)
-        else:
-            responses = rates[idx] + resp_rng.standard_normal(rates[idx].shape)
-            core = responses @ rates.T - 0.5 * np.sum(rates**2, axis=1)
+        responses = resp_rng.poisson(rates[idx]).astype(float)
+        core = (responses @ u) @ v - np.sum(rates, axis=1)
         terms[lo:hi] = core[np.arange(hi - lo), idx] - scipy_logsumexp(core + log_masses, axis=1)
     replicates = np.array([np.mean(terms[boot_rng.integers(0, cfg.j_max, size=cfg.j_max)])
                            for _ in range(cfg.i_max)])
@@ -196,10 +202,7 @@ class TestLogSumExpKernel:
 
 class TestEstimatorMatchesReference:
     @pytest.mark.parametrize("seed", [3, 17])
-    @pytest.mark.parametrize("make", [
-        lambda: ring_population(12),
-        lambda: LinearGaussianModel(np.linspace(-1.5, 2.0, 8)[None, :], np.zeros(1), np.eye(1)),
-    ], ids=["poisson", "gaussian"])
+    @pytest.mark.parametrize("make", [lambda: ring_population(12)], ids=["poisson"])
     def test_bit_identical_to_scipy_chunk_loop(self, make, seed, prior_small):
         # j_max spans nine 5,242-row chunks and a partial tenth.
         cfg = MCConfig(j_max=50_000, i_max=10, m=200, seed=seed)
@@ -243,22 +246,14 @@ class TestFactoredPoissonCore:
 
 
 class TestRateValidation:
-    @pytest.mark.parametrize("noise, rate", [
-        ("poisson", np.nan), ("poisson", 0.0), ("poisson", -2.0), ("poisson", np.inf),
-        ("gaussian", np.nan), ("gaussian", -np.inf),
-    ])
-    def test_bad_rate_names_node_and_neuron(self, noise, rate, prior_small):
-        base = PoissonPopulation if noise == "poisson" else LinearGaussianModel
-
-        class BadRate(base):
+    @pytest.mark.parametrize("rate", [np.nan, 0.0, -2.0, np.inf], ids=lambda r: f"poisson-{r}")
+    def test_bad_rate_names_node_and_neuron(self, rate, prior_small):
+        class BadRate(PoissonPopulation):
             def rate_matrix(self, x):
                 rates = super().rate_matrix(x)
                 rates[7, 1] = rate
                 return rates
 
-        if noise == "poisson":
-            pop = BadRate(ring_population(3).tuning)
-        else:
-            pop = BadRate(np.ones((1, 3)), np.zeros(1), np.eye(1))
+        pop = BadRate(ring_population(3).tuning)
         with pytest.raises(ValueError, match=rf"node 7, neuron 1 has rate {rate!r}$"):
             mc_mutual_information(pop, prior_small, MCConfig(j_max=500, i_max=5, m=200))

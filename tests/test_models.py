@@ -1,17 +1,17 @@
 """Tuning curves, populations, parameter validation, and the decorrelating map.
 
-Likelihood and sampling checks go through :mod:`popcode_mi.mc`, where the
-noise models live.
+Likelihood checks go through :mod:`popcode_mi.mc`, where the Poisson
+likelihood lives.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import gammaln
-from scipy.stats import norm
 from scipy.stats import poisson as sp_poisson
 
 from popcode_mi import mc
@@ -54,11 +54,11 @@ def closed_form(curve: VonMisesTuning, x):
     return f, -f * curve.concentration * omega * np.sin(phase)
 
 
-def core_terms(model, responses, xs) -> np.ndarray:
+def core_terms(pop, responses, xs) -> np.ndarray:
     """The estimator's x-dependent log-likelihood terms, shape (len(responses), len(xs))."""
     responses = np.atleast_2d(np.asarray(responses, dtype=float))
     xs = np.asarray(xs, dtype=float)
-    terms = mc._loglik_terms(model, np.asarray(model.rate_matrix(xs), dtype=float), xs)
+    terms = mc._loglik_terms(pop, pop.rate_matrix(xs), xs)
     return mc._log_lik_core(responses, terms, np.empty((responses.shape[0], len(xs))))
 
 
@@ -211,11 +211,22 @@ class TestPoissonPopulation:
         np.testing.assert_allclose(core_terms(pop10, r, GRID)[0] - scipy_sum,
                                    gammaln(r + 1.0).sum(), rtol=0, atol=1e-12)
 
-    def test_sampling_mean_tracks_rate(self, pop10):
-        rng = np.random.default_rng(11)
-        rates = pop10.rate_matrix([0.1])
-        draws = mc._sample_responses_block(pop10, np.repeat(rates, 4000, axis=0), rng)
-        np.testing.assert_allclose(draws.mean(axis=0), rates[0], rtol=0.1)
+    def test_sampling_mean_tracks_rate(self, prior_small):
+        """The estimator draws Poisson counts at the tuning rates: with rates
+        flat in x, the draws are integers averaging the amplitude."""
+        flat = bump(amplitude=5.0, width=1e9)
+        drawn, real_core = [], mc._log_lik_core
+
+        def spy(responses, terms, out):
+            drawn.append(responses.copy())
+            return real_core(responses, terms, out)
+
+        with mock.patch.object(mc, "_log_lik_core", spy):
+            mc_mutual_information(PoissonPopulation([flat, flat]), prior_small,
+                                  MCConfig(j_max=4000, i_max=2, m=200, seed=11))
+        draws = np.concatenate(drawn)
+        assert draws.shape == (4000, 2) and np.all(draws == np.round(draws))
+        np.testing.assert_allclose(draws.mean(axis=0), 5.0, rtol=0.05)
 
     def test_mixed_periods_rejected(self):
         with pytest.raises(ValueError, match="period"):
@@ -228,14 +239,6 @@ class TestLinearGaussianModel:
         a = rng.standard_normal((3, 8))
         model = LinearGaussianModel(a, np.zeros(3), np.eye(3))
         np.testing.assert_allclose(model.fisher(), a @ a.T, rtol=1e-14)
-
-    def test_log_likelihood_standard_normal(self):
-        """Differs from scipy's unit-normal log-density of r - A^T x by an x-free constant."""
-        model = LinearGaussianModel(np.array([[0.3, -1.2, 2.0]]), np.zeros(1), np.eye(1))
-        r = np.array([0.5, -1.0, 2.0])
-        scipy_sum = norm.logpdf(r, loc=model.rate_matrix(GRID)).sum(axis=1)
-        constant = -1.5 * math.log(2 * math.pi) - 0.5 * float(r @ r)
-        np.testing.assert_allclose(scipy_sum - core_terms(model, r, GRID)[0], constant, rtol=1e-13)
 
     def test_rejects_non_spd_covariance(self):
         for cov in [np.array([[1.0, 2.0], [2.0, 1.0]])] + NOT_PD_COVARIANCES[1:]:

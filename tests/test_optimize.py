@@ -373,12 +373,6 @@ class TestKKT:
 
 
 class TestPowerConstraints:
-    def test_peak_power_replaces_amplitude(self, toy_prior):
-        capped = build_problem(np.array([0.0]), toy_prior, n=5, amplitude=20.0,
-                               peak_power=35.0)
-        explicit = build_problem(np.array([0.0]), toy_prior, n=5, amplitude=35.0)
-        np.testing.assert_allclose(capped.s_values, explicit.s_values, rtol=1e-14)
-
     def test_average_power_budget_is_respected(self, toy_prior):
         """Budget between the cheapest class and the uniform mixture binds."""
         thetas = np.linspace(-0.5, 0.5, 6)
@@ -518,7 +512,7 @@ class TestBuildProblemValidation:
         (dict(amplitude=math.nan), "amplitude must be positive and finite, got nan"),
         (dict(amplitude=math.inf), "amplitude must be positive and finite, got inf"),
         (dict(width=math.nan), "width must be positive and finite, got nan"),
-        (dict(peak_power=math.nan), "peak power must be positive and finite, got nan"),
+        (dict(avg_power=math.inf), "average power budget must be positive and finite, got inf"),
         (dict(width=math.inf), "width must be positive and finite, got inf"),
         (dict(avg_power=math.nan), "average power budget must be positive and finite, got nan"),
     ])
@@ -581,6 +575,13 @@ class TestCapacity:
         j[10] = bad
         with pytest.raises(ValueError, match="^determinant not positive at node 10$"):
             capacity_prior(j, nodes, 1.0)
+
+    @pytest.mark.parametrize("nodes", [np.zeros((2, 2)), np.zeros(0)], ids=["2x2", "empty"])
+    def test_nodes_must_be_a_nonempty_1d_grid(self, nodes):
+        """A 2-D array whose size matches J is not a grid, and an empty one
+        is not a ZeroDivisionError."""
+        with pytest.raises(ValueError, match=r"^nodes must be a non-empty 1-D grid, got shape \("):
+            capacity_prior(np.full(nodes.size, 2.0), nodes, 1.0)
 
     @pytest.mark.parametrize("length", [math.nan, -2.0, math.inf])
     def test_support_length_must_be_positive_and_finite(self, length):

@@ -25,3 +25,17 @@ def test_quickstart_prints_documented_values():
         value = namespace[name](namespace["j"], namespace["prior"]).value
         assert repr(value).startswith(prefix), f"{name} = {value!r}, README says {prefix}..."
         assert repr(value) in printed
+
+
+def test_config_key_table_matches_the_cli():
+    """The CLI section's table lists, per experiment, exactly the keys it accepts."""
+    from popcode_mi.cli import _EXPERIMENT_KEYS, _RUN_KEYS
+
+    text = README.read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| (every one|`\w+`) \| (`.*`) \|$", text, flags=re.M))
+    table = {name.strip("`"): re.findall(r"`(\w+)`", keys) for name, keys in rows.items()}
+    assert set(table) == {"every one", *_EXPERIMENT_KEYS}
+    for experiment, keys in _EXPERIMENT_KEYS.items():
+        listed = table["every one"] + table[experiment]
+        assert len(listed) == len(set(listed)), experiment
+        assert set(listed) == set({**_RUN_KEYS, **keys}), experiment

@@ -111,6 +111,10 @@ class TestWhiten:
         with pytest.raises(ValueError, match=r"^covariance must be symmetric; max asymmetry 1\.0$"):
             whiten(square)
 
+    def test_empty_covariance_is_named(self):
+        with pytest.raises(ValueError, match=r"^expected a K x K covariance matrix, got shape \(0, 0\)$"):
+            whiten(np.zeros((0, 0)))
+
 
 class TestPushforward:
     def test_identity_transform_is_a_no_op(self):
@@ -133,6 +137,16 @@ class TestPushforward:
         with pytest.raises(ValueError,
                            match=rf"^transform matrix has a non-finite value {value!r} at row 0, column 1$"):
             pushforward_info(np.eye(2), [[1.0, value], [0.0, 1.0]])
+
+    def test_non_square_map_is_named(self):
+        with pytest.raises(ValueError, match=r"^l_mat must be K x K and J \(K, K\) or \(M, K, K\): "
+                                             r"got l_mat \(2, 3\) and J \(2, 2\), K = 2$"):
+            pushforward_info(np.eye(2), np.ones((2, 3)))
+
+    def test_map_and_j_of_different_k_are_named(self):
+        with pytest.raises(ValueError, match=r"^l_mat must be K x K and J \(K, K\) or \(M, K, K\): "
+                                             r"got l_mat \(2, 2\) and J \(4, 3, 3\), K = 2$"):
+            pushforward_info(np.tile(np.eye(3), (4, 1, 1)), np.eye(2))
 
     @settings(max_examples=20)
     @given(st.integers(0, 2**32 - 1))
