@@ -357,7 +357,7 @@ def _run_fig1(cfg: dict) -> tuple[list, list, dict]:
         futures = {t: pool.submit(one_mc, *t) for t in order}
         mc_runs = [futures[t].result() for t in tasks]
 
-    rows = []
+    rows, calibration = [], {}
     for i, n in enumerate(n_list):
         j_values = populations[i].fisher_values(prior.nodes)
         v_f = i_f(j_values, prior)
@@ -366,6 +366,9 @@ def _run_fig1(cfg: dict) -> tuple[list, list, dict]:
         runs = mc_runs[i * repeats:(i + 1) * repeats]
         i_mc = float(np.mean([r.i_mc for r in runs]))
         i_std = float(np.mean([r.i_std for r in runs]))
+        # Near 1 when each run's bootstrap bar matches the runs' own scatter.
+        calibration[n] = (float(np.std([r.i_mc for r in runs], ddof=1)) / i_std
+                          if repeats > 1 and i_std > 0.0 else None)
         rows.append([
             n, i_mc, i_std, v_g.value, v_gp.value, v_f.value,
             (v_g.value - i_mc) / i_mc,
@@ -374,7 +377,7 @@ def _run_fig1(cfg: dict) -> tuple[list, list, dict]:
             i_std / i_mc,
         ])
     header = ["N", "I_MC", "I_std", "I_G", "I_G+", "I_F", "DI_G", "DI_G+", "DI_F", "DI_std"]
-    return header, rows, {}
+    return header, rows, {"mc": {"repeat_std_over_i_std": calibration}}
 
 
 def _fig2_spectra(cfg: dict) -> dict:

@@ -11,6 +11,22 @@ prior.  It draws stimulus/response pairs, evaluates the log-ratio
 * the bootstrap resamples the per-pair terms with replacement (a
   j_max x i_max index matrix) to give a standard deviation for the mean.
 
+The j_max stimuli come as node counts, ``multinomial(j_max, masses)``, laid
+out node by node: the law of the counts of j_max independent draws, and an
+order the bootstrap's uniform resampling does not see.  Each response count
+is the exact inverse CDF of its Poisson rate at one uniform, drawn in
+sample-major order (Devroye, *Non-Uniform Random Variate Generation*, 1986,
+section III.2).  Only M x N rates exist, so each (node, neuron) cell gets a
+CDF table over a window of O(sqrt(rate)) counts around its rate that leaves
+out under 2^-60 of the mass, plus a guide table (Chen and Asau, 1974) that
+points each uniform's bucket at its first candidate count; a short walk up
+the CDF ends the search.  Tables are built for a few nodes at a time, within
+a fixed budget of values, so memory is bounded for any rate up to
+``_MAX_RATE``, and a cell's draws depend only on its rate and uniforms, not
+on how the work is blocked.  This sampler replaced numpy's
+``Generator.poisson`` and the ``choice`` stimulus draw, which changed every
+Monte Carlo result for a given seed: a declared seed-lineage change of fig1.
+
 Likelihood evaluation is chunked into response-by-grid blocks so the full
 j_max x M log-likelihood matrix is never materialized; the ``ln r!`` sum,
 which cancels between numerator and marginal, is dropped before the
@@ -40,6 +56,7 @@ machine, because the matmul's last bits depend on the row count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +101,23 @@ _CHUNK_VALUES = 1 << 20
 #: Below this argument ``np.exp`` returns exactly +0.0 (e^-745.2 is under half
 #: the smallest subnormal, 4.9e-324).
 _EXP_ZERO = -745.2
+
+#: ln 2^61: each tail a cell's CDF window leaves out holds under 2^-61 of its mass.
+_TAIL = 61.0 * math.log(2.0)
+
+#: Least buckets of a cell's guide table; tables L counts long get the largest
+#: power of 2 up to L, so a bucket spans about one count at the mode.
+_GUIDE = 64
+
+#: Uniforms looked up per sampler step, and CDF values per table build (1 MB).
+#: At M = 500, N = 200 on two threads a 2 MB budget raised peak memory from
+#: 78 to 84 MB; at N = 1000 a 512 kB one split each node's table in two and
+#: ran about 20 % slower (2-core VM).  One cell's table may be longer than
+#: the budget: its window is about 18.4 sqrt(rate) counts, 184,000 at the
+#: largest rate accepted.
+_SUB_DRAWS = 1 << 16
+_TABLE_VALUES = 1 << 17
+_MAX_RATE = 1e8
 
 
 def logsumexp(buf: np.ndarray, log_masses: np.ndarray) -> np.ndarray:
@@ -144,6 +178,146 @@ def _log_lik_core(responses: np.ndarray, terms, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _windows(rates: np.ndarray):
+    """First count and length of each rate's CDF window.
+
+    Poisson tails are at most ``exp(-t^2 / 2 rate)`` below ``rate - t`` and
+    ``exp(-t^2 / (2 (rate + t/3)))`` above ``rate + t`` (Bernstein), so each
+    window leaves out under 2^-61 of the mass on either side.
+    """
+    first = np.floor(np.maximum(rates - np.sqrt(2.0 * _TAIL * rates), 0.0))
+    third = _TAIL / 3.0
+    last = np.ceil(rates + third + np.sqrt(third * third + 2.0 * _TAIL * rates))
+    return first, (last - first + 1.0).astype(np.intp)
+
+
+def _accumulate(ufunc, a: np.ndarray) -> None:
+    """``ufunc.accumulate(a, axis=0)`` in place.  Wide arrays go row by row,
+    because numpy's accumulate along a strided axis is slow; both orders
+    perform the same operations, so the bits agree."""
+    if a.shape[1] < a.shape[0]:
+        ufunc.accumulate(a, axis=0, out=a)
+    else:
+        for t in range(1, len(a)):
+            ufunc(a[t - 1], a[t], out=a[t])
+
+
+def _tables(rates: np.ndarray, length: int):
+    """Inverse-CDF tables of C Poisson cells, for :func:`_quantiles`.
+
+    Returns ``(cdf, start, first)``.  ``cdf`` is the flat (L, C) table of
+    each window's CDF from the pmf recurrence (running products of
+    rate / k, then running sums), normalized by the window's mass: it
+    reaches exactly 1 at the window's last count and stays at or above 1
+    in the padding out to ``length`` rows.  ``start`` is the flat (G, C)
+    guide table of Chen and Asau (1974): ``start[g, c]`` is the position in
+    ``cdf`` of cell c's first value not below g/G, with G a power of 2
+    (so ``u * G`` is exact).  ``first`` holds each window's first count.  A
+    cell's values depend only on its rate; G only moves where searches start.
+    """
+    first, own = _windows(rates)
+    cells = rates.size
+    guide = max(_GUIDE, 1 << (int(length).bit_length() - 1))
+    cdf = np.empty((length, cells))
+    cdf[0] = 1.0
+    cdf[1:] = np.arange(1.0, length)[:, None]
+    cdf[1:] += first
+    np.divide(rates, cdf[1:], out=cdf[1:])
+    _accumulate(np.multiply, cdf)
+    _accumulate(np.add, cdf)
+    cdf /= cdf[own - 1, np.arange(cells)]
+    # Value t of cell c lies below g/G exactly when floor(G cdf) < g.
+    bucket = np.empty(cdf.shape, np.intp)
+    np.multiply(cdf, guide, out=bucket, casting="unsafe")
+    bucket *= cells
+    bucket += np.arange(cells)
+    below = np.bincount(bucket.ravel(), minlength=(guide + 2) * cells)
+    del bucket  # before the guide table is allocated: it bounds a build's peak memory
+    start = np.empty((guide, cells), np.intp)
+    start[0] = 0
+    start[1:] = below[:(guide - 1) * cells].reshape(guide - 1, cells)
+    _accumulate(np.add, start)
+    start *= cells
+    start += np.arange(cells)
+    return cdf.ravel(), start.ravel(), first.astype(np.intp)
+
+
+def _quantiles(tables, u: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """The smallest count k with CDF(k) > u, for uniforms ``u`` of cells
+    ``cell``: the guide entry of u's bucket is the first candidate, and a
+    short walk up the cell's CDF finishes the search."""
+    cdf, start, first = tables
+    cells = first.size
+    guide = start.size // cells
+    pos = np.empty(u.shape, np.intp)
+    np.multiply(u, guide, out=pos, casting="unsafe")
+    pos *= cells
+    pos += cell
+    pos = start[pos]
+    walk = np.flatnonzero(cdf[pos] <= u)
+    while walk.size:
+        pos[walk] += cells
+        walk = walk[cdf[pos[walk]] <= u[walk]]
+    pos //= cells
+    if first.any():
+        pos += first[cell]
+    return pos
+
+
+def _poisson_responses(rates: np.ndarray, counts: np.ndarray, rng, chunk: int):
+    """Poisson responses of node-sorted samples, yielded ``chunk`` rows at a time.
+
+    ``counts[m]`` samples sit at node m, in node order.  Sample j's response
+    to neuron n is the inverse CDF of Poisson(``rates[m_j, n]``) at one
+    ``rng.random()`` uniform, drawn in sample-major order a chunk at a time
+    into the buffer that the counts then overwrite (the yielded buffer is
+    reused).  Occupied nodes are taken in groups whose tables fit
+    ``_TABLE_VALUES`` and each group's tables are built once; a node whose
+    table alone is larger is split into column slices, built again in each
+    chunk the node reaches.  Lookups run ``_SUB_DRAWS`` uniforms at a time.
+    """
+    n = rates.shape[1]
+    length = _windows(rates)[1].max(axis=1)
+    occupied = np.flatnonzero(counts)
+    left = int(counts.sum())
+    out = np.empty((min(chunk, left), n))
+
+    def draw():
+        block = out[:min(chunk, left)]
+        rng.random(out=block)
+        return len(block)
+
+    rows, filled, i = draw(), 0, 0
+    while i < len(occupied):
+        size, j = length[occupied[i]], i + 1
+        while j < len(occupied) and (j + 1 - i) * n * max(size, length[occupied[j]]) <= _TABLE_VALUES:
+            size, j = max(size, length[occupied[j]]), j + 1
+        nodes, i = occupied[i:j], j
+        width = min(n, max(1, _TABLE_VALUES // size))
+        slices = [(lo, min(lo + width, n)) for lo in range(0, n, width)]
+        whole = tables = None  # drop the last group's tables before building the next
+        if len(slices) == 1:
+            whole = _tables(rates[nodes].ravel(), size)
+        step = max(1, _SUB_DRAWS // width)
+        local = np.repeat(np.arange(len(nodes)), counts[nodes])
+        done = 0
+        while done < len(local):
+            seg = local[done:done + rows - filled]
+            for lo, hi in slices:
+                tables = whole if whole is not None else _tables(rates[nodes, lo:hi].ravel(), size)
+                cols = np.arange(hi - lo)
+                for a in range(0, len(seg), step):
+                    b = min(a + step, len(seg))
+                    block = out[filled + a:filled + b, lo:hi]
+                    cell = (seg[a:b, None] * (hi - lo) + cols).ravel()
+                    block[...] = _quantiles(tables, block.ravel(), cell).reshape(block.shape)
+            filled, done, left = filled + len(seg), done + len(seg), left - len(seg)
+            if filled == rows:
+                yield out[:rows]
+                if left:
+                    rows, filled = draw(), 0
+
+
 def mc_mutual_information(pop: PoissonPopulation, prior: GridPrior, cfg: MCConfig) -> MCResult:
     """Estimate I(X; R) in nats for a Poisson population and a grid prior.
 
@@ -163,21 +337,26 @@ def mc_mutual_information(pop: PoissonPopulation, prior: GridPrior, cfg: MCConfi
         node, neuron = np.argwhere(~ok)[0]
         raise ValueError("Poisson rates must be positive and finite: "
                          f"node {node}, neuron {neuron} has rate {float(rates[node, neuron])!r}")
+    if rates.max() > _MAX_RATE:
+        node, neuron = np.unravel_index(np.argmax(rates), rates.shape)
+        raise ValueError(f"Poisson rates above {_MAX_RATE:g} outgrow the sampler's tables: "
+                         f"node {node}, neuron {neuron} has rate {float(rates[node, neuron])!r}")
 
     stim_rng, resp_rng, boot_rng = (
         default_rng(s) for s in SeedSequence(cfg.seed).spawn(3)
     )
     log_masses = np.log(prior.masses)
-    stim_idx = stim_rng.choice(cfg.m, size=cfg.j_max, p=prior.masses)
+    counts = stim_rng.multinomial(cfg.j_max, prior.masses)
+    stim_idx = np.repeat(np.arange(cfg.m), counts)
 
     chunk = max(256, _CHUNK_VALUES // cfg.m)
     loglik = _loglik_terms(pop, rates, prior.nodes)
     buf = np.empty((min(chunk, cfg.j_max), cfg.m))
     terms = np.empty(cfg.j_max)
-    for lo in range(0, cfg.j_max, chunk):
-        hi = min(lo + chunk, cfg.j_max)
+    blocks = _poisson_responses(rates, counts, resp_rng, chunk)
+    for lo, responses in zip(range(0, cfg.j_max, chunk), blocks):
+        hi = lo + len(responses)
         idx = stim_idx[lo:hi]
-        responses = resp_rng.poisson(rates[idx]).astype(float)
         core = _log_lik_core(responses, loglik, buf[: hi - lo])
         numerator = core[np.arange(hi - lo), idx]
         terms[lo:hi] = numerator - logsumexp(core, log_masses)

@@ -100,6 +100,8 @@ def _materialize(j, prior):
         stack = j
     else:
         raise ValueError(f"cannot align J of shape {j.shape} with a {where}")
+    if len(stack) == 0:
+        raise ValueError(f"J of shape {j.shape} has no nodes to average over")
     if stack.shape[1:] != (k, k):
         raise ValueError(f"J is {stack.shape[1]}x{stack.shape[2]} per node, the {where} is {k}-D")
     return stack, prior.masses if grid else _node_weights(None, m)

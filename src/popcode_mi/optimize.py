@@ -127,7 +127,10 @@ def build_problem(thetas, prior: GridPrior, n: int, *, kind: str = "I_G",
     an average-power budget bounds c.alpha, with per-class cost
     c_k = <f(x; theta_k)>, the mean rate.
     """
-    amplitude, conc, thetas = _tuning_params(amplitude, width, prior.period, np.atleast_1d(thetas))
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if thetas.ndim != 1 or thetas.size == 0:
+        raise ValueError(f"thetas must be a nonempty 1-D array of centers, got shape {thetas.shape}")
+    amplitude, conc, thetas = _tuning_params(amplitude, width, prior.period, thetas)
     rates, derivs, _ = _von_mises(amplitude, conc, thetas, prior.period, prior.nodes)
     power_cost = power_budget = None
     if avg_power is not None:

@@ -162,6 +162,8 @@ def fig2_gap_from_gram(gram: np.ndarray, spectrum: np.ndarray) -> Fig2Gap:
     k = d.size
     if b.shape != (k, k):
         raise ValueError(f"Gram matrix shape {b.shape} does not match spectrum length {k}")
+    if k == 0:
+        raise ValueError(f"Gram matrix shape {b.shape} is empty: K must be at least 1")
     bad = np.flatnonzero(~np.isfinite(d))
     if bad.size:
         raise ValueError(f"spectrum has a non-finite entry: {float(d[bad[0]])!r} at index {bad[0]}")
@@ -342,6 +344,8 @@ def _as_node_stack(a, k: Optional[int] = None) -> np.ndarray:
         k = a.shape[1] if a.ndim == 3 else "K"
     if a.ndim != 3 or a.shape[1:] != (k, k):
         raise ValueError(f"expected (M, {k}, {k}) matrix stack, got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError(f"expected a nonempty matrix stack, got shape {a.shape}")
     return a
 
 

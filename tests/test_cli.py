@@ -12,6 +12,8 @@ import pytest
 
 from popcode_mi import cli
 from popcode_mi.cli import _build_parser, _resolve, main
+from popcode_mi.fisher import GridPrior
+from popcode_mi.mc import MCConfig, mc_mutual_information
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -551,6 +553,34 @@ class TestOptimizeAndFig1Runs:
                 (row["I_G"] - row["I_MC"]) / row["I_MC"], rel=1e-12)
             assert row["DI_std"] == pytest.approx(
                 row["I_std"] / row["I_MC"], rel=1e-12)
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_fig1_sidecar_compares_repeat_scatter_with_the_bar(self, tmp_path, repeats):
+        """For each N, the std of the repeats' I_MC (ddof 1) over their mean
+        bootstrap I_std, from the runs themselves; null for a single repeat."""
+        payload = dict(TINY_FIG1, repeats=repeats)
+        out = tmp_path / "f1.csv"
+        assert main(["fig1", "--config", write_config(tmp_path / "fig1.json", payload),
+                     "--seed", "8", "--out", str(out)]) == 0
+        with open(str(out) + ".json") as fh:
+            block = json.load(fh)["mc"]
+        header, rows = read_rows(out)
+        assert header[:10] == ["N", "I_MC", "I_std", "I_G", "I_G+", "I_F",
+                               "DI_G", "DI_G+", "DI_F", "DI_std"]
+        seeds = np.random.default_rng(8).integers(0, 2**63, size=(2, repeats))
+        prior = GridPrior.von_mises(math.pi, math.pi / 4, payload["m"])
+        tuning = {"amplitude": 20.0, "width": 0.5, "period": math.pi, "center_span": 1.0}
+        want = {}
+        for n, row_seeds, row in zip(payload["n_list"], seeds, rows, strict=True):
+            pop = cli._ring_population(tuning, n)
+            runs = [mc_mutual_information(pop, prior, MCConfig(payload["j_max"], payload["i_max"],
+                                                               payload["m"], int(s)))
+                    for s in row_seeds]
+            i_std = float(np.mean([r.i_std for r in runs]))
+            assert float(row[2]) == i_std
+            want[str(n)] = (float(np.std([r.i_mc for r in runs], ddof=1)) / i_std
+                            if repeats > 1 else None)
+        assert block == {"repeat_std_over_i_std": want}
 
 
 def run_module(module, argv, **env):

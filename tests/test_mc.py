@@ -1,6 +1,7 @@
 """Monte Carlo reference estimator and its bootstrap error bars."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
-from scipy.stats import poisson
+from scipy.stats import chi2, poisson
 
 from popcode_mi import mc
 from popcode_mi.fisher import GridPrior
@@ -124,13 +125,14 @@ class TestPoissonOnly:
 
 
 def reference_mc(model, prior, cfg):
-    """The estimator as a chunk loop over scipy's log-sum-exp, kept as the oracle."""
+    """The estimator as a chunk loop over scipy's Poisson quantiles and
+    log-sum-exp, kept as the oracle."""
     rates = np.asarray(model.rate_matrix(prior.nodes), dtype=float)
     stim_rng, resp_rng, boot_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
     )
     log_masses = np.log(prior.masses)
-    stim_idx = stim_rng.choice(cfg.m, size=cfg.j_max, p=prior.masses)
+    stim_idx = np.repeat(np.arange(cfg.m), stim_rng.multinomial(cfg.j_max, prior.masses))
     # ln f_n(x) = (u @ v)[n, x]: u's columns are ln A - k, k cos(w c) and
     # k sin(w c), v's rows 1, cos(w x) and sin(w x).
     omega = 2 * np.pi / model.period
@@ -144,7 +146,7 @@ def reference_mc(model, prior, cfg):
     for lo in range(0, cfg.j_max, chunk):
         hi = min(lo + chunk, cfg.j_max)
         idx = stim_idx[lo:hi]
-        responses = resp_rng.poisson(rates[idx]).astype(float)
+        responses = poisson.ppf(resp_rng.random((hi - lo, len(model.tuning))), rates[idx])
         core = (responses @ u) @ v - np.sum(rates, axis=1)
         terms[lo:hi] = core[np.arange(hi - lo), idx] - scipy_logsumexp(core + log_masses, axis=1)
     replicates = np.array([np.mean(terms[boot_rng.integers(0, cfg.j_max, size=cfg.j_max)])
@@ -256,4 +258,97 @@ class TestRateValidation:
 
         pop = BadRate(ring_population(3).tuning)
         with pytest.raises(ValueError, match=rf"node 7, neuron 1 has rate {rate!r}$"):
+            mc_mutual_information(pop, prior_small, MCConfig(j_max=500, i_max=5, m=200))
+
+
+def sampler_draws(rates, counts, seed, chunk=4096):
+    """Every response ``mc._poisson_responses`` yields, stacked."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([block.copy() for block in
+                           mc._poisson_responses(np.asarray(rates, dtype=float),
+                                                 np.asarray(counts), rng, chunk)])
+
+
+class TestInverseCDFSampler:
+    RATES = [1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 1e4]
+
+    def test_chi_square_against_scipy_poisson(self):
+        """200,000 draws per rate, binned so every bin expects at least 5
+        counts under scipy's pmf; each p-value is above 1e-4."""
+        draws = 200_000
+        responses = sampler_draws([self.RATES], [draws], seed=2024)
+        for lam, column in zip(self.RATES, responses.T):
+            # Bin upper ends: each bin, and the tail above the last, expects >= 5.
+            edges, k = [], int(poisson.ppf(1e-12, lam))
+            while draws * poisson.sf(k, lam) >= 5.0:
+                below = poisson.cdf(edges[-1], lam) if edges else 0.0
+                if draws * (poisson.cdf(k, lam) - below) >= 5.0:
+                    edges.append(k)
+                k += 1
+            edges = np.array(edges)
+            observed = np.bincount(np.searchsorted(edges, column), minlength=len(edges) + 1)
+            cdf = poisson.cdf(edges, lam)
+            expected = draws * np.diff(np.concatenate([[0.0], cdf, [1.0]]))
+            assert expected.min() >= 5.0 and len(edges) >= 1
+            stat = float(np.sum((observed - expected) ** 2 / expected))
+            assert chi2.sf(stat, len(edges)) > 1e-4, (lam, stat, len(edges))
+
+    def test_matches_scipy_ppf_on_the_same_uniforms(self):
+        """Sample-major uniforms, node by node: two nodes, one of them empty."""
+        rates = np.array([self.RATES, [3.0] * len(self.RATES), self.RATES[::-1]])
+        responses = sampler_draws(rates, [30_000, 0, 20_000], seed=5, chunk=7_000)
+        u = np.random.default_rng(5).random((50_000, len(self.RATES)))
+        lam = np.repeat(rates, [30_000, 0, 20_000], axis=0)
+        assert responses.tobytes() == poisson.ppf(u, lam).tobytes()
+
+    def test_rate_1e6_in_bounded_memory(self):
+        """256 cells at rate 1e6 would need about 100 MB of tables at once;
+        the sampler builds them in column slices under 16 MB, and every draw
+        is scipy's quantile."""
+        rates = np.full((1, 256), 1e6)
+        tracemalloc.start()
+        try:
+            responses = sampler_draws(rates, [40], seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        u = np.random.default_rng(9).random((40, 256))
+        assert responses.tobytes() == poisson.ppf(u, 1e6).tobytes()
+
+    @settings(max_examples=25)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 1 << 17), st.integers(0, 9),
+           st.sampled_from([1, 64, 4096]))
+    def test_block_sizes_move_no_bit(self, seed, sub_draws, table_shift, guide):
+        """Responses are bit-identical when the lookup sub-block, the table
+        budget (down to one cell per table, in column slices) and the least
+        guide size change: batched against looped."""
+        rng = np.random.default_rng(seed)
+        rates = 10.0 ** rng.uniform(-3.0, 2.0, size=(12, 7))
+        rates[rng.integers(12), rng.integers(7)] = 1e4
+        counts = rng.multinomial(3_000, np.full(12, 1 / 12))
+        counts[rng.integers(12)] = 0
+        want = sampler_draws(rates, counts, seed, chunk=1_000)
+        longest = int(mc._windows(rates)[1].max())
+        with mock.patch.multiple(mc, _SUB_DRAWS=sub_draws, _GUIDE=guide,
+                                 _TABLE_VALUES=longest << table_shift):
+            got = sampler_draws(rates, counts, seed, chunk=1_000)
+        assert got.tobytes() == want.tobytes()
+
+    def test_estimator_is_block_size_free(self, prior_small):
+        cfg = MCConfig(j_max=6_000, i_max=10, m=200, seed=4)
+        want = mc_mutual_information(ring_population(9), prior_small, cfg)
+        with mock.patch.multiple(mc, _SUB_DRAWS=50, _TABLE_VALUES=100):
+            assert mc_mutual_information(ring_population(9), prior_small, cfg) == want
+
+    def test_rates_beyond_the_table_budget_are_named(self, prior_small):
+        class Huge(PoissonPopulation):
+            def rate_matrix(self, x):
+                rates = super().rate_matrix(x)
+                rates[5, 2] = 2e8
+                return rates
+
+        pop = Huge(ring_population(3).tuning)
+        with pytest.raises(ValueError, match=r"^Poisson rates above 1e\+08 outgrow the sampler's "
+                                             r"tables: node 5, neuron 2 has rate 200000000\.0$"):
             mc_mutual_information(pop, prior_small, MCConfig(j_max=500, i_max=5, m=200))

@@ -217,6 +217,16 @@ def test_j_must_fit_the_prior(fn, j, prior, message):
         fn(j, prior)
 
 
+class TestEmptyStack:
+    @pytest.mark.parametrize("fn", [i_g, i_f, i_g_plus, gap_bounds],
+                             ids=lambda f: f.__name__)
+    def test_no_nodes_is_named(self, fn):
+        """Not a ZeroDivisionError from the uniform node weights."""
+        prior = GaussianPrior(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match=r"^J of shape \(0, 2, 2\) has no nodes to average over$"):
+            fn(np.zeros((0, 2, 2)), prior)
+
+
 class TestGapBounds:
     def test_zero_curvature_prior_collapses_the_gap(self):
         """Uniform prior: P = 0, so I_G = I_F and varsigma = 0."""

@@ -1,6 +1,7 @@
 """Density optimization on the simplex, KKT certification, and capacity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -519,6 +520,13 @@ class TestBuildProblemValidation:
     def test_rejects_non_finite_parameter(self, toy_prior, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build_problem(np.array([-0.2, 0.2]), toy_prior, n=5, **kwargs)
+
+    @pytest.mark.parametrize("thetas", [np.zeros((2, 2)), np.zeros(0)], ids=["2x2", "empty"])
+    def test_thetas_must_be_a_nonempty_vector(self, toy_prior, thetas):
+        """Not numpy's broadcast error from the tuning kernel."""
+        message = f"thetas must be a nonempty 1-D array of centers, got shape {thetas.shape}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            build_problem(thetas, toy_prior, n=5)
 
     def test_rejects_non_finite_theta_by_index(self, toy_prior):
         with pytest.raises(ValueError, match=r"^center must be finite, got nan at theta index 1$"):

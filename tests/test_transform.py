@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -163,6 +164,11 @@ class TestPushforward:
 
 
 class TestFig2Gap:
+    def test_empty_gram_is_named(self):
+        """Not a ZeroDivisionError from the relative gap."""
+        with pytest.raises(ValueError, match=r"^Gram matrix shape \(0, 0\) is empty: K must be at least 1$"):
+            fig2_gap_from_gram(np.zeros((0, 0)), np.zeros(0))
+
     def test_difference_identity(self):
         """dI_F equals I_F - I_G whenever all three are finite."""
         rng = np.random.default_rng(5)
@@ -552,6 +558,14 @@ class TestSelectK1:
     def test_stack_must_be_square(self):
         with pytest.raises(ValueError, match=r"matrix stack, got shape \(4, 3, 2\)$"):
             select_k1(np.ones((4, 3, 2)))
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 0)])
+    def test_empty_stack_is_named(self, shape):
+        message = "^" + re.escape(f"expected a nonempty matrix stack, got shape {shape}") + "$"
+        with pytest.raises(ValueError, match=message):
+            select_k1(np.zeros(shape))
+        with pytest.raises(ValueError, match=message):
+            partition_info(np.zeros(shape), np.eye(2), 1)
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
