@@ -42,7 +42,7 @@ from numpy.random import default_rng
 
 from . import __version__
 from .fisher import GridPrior
-from .mc import MCConfig, mc_mutual_information
+from .mc import MAX_RATE, MCConfig, mc_mutual_information
 from .mi import i_f, i_g, i_g_plus
 from .models import PoissonPopulation, VonMisesTuning
 from .optimize import build_problem, capacity_prior, maximize, redundancy
@@ -101,6 +101,9 @@ _distinct = _check(lambda v: len(set(v)) == len(v), "free of repeated values")
 _flag = _check(lambda v: isinstance(v, bool), "true or false")
 _seed = _check(lambda v: _is_int(v) and 0 <= v < 2**64, "an unsigned 64-bit integer")
 _out_path = _check(lambda v: isinstance(v, str) and v != "", "a non-empty path string")
+# A von Mises curve's peak rate is its amplitude.  After _positive.
+_mc_rate = _check(lambda v: v <= MAX_RATE,
+                  f"at most {MAX_RATE:g}, the largest Poisson rate the Monte Carlo sampler takes")
 
 
 class _Scaled(NamedTuple):
@@ -134,6 +137,7 @@ _RING_KEYS = {**_CURVE_KEYS, "center_span": (1.0, _positive)}
 _EXPERIMENT_KEYS = {
     "fig1": {
         **_RING_KEYS,
+        "amplitude": (20.0, _positive, _mc_rate),
         "paper_scale": (False, _flag),
         "n_list": (_Scaled(_LAPTOP_N_LIST, _LAPTOP_N_LIST + [200, 400, 700, 1000]),
                    _counts, _distinct),

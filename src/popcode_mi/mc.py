@@ -22,10 +22,14 @@ out under 2^-60 of the mass, plus a guide table (Chen and Asau, 1974) that
 points each uniform's bucket at its first candidate count; a short walk up
 the CDF ends the search.  Tables are built for a few nodes at a time, within
 a fixed budget of values, so memory is bounded for any rate up to
-``_MAX_RATE``, and a cell's draws depend only on its rate and uniforms, not
-on how the work is blocked.  This sampler replaced numpy's
-``Generator.poisson`` and the ``choice`` stimulus draw, which changed every
-Monte Carlo result for a given seed: a declared seed-lineage change of fig1.
+``MAX_RATE``, and a cell's draws depend only on its rate and uniforms, not
+on how the work is blocked.  A cell's table costs O(sqrt(rate)) values
+against about j_max / M draws, so the tables pay off at low rates only:
+at M = 500 and j_max 5e4 the sampler beats ``Generator.poisson`` at the
+default amplitude 20, breaks even near 100 and is 2-3 times slower at
+1000 (README).  The sampler and the multinomial counts replaced numpy's
+``Generator.poisson`` and ``choice`` draws, which changed every Monte Carlo
+result for a given seed: a declared seed-lineage change of fig1.
 
 Likelihood evaluation is chunked into response-by-grid blocks so the full
 j_max x M log-likelihood matrix is never materialized; the ``ln r!`` sum,
@@ -65,7 +69,7 @@ from numpy.random import SeedSequence, default_rng
 from .fisher import GridPrior
 from .models import PoissonPopulation, _count
 
-__all__ = ["MCConfig", "MCResult", "mc_mutual_information"]
+__all__ = ["MAX_RATE", "MCConfig", "MCResult", "mc_mutual_information"]
 
 
 @dataclass(frozen=True)
@@ -113,11 +117,13 @@ _GUIDE = 64
 #: At M = 500, N = 200 on two threads a 2 MB budget raised peak memory from
 #: 78 to 84 MB; at N = 1000 a 512 kB one split each node's table in two and
 #: ran about 20 % slower (2-core VM).  One cell's table may be longer than
-#: the budget: its window is about 18.4 sqrt(rate) counts, 184,000 at the
-#: largest rate accepted.
+#: the budget: its window is about 18.4 sqrt(rate) counts.
 _SUB_DRAWS = 1 << 16
 _TABLE_VALUES = 1 << 17
-_MAX_RATE = 1e8
+
+#: The largest Poisson rate the estimator takes: one cell's CDF window is
+#: then about 184,000 counts (1.5 MB), so a table build stays bounded.
+MAX_RATE = 1e8
 
 
 def logsumexp(buf: np.ndarray, log_masses: np.ndarray) -> np.ndarray:
@@ -191,54 +197,41 @@ def _windows(rates: np.ndarray):
     return first, (last - first + 1.0).astype(np.intp)
 
 
-def _accumulate(ufunc, a: np.ndarray) -> None:
-    """``ufunc.accumulate(a, axis=0)`` in place.  Wide arrays go row by row,
-    because numpy's accumulate along a strided axis is slow; both orders
-    perform the same operations, so the bits agree."""
-    if a.shape[1] < a.shape[0]:
-        ufunc.accumulate(a, axis=0, out=a)
-    else:
-        for t in range(1, len(a)):
-            ufunc(a[t - 1], a[t], out=a[t])
-
-
 def _tables(rates: np.ndarray, length: int):
     """Inverse-CDF tables of C Poisson cells, for :func:`_quantiles`.
 
-    Returns ``(cdf, start, first)``.  ``cdf`` is the flat (L, C) table of
-    each window's CDF from the pmf recurrence (running products of
-    rate / k, then running sums), normalized by the window's mass: it
-    reaches exactly 1 at the window's last count and stays at or above 1
-    in the padding out to ``length`` rows.  ``start`` is the flat (G, C)
-    guide table of Chen and Asau (1974): ``start[g, c]`` is the position in
-    ``cdf`` of cell c's first value not below g/G, with G a power of 2
-    (so ``u * G`` is exact).  ``first`` holds each window's first count.  A
-    cell's values depend only on its rate; G only moves where searches start.
+    Returns ``(cdf, start, first)``.  ``cdf`` is the flat (C, L) table whose
+    row c is cell c's window CDF from the pmf recurrence (running products
+    of rate / k, then running sums), normalized by the window's mass: it
+    reaches exactly 1 at the window's last count and stays at or above 1 in
+    the padding out to ``length`` values.  ``start`` is the flat (C, G) guide
+    table of Chen and Asau (1974): ``start[c, g]`` is the position in ``cdf``
+    of cell c's first value not below g/G, with G a power of 2 (so ``u * G``
+    is exact).  ``first`` holds each window's first count.  A cell's values
+    depend only on its rate; G only moves where searches start.
     """
     first, own = _windows(rates)
     cells = rates.size
     guide = max(_GUIDE, 1 << (int(length).bit_length() - 1))
-    cdf = np.empty((length, cells))
-    cdf[0] = 1.0
-    cdf[1:] = np.arange(1.0, length)[:, None]
-    cdf[1:] += first
-    np.divide(rates, cdf[1:], out=cdf[1:])
-    _accumulate(np.multiply, cdf)
-    _accumulate(np.add, cdf)
-    cdf /= cdf[own - 1, np.arange(cells)]
+    cdf = np.empty((cells, length))
+    cdf[:, 0] = 1.0
+    cdf[:, 1:] = np.arange(1.0, length)
+    cdf[:, 1:] += first[:, None]
+    np.divide(rates[:, None], cdf[:, 1:], out=cdf[:, 1:])
+    np.multiply.accumulate(cdf, axis=1, out=cdf)
+    np.add.accumulate(cdf, axis=1, out=cdf)
+    cdf /= cdf[np.arange(cells), own - 1][:, None]
     # Value t of cell c lies below g/G exactly when floor(G cdf) < g.
     bucket = np.empty(cdf.shape, np.intp)
     np.multiply(cdf, guide, out=bucket, casting="unsafe")
-    bucket *= cells
-    bucket += np.arange(cells)
-    below = np.bincount(bucket.ravel(), minlength=(guide + 2) * cells)
+    bucket += np.arange(0, cells * (guide + 2), guide + 2)[:, None]
+    below = np.bincount(bucket.ravel(), minlength=cells * (guide + 2))
     del bucket  # before the guide table is allocated: it bounds a build's peak memory
-    start = np.empty((guide, cells), np.intp)
-    start[0] = 0
-    start[1:] = below[:(guide - 1) * cells].reshape(guide - 1, cells)
-    _accumulate(np.add, start)
-    start *= cells
-    start += np.arange(cells)
+    start = np.empty((cells, guide), np.intp)
+    start[:, 0] = 0
+    start[:, 1:] = below.reshape(cells, guide + 2)[:, :guide - 1]
+    np.add.accumulate(start, axis=1, out=start)
+    start += np.arange(0, cells * length, length)[:, None]
     return cdf.ravel(), start.ravel(), first.astype(np.intp)
 
 
@@ -247,18 +240,16 @@ def _quantiles(tables, u: np.ndarray, cell: np.ndarray) -> np.ndarray:
     ``cell``: the guide entry of u's bucket is the first candidate, and a
     short walk up the cell's CDF finishes the search."""
     cdf, start, first = tables
-    cells = first.size
-    guide = start.size // cells
+    guide, length = start.size // first.size, cdf.size // first.size
     pos = np.empty(u.shape, np.intp)
     np.multiply(u, guide, out=pos, casting="unsafe")
-    pos *= cells
-    pos += cell
+    pos += cell * guide
     pos = start[pos]
     walk = np.flatnonzero(cdf[pos] <= u)
     while walk.size:
-        pos[walk] += cells
+        pos[walk] += 1
         walk = walk[cdf[pos[walk]] <= u[walk]]
-    pos //= cells
+    pos -= cell * length
     if first.any():
         pos += first[cell]
     return pos
@@ -337,9 +328,9 @@ def mc_mutual_information(pop: PoissonPopulation, prior: GridPrior, cfg: MCConfi
         node, neuron = np.argwhere(~ok)[0]
         raise ValueError("Poisson rates must be positive and finite: "
                          f"node {node}, neuron {neuron} has rate {float(rates[node, neuron])!r}")
-    if rates.max() > _MAX_RATE:
+    if rates.max() > MAX_RATE:
         node, neuron = np.unravel_index(np.argmax(rates), rates.shape)
-        raise ValueError(f"Poisson rates above {_MAX_RATE:g} outgrow the sampler's tables: "
+        raise ValueError(f"Poisson rates above {MAX_RATE:g} outgrow the sampler's tables: "
                          f"node {node}, neuron {neuron} has rate {float(rates[node, neuron])!r}")
 
     stim_rng, resp_rng, boot_rng = (

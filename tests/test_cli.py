@@ -116,6 +116,13 @@ class TestExitCodes:
         assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
         assert "configuration error: m must be at least 2, got 1" in capsys.readouterr().err
 
+    def test_amplitude_past_the_samplers_largest_rate_is_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", dict(TINY_FIG1, amplitude=2e8))
+        assert main(["fig1", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert ("configuration error: amplitude must be at most 1e+08, the largest Poisson rate "
+                "the Monte Carlo sampler takes, got 200000000.0") in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv*"))
+
     @pytest.mark.parametrize("experiment, key", [
         ("fig2", "amplitude"), ("fig2", "period"), ("optimize", "peak_power"),
         ("optimize", "center_span"), ("capacity", "paper_scale"),
