@@ -7,8 +7,8 @@ H(X), the log-density curvature ``P(x) = -d^2 ln p / dx dx^T``, and the
 prior-averaged score outer product ``P_plus = <(d ln p/dx)(d ln p/dx)^T>``.
 :mod:`popcode_mi.mi` adds them to the Fisher information J(x).
 
-The von Mises normalizer's Bessel function I_0 is :func:`_i0`, a pure-Python
-port of Cephes' algorithm, bit for bit equal to ``scipy.special.i0``.
+The von Mises normalizer's Bessel function I_0 is numpy's ``np.i0``, the
+same Cephes series as ``scipy.special.i0``.
 """
 
 from __future__ import annotations
@@ -26,58 +26,6 @@ __all__ = ["GaussianPrior", "GridPrior"]
 #: ln(2 pi e), the per-dimension constant of a Gaussian's entropy and of
 #: every log-det formula.
 LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
-
-# Chebyshev coefficients of Cephes' I_0 (Moshier, "Methods and Programs for
-# Mathematical Functions", 1989): exp(-x) I_0(x) on [0, 8] in (x/2 - 2), and
-# exp(-x) sqrt(x) I_0(x) on (8, inf) in (32/x - 2).
-_I0_A = (
-    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
-    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
-    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
-    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
-    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
-    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
-    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
-    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
-    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
-    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
-)
-_I0_B = (
-    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
-    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
-    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
-    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
-    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
-    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
-    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
-    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
-    0.8044904110141088,
-)
-
-
-def _chbevl(x: float, coefs: tuple) -> float:
-    """Cephes' Chebyshev series sum, in Cephes' operation order."""
-    b0, b1, b2 = coefs[0], 0.0, 0.0
-    for c in coefs[1:]:
-        b2, b1 = b1, b0
-        b0 = x * b1 - b2 + c
-    return 0.5 * (b0 - b2)
-
-
-def _i0(x: float) -> float:
-    """Modified Bessel function I_0(x) for x >= 0, Cephes' algorithm.
-
-    Equals ``scipy.special.i0`` bit for bit, ``inf`` included: past
-    x = 709.78 the factor e^x overflows, and the result is ``inf``.
-    """
-    try:
-        scale = math.exp(x)
-    except OverflowError:
-        return math.inf
-    if x <= 8.0:
-        return scale * _chbevl(x / 2.0 - 2.0, _I0_A)
-    return scale * _chbevl(32.0 / x - 2.0, _I0_B) / math.sqrt(x)
-
 
 @dataclass(frozen=True)
 class GaussianPrior:
@@ -189,15 +137,19 @@ class GridPrior:
         naming it, as is a grid size ``m`` that is not an integer of at
         least 2.  The normalizer has the closed form
         ``Z = T e^{-kappa} I_0(kappa)`` with I_0 the modified Bessel
-        function, evaluated by Cephes' algorithm (:func:`_i0`), so no numeric
-        normalization step is involved.  Past kappa = 709.78 (widths below
-        about T / 167) I_0 overflows to ``inf``, the tabulated density is 0
-        and the quadrature check rejects the prior.
+        function (``np.i0``), so no numeric normalization step is involved.
+        Past kappa = 709.78 (widths below about T / 167) I_0 overflows, and
+        that too is an error naming the width and period.
         """
         _count("grid size m", m, 2)
         kappa = _concentration(period, width)
         omega = 2.0 * math.pi / period
-        log_z = math.log(period) - kappa + math.log(_i0(kappa))
+        with np.errstate(over="ignore"):
+            i0 = float(np.i0(kappa))
+        if not math.isfinite(i0):
+            raise ValueError(f"width {float(width)!r} is too small for period {float(period)!r}: "
+                             f"the prior's normalizer I_0(kappa) overflows at kappa = {kappa!r}")
+        log_z = math.log(period) - kappa + math.log(i0)
         dx = period / m
         nodes = -period / 2.0 + dx * np.arange(m)
         phase = omega * nodes

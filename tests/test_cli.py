@@ -106,9 +106,12 @@ class TestExitCodes:
         assert "width" in capsys.readouterr().err
 
     def test_overflowing_prior_width_is_named(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", dict(TINY_CAPACITY, prior_width=1e-200))
-        assert main(["capacity", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 3
-        assert "numerical failure: width 1e-200 is too small for period" in capsys.readouterr().err
+        # 1e-200 overflows the concentration, 0.01 the normalizer's I_0.
+        for width in (1e-200, 0.01):
+            cfg = write_config(tmp_path / "cfg.json", dict(TINY_CAPACITY, prior_width=width))
+            assert main(["capacity", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 3
+            assert (f"numerical failure: width {width!r} is too small for period"
+                    in capsys.readouterr().err)
 
     @pytest.mark.parametrize("experiment", ["fig1", "optimize", "capacity"])
     def test_one_node_grid_is_a_config_error(self, experiment, tmp_path, capsys):

@@ -5,11 +5,13 @@ imports is used."""
 import ast
 import dataclasses
 import importlib
+import json
 import os
 import pkgutil
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import popcode_mi
@@ -106,7 +108,7 @@ def _modules_after(statement: str) -> set:
     src = os.path.dirname(os.path.dirname(popcode_mi.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = f"import sys; {statement}; print('\\n'.join(sys.modules))"
+    code = f"import sys\n{statement}\nprint('\\n'.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
@@ -120,3 +122,42 @@ def test_import_footprint():
         "import popcode_mi.cli, popcode_mi.mi, popcode_mi.optimize, popcode_mi.transform")
     assert {name for name in loaded if name.split(".")[0] == "scipy"} == set()
     assert "numpy.random" in loaded
+
+
+TINY_RUNS = {
+    "fig1": {"n_list": [2, 3], "j_max": 300, "i_max": 20, "m": 50, "repeats": 2},
+    "fig2": {"widths": [2], "n_list": [100]},
+    "optimize": {"k1": 4, "m": 50, "n": 10},
+    "capacity": {"n": 5, "m": 50},
+}
+
+
+def test_runs_need_no_scipy(tmp_path):
+    """Every experiment runs through ``cli.main`` with every ``scipy`` import
+    refused, and leaves no scipy module loaded."""
+    argvs = []
+    for experiment, config in TINY_RUNS.items():
+        path = tmp_path / f"{experiment}.json"
+        path.write_text(json.dumps(config))
+        argvs.append([experiment, "--config", str(path), "--seed", "1",
+                      "--out", str(tmp_path / f"{experiment}.csv")])
+    loaded = _modules_after(textwrap.dedent(f"""\
+        import contextlib, importlib.abc
+
+        class RefuseScipy(importlib.abc.MetaPathFinder):
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] == "scipy":
+                    raise ImportError(f"scipy is refused: {{name}}")
+
+        sys.meta_path.insert(0, RefuseScipy())
+        try:
+            import scipy
+        except ImportError:
+            pass
+        else:
+            raise AssertionError("the scipy import was not refused")
+        from popcode_mi.cli import main
+        with contextlib.redirect_stdout(sys.stderr):  # stdout lists the modules
+            codes = [main(argv) for argv in {argvs!r}]
+        assert codes == [0] * {len(argvs)}, codes"""))
+    assert {name for name in loaded if name.split(".")[0] == "scipy"} == set()

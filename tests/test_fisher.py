@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import i0
 
-from popcode_mi.fisher import GaussianPrior, GridPrior, _i0
+from popcode_mi.fisher import GaussianPrior, GridPrior
 from popcode_mi.mi import LOG_2PI_E, _p_plus_matrix, i_g, i_g_plus, van_trees_bound
 from popcode_mi.models import PoissonPopulation, VonMisesTuning
 from popcode_mi.optimize import build_problem
@@ -129,30 +130,61 @@ class TestGridPriorConstruction:
         assert tabulated.p_plus() == pytest.approx(prior.p_plus(), rel=1e-8)
 
 
-class TestCephesI0:
-    """``fisher._i0`` is Cephes' I_0, the routine behind ``scipy.special.i0``."""
+def closed_form_log_pdf(period, width, m):
+    """ln p at the grid nodes in ``GridPrior.von_mises``'s operation order,
+    with the normalizer's I_0 from ``scipy.special.i0``."""
+    kappa = (period / (2.0 * math.pi * width)) ** 2
+    log_z = math.log(period) - kappa + math.log(float(i0(kappa)))
+    nodes = -period / 2.0 + period / m * np.arange(m)
+    return -kappa * (1.0 - np.cos(2.0 * math.pi / period * nodes)) - log_z, kappa
 
-    def test_bit_identical_to_scipy_on_both_branches(self):
-        widths = np.geomspace(0.02, 10.0, 400)
-        xs = np.concatenate([
-            np.linspace(0.0, 8.0, 40_001)[1:],               # Chebyshev series in x/2 - 2
-            np.linspace(8.0, 709.78, 40_001)[1:],            # series in 32/x - 2, over sqrt(x)
-            np.nextafter(8.0, [0.0, 9.0]), [5e-324, 1e-300, 1e-8],
-            (PERIOD / (2 * np.pi * widths)) ** 2,            # von_mises kappas, widths 0.02 to 10
-            (2 * PERIOD / (2 * np.pi * widths)) ** 2,
-        ])
-        got = np.array([_i0(float(x)) for x in xs])
-        assert got.tobytes() == i0(xs).tobytes()
+
+class TestCephesI0:
+    """The von Mises normalizer takes Cephes' I_0 from numpy (``np.i0``);
+    ``scipy.special.i0`` is the oracle."""
+
+    @pytest.mark.parametrize("width", [PRIOR_WIDTH, 0.5, 0.3, 0.2])
+    def test_bit_identical_to_the_scipy_closed_form(self, width):
+        """kappa = 0.405 (the bundled prior), 1, 2.78 and 6.25."""
+        expected, _ = closed_form_log_pdf(PERIOD, width, 1000)
+        assert GridPrior.von_mises(PERIOD, width, 1000).log_pdf.tobytes() == expected.tobytes()
+
+    def test_scipy_closed_form_within_a_few_ulps_on_both_branches(self):
+        """Over kappa from 2.5e-3 to 2500 (both Chebyshev branches), numpy's and
+        scipy's I_0 differ by at most 4.3e-16 relative.  ln I_0 is about kappa,
+        so the log-density may move by a few ulps of max(1, kappa); past
+        kappa = 709.78 I_0 overflows in both and the prior is an error."""
+        built = 0
+        for period in (PERIOD, 2 * PERIOD):
+            for width in np.geomspace(0.02, 10.0, 400):
+                expected, kappa = closed_form_log_pdf(period, float(width), 1000)
+                if not np.isfinite(expected).all():
+                    with pytest.raises(ValueError, match="too small for period"):
+                        GridPrior.von_mises(period, float(width), 1000)
+                    continue
+                got = GridPrior.von_mises(period, float(width), 1000).log_pdf
+                np.testing.assert_allclose(got, expected, rtol=0,
+                                           atol=4 * np.finfo(float).eps * max(1.0, kappa))
+                built += 1
+        assert built == 759  # the other 41 of the 800 overflow
 
     @pytest.mark.parametrize("x", [709.79, 710.0, 2500.0, 1e300])
     def test_overflow_is_inf_as_in_scipy(self, x):
-        assert _i0(x) == math.inf == i0(x)
+        """Where scipy's I_0(kappa) is inf, the prior is an error, not a warning."""
+        width = 1.0 / (2.0 * math.sqrt(x))  # kappa = x at period pi, to rounding
+        assert i0((PERIOD / (2.0 * math.pi * width)) ** 2) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"I_0\(kappa\) overflows"):
+                GridPrior.von_mises(PERIOD, width, 1000)
 
-    def test_overflowing_prior_is_rejected_by_the_quadrature_check(self):
-        # kappa = 2500: e^kappa overflows, and the density tabulates as 0.
-        message = r"^prior density quadrature is 0\.0, expected 1 within 1e-8$"
-        with pytest.raises(ValueError, match=message):
-            GridPrior.von_mises(math.pi, 0.01, 1000)
+    def test_overflowing_prior_names_width_and_period(self):
+        message = (r"^width 0\.01 is too small for period 3\.141592653589793: the prior's "
+                   r"normalizer I_0\(kappa\) overflows at kappa = 2499\.999999999999$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                GridPrior.von_mises(math.pi, 0.01, 1000)
 
 
 class TestGridPriorQuadrature:
