@@ -265,7 +265,7 @@ def _write_sidecar(experiment: str, cfg: dict, chash: str, wall_time: float, ext
 def _environment(cfg: dict) -> dict:
     """Library versions the output's bits rest on, and the thread counts used.
 
-    The Monte Carlo columns depend on numpy's ``exp``/``log1p`` and on the
+    The Monte Carlo columns depend on numpy's ``exp``/``log`` and on the
     BLAS behind the likelihood matmul, so both are recorded with the run.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

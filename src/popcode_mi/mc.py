@@ -44,18 +44,18 @@ for amplitude ``A_n``, concentration ``k_n``, center ``c_n`` and
 and a block costs O(chunk (N + M)) instead of O(chunk N M).  The constant
 row of ``V`` keeps the core equal to ``sum_n r_n ln f_n(x) - f_n(x)``.
 
-One (chunk, M) buffer serves every chunk: the likelihood matmul writes
-into it, and :func:`logsumexp` reduces it in place.  That kernel is the
-accurate log-sum-exp of Blanchard, Higham and Higham ("Accurately
-computing the log-sum-exp and softmax functions", IMA J. Numer. Anal.
-2021), the form ``scipy.special.logsumexp`` uses: the row maxima are
-taken out of the sum, which then enters through ``log1p``.  It performs
-scipy's floating-point operations in scipy's order, so its results match
-``scipy.special.logsumexp(core + log_masses, axis=1)`` bit for bit on
-every row whose result is finite, without scipy's full-size temporaries.
-The buffer holds a fixed budget of 2^20 values (8 MB), so the passes
-over it stay cache-sized; the budget is a constant, not read from the
-machine, because the matmul's last bits depend on the row count.
+One (chunk, M) buffer serves every chunk: the likelihood matmul writes the
+log-joint ``ln p(r_j | x_m) + ln p(x_m)`` into it (the prior's log-masses
+are folded into the offset once per run), and :func:`logsumexp` reduces it
+in place to the marginal.  That kernel is the plain shifted form analysed by
+Blanchard, Higham and Higham ("Accurately computing the log-sum-exp and
+softmax functions", IMA J. Numer. Anal. 2021): the row maximum comes out,
+shifted entries are clamped at -700 so ``exp`` never returns a subnormal,
+and ``ln sum exp`` gets the maximum back.  It agrees with
+``scipy.special.logsumexp`` to a few ulps of ``|row max| + ln M``.  The
+buffer holds a fixed budget of 2^20 values (8 MB), so the passes over it
+stay cache-sized; the budget is a constant, not read from the machine,
+because the matmul's last bits depend on the row count.
 """
 
 from __future__ import annotations
@@ -102,9 +102,9 @@ class MCResult:
 #: buffers ran alike and 32 MB about 20 % slower (2-core VM, BLAS 1 thread).
 _CHUNK_VALUES = 1 << 20
 
-#: Below this argument ``np.exp`` returns exactly +0.0 (e^-745.2 is under half
-#: the smallest subnormal, 4.9e-324).
-_EXP_ZERO = -745.2
+#: Shifted log-sum-exp entries are clamped here: e^-700 is about 1e-304, still
+#: normal, and adds nothing to a row sum of at least 1.
+_EXP_FLOOR = -700.0
 
 #: ln 2^61: each tail a cell's CDF window leaves out holds under 2^-61 of its mass.
 _TAIL = 61.0 * math.log(2.0)
@@ -126,34 +126,18 @@ _TABLE_VALUES = 1 << 17
 MAX_RATE = 1e8
 
 
-def logsumexp(buf: np.ndarray, log_masses: np.ndarray) -> np.ndarray:
-    """Row-wise ``ln sum_m exp(buf[j, m] + log_masses[m])``, overwriting ``buf``.
+def logsumexp(buf: np.ndarray) -> np.ndarray:
+    """Row-wise ``ln sum_m exp(buf[j, m])``, overwriting ``buf``.
 
-    Ties for a row's maximum are all taken out of the sum and counted, as
-    scipy does; zero-mass nodes (``-inf`` log-masses) add nothing.  Rows
-    whose maximum is not finite come back non-finite, without a warning.
-    Shifted entries whose exponential underflows to 0 are written as 0
-    instead of exponentiated, so the sums see the same +0.0 in the same
-    places and keep scipy's bits.
+    ``-inf`` entries (zero-mass nodes) add nothing.  Rows whose maximum is
+    not finite come back non-finite, without a warning.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        buf += log_masses
+    with np.errstate(invalid="ignore"):
         a_max = buf.max(axis=1)
-        ismax = buf == a_max[:, None]
-        count = ismax.sum(axis=1).astype(float)
         buf -= a_max[:, None]
-        dead = ismax
-        if buf.min() < _EXP_ZERO:
-            # exp is exactly +0.0 there; skipping those entries keeps numpy's
-            # vector exp off its slow path for underflowing arguments.
-            dead = ismax | (buf < _EXP_ZERO)
-            np.exp(buf, out=buf, where=~dead)
-        else:
-            np.exp(buf, out=buf)
-        buf[dead] = 0.0
-        s = buf.sum(axis=1)
-        s = np.where(s == 0, s, s / count)
-        return np.log1p(s) + np.log(count) + a_max
+        np.maximum(buf, _EXP_FLOOR, out=buf)
+        np.exp(buf, out=buf)
+        return np.log(buf.sum(axis=1)) + a_max
 
 
 def _loglik_terms(pop: PoissonPopulation, rates: np.ndarray, xs: np.ndarray):
@@ -341,16 +325,17 @@ def mc_mutual_information(pop: PoissonPopulation, prior: GridPrior, cfg: MCConfi
     stim_idx = np.repeat(np.arange(cfg.m), counts)
 
     chunk = max(256, _CHUNK_VALUES // cfg.m)
-    loglik = _loglik_terms(pop, rates, prior.nodes)
+    factors, offset = _loglik_terms(pop, rates, prior.nodes)
+    joint = factors, offset - log_masses  # ln p(r | x_m) + ln p(x_m), less ln r!
     buf = np.empty((min(chunk, cfg.j_max), cfg.m))
     terms = np.empty(cfg.j_max)
     blocks = _poisson_responses(rates, counts, resp_rng, chunk)
     for lo, responses in zip(range(0, cfg.j_max, chunk), blocks):
         hi = lo + len(responses)
         idx = stim_idx[lo:hi]
-        core = _log_lik_core(responses, loglik, buf[: hi - lo])
-        numerator = core[np.arange(hi - lo), idx]
-        terms[lo:hi] = numerator - logsumexp(core, log_masses)
+        core = _log_lik_core(responses, joint, buf[: hi - lo])
+        numerator = core[np.arange(hi - lo), idx] - log_masses[idx]
+        terms[lo:hi] = numerator - logsumexp(core)
         if not np.all(np.isfinite(terms[lo:hi])):
             bad = lo + int(np.argmin(np.isfinite(terms[lo:hi])))
             raise ValueError(f"non-finite log-likelihood ratio at sample {bad}")

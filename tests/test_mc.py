@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -56,14 +57,31 @@ class TestMCConfig:
 
 
 class TestEstimatorExactCases:
-    def test_uninformative_channel_is_exactly_zero(self):
-        """Stimulus-independent rates: every log ratio is identically 0."""
+    def test_uninformative_channel_is_zero_to_rounding(self):
+        """Stimulus-independent rates: every log ratio is 0 in exact arithmetic.
+
+        A term is the log-joint at the drawn node, less its log-mass, less the
+        row's log-sum-exp: about eight roundings (the folded offset, the matmul
+        row, the offset subtraction, the log-mass, the shift, the log, the
+        re-added maximum and the difference), each under eps/2 of ``scale``,
+        which bounds every value they touch.  So no term, and no mean of
+        terms, is further from 0 than 4 eps scale."""
         flat = VonMisesTuning(amplitude=5.0, width=1e9, period=math.pi, center=0.0)
         pop = PoissonPopulation([flat, flat])
         prior = GridPrior.von_mises(m=64)
-        out = mc_mutual_information(pop, prior, MCConfig(j_max=500, i_max=20, m=64))
-        assert out.i_mc_star == 0.0
-        assert out.i_mc == 0.0
+        largest, real_core = [], mc._log_lik_core
+
+        def spy(responses, terms, out):
+            core = real_core(responses, terms, out)
+            largest.append(np.max(np.abs(core)))
+            return core
+
+        with mock.patch.object(mc, "_log_lik_core", spy):
+            out = mc_mutual_information(pop, prior, MCConfig(j_max=500, i_max=20, m=64))
+        offset = np.sum(pop.rate_matrix(prior.nodes), axis=1) - np.log(prior.masses)
+        scale = max(max(largest), np.max(np.abs(offset))) + math.log(64)
+        bound = 4 * np.finfo(float).eps * scale
+        assert abs(out.i_mc_star) <= bound and abs(out.i_mc) <= bound
 
     def test_two_neurons_match_exact_enumeration(self):
         """Two Poisson neurons on a 64-node grid: the MI summed over every count
@@ -124,9 +142,18 @@ class TestPoissonOnly:
             mc_mutual_information(model, prior_small, MCConfig(j_max=500, i_max=5, m=200))
 
 
-def reference_mc(model, prior, cfg):
-    """The estimator as a chunk loop over scipy's Poisson quantiles and
-    log-sum-exp, kept as the oracle."""
+def lean_logsumexp(x):
+    """``mc.logsumexp``'s formula written out: the row maximum comes out,
+    shifted entries are clamped at -700, then exp, sum, log and the maximum
+    back."""
+    with np.errstate(invalid="ignore"):
+        a = x.max(axis=1)
+        return np.log(np.exp(np.maximum(x - a[:, None], -700.0)).sum(axis=1)) + a
+
+
+def reference_mc(model, prior, cfg, logsumexp=lean_logsumexp):
+    """The estimator as a chunk loop over scipy's Poisson quantiles, with the
+    log-masses folded into the likelihood's offset, kept as the oracle."""
     rates = np.asarray(model.rate_matrix(prior.nodes), dtype=float)
     stim_rng, resp_rng, boot_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
@@ -141,75 +168,106 @@ def reference_mc(model, prior, cfg):
     u = np.column_stack([np.log(amp) - conc, conc * np.cos(omega * centers),
                          conc * np.sin(omega * centers)])
     v = np.stack([np.ones(cfg.m), np.cos(omega * prior.nodes), np.sin(omega * prior.nodes)])
+    offset = np.sum(rates, axis=1) - log_masses
     chunk = max(256, (1 << 20) // cfg.m)
     terms = np.empty(cfg.j_max)
     for lo in range(0, cfg.j_max, chunk):
         hi = min(lo + chunk, cfg.j_max)
         idx = stim_idx[lo:hi]
         responses = poisson.ppf(resp_rng.random((hi - lo, len(model.tuning))), rates[idx])
-        core = (responses @ u) @ v - np.sum(rates, axis=1)
-        terms[lo:hi] = core[np.arange(hi - lo), idx] - scipy_logsumexp(core + log_masses, axis=1)
+        joint = (responses @ u) @ v - offset
+        terms[lo:hi] = joint[np.arange(hi - lo), idx] - log_masses[idx] - logsumexp(joint)
     replicates = np.array([np.mean(terms[boot_rng.integers(0, cfg.j_max, size=cfg.j_max)])
                            for _ in range(cfg.i_max)])
     return MCResult(i_mc_star=float(np.mean(terms)), i_mc=float(np.mean(replicates)),
                     i_std=float(np.std(replicates)))
 
 
+#: Shifted entries past exp's zero (-745.13), between it and the clamp at -700,
+#: and on both sides of each edge.
+_TAIL_SHIFTS = np.array([-1e4, -800.0, -745.2, *np.nextafter(-745.1332191019411, [-800.0, 0.0]),
+                         -745.1332191019411, -720.0, -708.4, -708.3,
+                         *np.nextafter(-700.0, [-800.0, 0.0]), -700.0, -699.0])
+
+
+@st.composite
+def kernel_rows(draw):
+    """A (rows, m) log-joint buffer with a finite maximum in every row: tied
+    maxima, ``-inf`` entries for zero-mass nodes, spreads from 1e-3 to 1e4
+    and, in some buffers, shifted entries in the exponential's underflow range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, m = draw(st.integers(1, 40)), draw(st.integers(2, 60))
+    spread = draw(st.sampled_from([1e-3, 1.0, 30.0, 1e4]))
+    if draw(st.booleans()):
+        # Few distinct values and equal masses: rows tie at their maximum.
+        core = spread * rng.integers(-2, 3, size=(rows, m)).astype(float)
+        log_masses = np.full(m, -math.log(m))
+    else:
+        core = spread * rng.standard_normal((rows, m))
+        log_masses = np.log(rng.dirichlet(np.ones(m)))
+    if draw(st.booleans()):
+        log_masses[rng.random(m) < 0.3] = -np.inf
+        log_masses[rng.integers(m)] = -math.log(m)
+    buf = core + log_masses
+    if draw(st.booleans()):
+        top = buf.max(axis=1)
+        tail = rng.random((rows, m)) < 0.7
+        tail[np.arange(rows), buf.argmax(axis=1)] = False
+        shifts = np.where(rng.random((rows, m)) < 0.5, rng.choice(_TAIL_SHIFTS, (rows, m)),
+                          rng.uniform(-760.0, -690.0, (rows, m)))
+        buf = np.where(tail, top[:, None] + shifts, buf)
+    return buf
+
+
 class TestLogSumExpKernel:
     @settings(max_examples=60)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(2, 60),
-           st.sampled_from([1e-3, 1.0, 30.0, 1e4]), st.booleans(), st.booleans())
-    def test_matches_scipy_bit_for_bit(self, seed, rows, m, spread, ties, zero_mass):
+    @given(kernel_rows())
+    def test_bit_identical_to_the_lean_formula(self, buf):
+        assert mc.logsumexp(buf.copy()).tobytes() == lean_logsumexp(buf).tobytes()
+
+    @settings(max_examples=60)
+    @given(kernel_rows())
+    def test_within_bound_of_scipy(self, buf):
+        """Both forms take out the row maximum a and add it back, so they
+        differ by the rounding of ln s + a, of ln s and of the sum s of at
+        most M terms: under 4 eps (|a| + ln M), with 1.2 the worst factor
+        seen over 2,000 random buffers."""
+        a = buf.max(axis=1)
+        bound = 4 * np.finfo(float).eps * (np.abs(a) + math.log(buf.shape[1]))
+        got = mc.logsumexp(buf.copy())
+        assert np.all(np.abs(got - scipy_logsumexp(buf, axis=1)) <= bound)
+
+    @settings(max_examples=30)
+    @given(kernel_rows(), st.integers(0, 2**32 - 1))
+    def test_nan_and_inf_maxima_come_back_non_finite(self, buf, seed):
+        """Without a RuntimeWarning, and leaving every other row's bits."""
         rng = np.random.default_rng(seed)
-        if ties:
-            # Few distinct values and equal masses: rows tie at their maximum.
-            core = spread * rng.integers(-2, 3, size=(rows, m)).astype(float)
-            log_masses = np.full(m, -math.log(m))
-        else:
-            core = spread * rng.standard_normal((rows, m))
-            log_masses = np.log(rng.dirichlet(np.ones(m)))
-        if zero_mass:
-            log_masses[rng.random(m) < 0.3] = -np.inf
-            log_masses[rng.integers(m)] = -math.log(m)
-        want = scipy_logsumexp(core + log_masses, axis=1)
-        got = mc.logsumexp(core.copy(), log_masses)
-        assert got.tobytes() == want.tobytes()
-
-
-    def test_underflowing_rows_match_scipy_bit_for_bit(self):
-        """Shifted entries below -745.2 (exp is exactly 0), subnormal ones in
-        (-745.13, -708), both sides of the underflow boundary, tied maxima and
-        zero-mass nodes, next to rows where nothing underflows."""
-        rng = np.random.default_rng(7)
-        rows, m = 48, 400
-        core = rng.uniform(-1200.0, -745.2, size=(rows, m))
-        core[:, :100] = rng.uniform(-745.13, -708.0, size=(rows, 100))
-        edge = -745.1332191019411
-        core[:, 100:110] = [edge, *np.nextafter(edge, [-800.0, -700.0]), -745.2,
-                            np.nextafter(-745.2, 0.0), -745.13, -708.4, -708.3, -1e4, -np.inf]
-        core[0, :100] = -800.0  # the row's sum is the boundary entries' subnormals
-        core[:, -1] = 0.0
-        core[3::3, -2] = 0.0                                             # tied maxima
-        core[1::4] = rng.uniform(-700.0, 0.0, size=(len(core[1::4]), m))  # no underflow
-        # Zero log-masses keep the shifted entries exact; some nodes have no mass.
-        log_masses = np.where(rng.random(m) < 0.1, -np.inf, 0.0)
-        log_masses[100:110] = log_masses[-2:] = 0.0
-        want = scipy_logsumexp(core + log_masses, axis=1)
-        got = mc.logsumexp(core.copy(), log_masses)
-        assert got.tobytes() == want.tobytes()
-        shifted = core + log_masses
-        shifted -= shifted.max(axis=1)[:, None]
-        assert np.any(shifted < -745.2) and np.any((shifted > -745.13) & (shifted < -708.0))
+        bad = rng.random(len(buf)) < 0.5
+        bad[rng.integers(len(buf))] = True
+        bad_rows = np.flatnonzero(bad)
+        buf[bad_rows, rng.integers(buf.shape[1], size=len(bad_rows))] = rng.choice(
+            [np.nan, np.inf], size=len(bad_rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mc.logsumexp(buf.copy())
+        assert not np.any(np.isfinite(got[bad]))
+        assert got[~bad].tobytes() == lean_logsumexp(buf[~bad]).tobytes()
 
 
 class TestEstimatorMatchesReference:
     @pytest.mark.parametrize("seed", [3, 17])
     @pytest.mark.parametrize("make", [lambda: ring_population(12)], ids=["poisson"])
     def test_bit_identical_to_scipy_chunk_loop(self, make, seed, prior_small):
+        """Bit for bit against the reference loop; within 1e-12 relative of it
+        when the loop takes scipy's log-sum-exp instead of the lean one."""
         # j_max spans nine 5,242-row chunks and a partial tenth.
         cfg = MCConfig(j_max=50_000, i_max=10, m=200, seed=seed)
         model = make()
-        assert mc_mutual_information(model, prior_small, cfg) == reference_mc(model, prior_small, cfg)
+        got = mc_mutual_information(model, prior_small, cfg)
+        assert got == reference_mc(model, prior_small, cfg)
+        scipy_ref = reference_mc(model, prior_small, cfg, lambda x: scipy_logsumexp(x, axis=1))
+        for field in ("i_mc_star", "i_mc", "i_std"):
+            assert getattr(got, field) == pytest.approx(getattr(scipy_ref, field), rel=1e-12, abs=0)
 
 
 class TestFactoredPoissonCore:
@@ -217,9 +275,10 @@ class TestFactoredPoissonCore:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.floats(0.2, 20.0),
            st.sampled_from([2048, 4096, 5000]), st.integers(257, 1600))
     def test_matches_log_rate_matmul(self, seed, n, period, m, j_max):
-        """Every chunk's core equals r @ ln(rates)^T - sum_n rates to 1e-12 of its
-        largest entry, for amplitudes 0.01-100, any period, centers over two
-        periods and widths down to 0.05 T / pi (concentration 100)."""
+        """Every chunk's log-joint equals r @ ln(rates)^T - sum_n rates + ln(masses)
+        to 1e-12 of its largest entry, for amplitudes 0.01-100, any period,
+        centers over two periods and widths down to 0.05 T / pi (concentration
+        100)."""
         chunk = max(256, (1 << 20) // m)
         assume(j_max % chunk)
         rng = np.random.default_rng(seed)
@@ -243,7 +302,7 @@ class TestFactoredPoissonCore:
         assert [len(r) for r, _ in blocks] == [min(chunk, j_max - lo)
                                                for lo in range(0, j_max, chunk)]
         for responses, core in blocks:
-            want = responses @ np.log(rates).T - np.sum(rates, axis=1)
+            want = responses @ np.log(rates).T - np.sum(rates, axis=1) + np.log(prior.masses)
             assert np.max(np.abs(core - want)) <= 1e-12 * np.max(np.abs(want))
 
 
