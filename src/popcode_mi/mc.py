@@ -20,16 +20,18 @@ section III.2).  Only M x N rates exist, so each (node, neuron) cell gets a
 CDF table over a window of O(sqrt(rate)) counts around its rate that leaves
 out under 2^-60 of the mass, plus a guide table (Chen and Asau, 1974) that
 points each uniform's bucket at its first candidate count; a short walk up
-the CDF ends the search.  Tables are built for a few nodes at a time, within
-a fixed budget of values, so memory is bounded for any rate up to
-``MAX_RATE``, and a cell's draws depend only on its rate and uniforms, not
-on how the work is blocked.  A cell's table costs O(sqrt(rate)) values
-against about j_max / M draws, so the tables pay off at low rates only:
-at M = 500 and j_max 5e4 the sampler beats ``Generator.poisson`` at the
-default amplitude 20, breaks even near 100 and is 2-3 times slower at
-1000 (README).  The sampler and the multinomial counts replaced numpy's
-``Generator.poisson`` and ``choice`` draws, which changed every Monte Carlo
-result for a given seed: a declared seed-lineage change of fig1.
+the CDF ends the search.  A table costs O(sqrt(rate)) values against about
+j_max / M draws, so it pays off at low rates only.  A cell above
+``_TABLE_RATE`` (100) still uses up its uniform, but its count comes from
+``Generator.poisson`` on a fourth stream, in sample-major order over such
+cells; its PTRS transformed rejection (Hörmann, *Insurance: Math. Econ.*
+1993) costs about the same per draw at any rate up to numpy's limit, about
+9.2e18.  Tables are built for whole nodes, a few at a time, so one build
+holds at most about 201 N values (the window at rate 100), and no draw
+depends on how the work is blocked.  The inverse-CDF sampler and the
+multinomial counts replaced numpy's ``Generator.poisson`` and ``choice``
+draws, which changed every Monte Carlo result for a given seed: a declared
+seed-lineage change of fig1.
 
 Likelihood evaluation is chunked into response-by-grid blocks so the full
 j_max x M log-likelihood matrix is never materialized; the ``ln r!`` sum,
@@ -69,7 +71,7 @@ from numpy.random import SeedSequence, default_rng
 from .fisher import GridPrior
 from .models import PoissonPopulation, _count
 
-__all__ = ["MAX_RATE", "MCConfig", "MCResult", "mc_mutual_information"]
+__all__ = ["MCConfig", "MCResult", "mc_mutual_information"]
 
 
 @dataclass(frozen=True)
@@ -113,17 +115,20 @@ _TAIL = 61.0 * math.log(2.0)
 #: power of 2 up to L, so a bucket spans about one count at the mode.
 _GUIDE = 64
 
-#: Uniforms looked up per sampler step, and CDF values per table build (1 MB).
-#: At M = 500, N = 200 on two threads a 2 MB budget raised peak memory from
-#: 78 to 84 MB; at N = 1000 a 512 kB one split each node's table in two and
-#: ran about 20 % slower (2-core VM).  One cell's table may be longer than
-#: the budget: its window is about 18.4 sqrt(rate) counts.
+#: Cells whose rate is above this draw from ``Generator.poisson``.  With tables
+#: for every cell, fig1 at M 500, j_max 5e4 beat numpy's sampler at amplitude
+#: 20, tied at 100 and was 2-3 times slower at 1000 (2-core VM, BLAS 1 thread).
+_TABLE_RATE = 100.0
+
+#: ``Generator.poisson`` refuses larger rates ("lam value too large").
+_RATE_LIMIT = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+#: Uniforms looked up per sampler step, and CDF values per table build (1 MB;
+#: at M = 500, N = 200 on two threads, 2 MB raised peak memory from 78 to 84
+#: MB).  A group holds whole nodes, so one node's table may pass the budget:
+#: its window is at most 201 counts (rate 100), 1.6 MB of values at N = 1000.
 _SUB_DRAWS = 1 << 16
 _TABLE_VALUES = 1 << 17
-
-#: The largest Poisson rate the estimator takes: one cell's CDF window is
-#: then about 184,000 counts (1.5 MB), so a table build stays bounded.
-MAX_RATE = 1e8
 
 
 def logsumexp(buf: np.ndarray) -> np.ndarray:
@@ -239,7 +244,7 @@ def _quantiles(tables, u: np.ndarray, cell: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _poisson_responses(rates: np.ndarray, counts: np.ndarray, rng, chunk: int):
+def _poisson_responses(rates: np.ndarray, counts: np.ndarray, rng, high_rng, chunk: int):
     """Poisson responses of node-sorted samples, yielded ``chunk`` rows at a time.
 
     ``counts[m]`` samples sit at node m, in node order.  Sample j's response
@@ -247,15 +252,17 @@ def _poisson_responses(rates: np.ndarray, counts: np.ndarray, rng, chunk: int):
     ``rng.random()`` uniform, drawn in sample-major order a chunk at a time
     into the buffer that the counts then overwrite (the yielded buffer is
     reused).  Occupied nodes are taken in groups whose tables fit
-    ``_TABLE_VALUES`` and each group's tables are built once; a node whose
-    table alone is larger is split into column slices, built again in each
-    chunk the node reaches.  Lookups run ``_SUB_DRAWS`` uniforms at a time.
+    ``_TABLE_VALUES`` (at least one node each) and each group's tables are
+    built once.  Lookups run ``_SUB_DRAWS`` uniforms at a time; a cell above
+    ``_TABLE_RATE`` has its table built at rate 0, and its count, in
+    sample-major order, comes from ``high_rng.poisson`` instead.
     """
     n = rates.shape[1]
-    length = _windows(rates)[1].max(axis=1)
+    length = _windows(np.where(rates > _TABLE_RATE, 0.0, rates))[1].max(axis=1)
     occupied = np.flatnonzero(counts)
     left = int(counts.sum())
     out = np.empty((min(chunk, left), n))
+    step, cols = max(1, _SUB_DRAWS // n), np.arange(n)
 
     def draw():
         block = out[:min(chunk, left)]
@@ -267,25 +274,22 @@ def _poisson_responses(rates: np.ndarray, counts: np.ndarray, rng, chunk: int):
         size, j = length[occupied[i]], i + 1
         while j < len(occupied) and (j + 1 - i) * n * max(size, length[occupied[j]]) <= _TABLE_VALUES:
             size, j = max(size, length[occupied[j]]), j + 1
-        nodes, i = occupied[i:j], j
-        width = min(n, max(1, _TABLE_VALUES // size))
-        slices = [(lo, min(lo + width, n)) for lo in range(0, n, width)]
-        whole = tables = None  # drop the last group's tables before building the next
-        if len(slices) == 1:
-            whole = _tables(rates[nodes].ravel(), size)
-        step = max(1, _SUB_DRAWS // width)
+        nodes, i, tables = occupied[i:j], j, None  # drop the last group's tables first
+        group_rates = rates[nodes].ravel()
+        group_hot = group_rates > _TABLE_RATE
+        tables = _tables(np.where(group_hot, 0.0, group_rates), size)
         local = np.repeat(np.arange(len(nodes)), counts[nodes])
         done = 0
         while done < len(local):
             seg = local[done:done + rows - filled]
-            for lo, hi in slices:
-                tables = whole if whole is not None else _tables(rates[nodes, lo:hi].ravel(), size)
-                cols = np.arange(hi - lo)
-                for a in range(0, len(seg), step):
-                    b = min(a + step, len(seg))
-                    block = out[filled + a:filled + b, lo:hi]
-                    cell = (seg[a:b, None] * (hi - lo) + cols).ravel()
-                    block[...] = _quantiles(tables, block.ravel(), cell).reshape(block.shape)
+            block = out[filled:filled + len(seg)].reshape(-1)  # a view: whole rows
+            for a in range(0, len(seg), step):
+                cell = (seg[a:a + step, None] * n + cols).ravel()
+                u = block[a * n:a * n + cell.size]
+                u[...] = _quantiles(tables, u, cell)
+                if group_hot.any():
+                    k = np.flatnonzero(group_hot[cell])
+                    u[k] = high_rng.poisson(group_rates[cell[k]])
             filled, done, left = filled + len(seg), done + len(seg), left - len(seg)
             if filled == rows:
                 yield out[:rows]
@@ -298,27 +302,25 @@ def mc_mutual_information(pop: PoissonPopulation, prior: GridPrior, cfg: MCConfi
 
     The prior must be tabulated on exactly ``cfg.m`` nodes — stimulus
     draws, the marginal mixture, and any companion quadrature then share
-    one discretization.  Three independent RNG streams (stimulus indices,
-    response counts, bootstrap indices) are spawned from ``cfg.seed``, so
-    results are reproducible bit-for-bit for a given configuration.
+    one discretization.  Four independent RNG streams (stimulus counts,
+    response uniforms, bootstrap indices, counts above ``_TABLE_RATE``) are
+    spawned from ``cfg.seed``, so results are bit-for-bit reproducible.
     """
     if not isinstance(pop, PoissonPopulation):
         raise TypeError(f"the estimator takes a PoissonPopulation, got {type(pop).__name__}")
     if prior.m != cfg.m:
         raise ValueError(f"prior has {prior.m} nodes but config expects m = {cfg.m}")
     rates = pop.rate_matrix(prior.nodes)
-    ok = np.isfinite(rates) & (rates > 0)
+    ok = (rates > 0) & (rates <= _RATE_LIMIT)
     if not np.all(ok):
         node, neuron = np.argwhere(~ok)[0]
-        raise ValueError("Poisson rates must be positive and finite: "
-                         f"node {node}, neuron {neuron} has rate {float(rates[node, neuron])!r}")
-    if rates.max() > MAX_RATE:
-        node, neuron = np.unravel_index(np.argmax(rates), rates.shape)
-        raise ValueError(f"Poisson rates above {MAX_RATE:g} outgrow the sampler's tables: "
-                         f"node {node}, neuron {neuron} has rate {float(rates[node, neuron])!r}")
+        rate = float(rates[node, neuron])
+        need = (f"at most {_RATE_LIMIT:.4g}, numpy's limit" if _RATE_LIMIT < rate < math.inf
+                else "positive and finite")
+        raise ValueError(f"Poisson rates must be {need}: node {node}, neuron {neuron} has rate {rate!r}")
 
-    stim_rng, resp_rng, boot_rng = (
-        default_rng(s) for s in SeedSequence(cfg.seed).spawn(3)
+    stim_rng, resp_rng, boot_rng, high_rng = (
+        default_rng(s) for s in SeedSequence(cfg.seed).spawn(4)
     )
     log_masses = np.log(prior.masses)
     counts = stim_rng.multinomial(cfg.j_max, prior.masses)
@@ -329,7 +331,7 @@ def mc_mutual_information(pop: PoissonPopulation, prior: GridPrior, cfg: MCConfi
     joint = factors, offset - log_masses  # ln p(r | x_m) + ln p(x_m), less ln r!
     buf = np.empty((min(chunk, cfg.j_max), cfg.m))
     terms = np.empty(cfg.j_max)
-    blocks = _poisson_responses(rates, counts, resp_rng, chunk)
+    blocks = _poisson_responses(rates, counts, resp_rng, high_rng, chunk)
     for lo, responses in zip(range(0, cfg.j_max, chunk), blocks):
         hi = lo + len(responses)
         idx = stim_idx[lo:hi]

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import struct
 import sys
 from pathlib import Path
@@ -119,11 +120,19 @@ class TestExitCodes:
         assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
         assert "configuration error: m must be at least 2, got 1" in capsys.readouterr().err
 
-    def test_amplitude_past_the_samplers_largest_rate_is_rejected(self, tmp_path, capsys):
+    def test_amplitude_2e8_runs(self, tmp_path):
+        """Rates above 100 come from numpy's sampler, up to its own limit."""
         cfg = write_config(tmp_path / "cfg.json", dict(TINY_FIG1, amplitude=2e8))
-        assert main(["fig1", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
-        assert ("configuration error: amplitude must be at most 1e+08, the largest Poisson rate "
-                "the Monte Carlo sampler takes, got 200000000.0") in capsys.readouterr().err
+        assert main(["fig1", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        header, rows = read_rows(tmp_path / "o.csv")
+        assert len(rows) == 2 and all(math.isfinite(float(r[header.index("I_MC")])) for r in rows)
+
+    def test_amplitude_past_numpys_largest_rate_names_the_cell(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", dict(TINY_FIG1, amplitude=1e19))
+        assert main(["fig1", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+        assert re.search(r"numerical failure: Poisson rates must be at most "
+                         r"9\.223e\+18, numpy's limit: node \d+, neuron \d+ has rate ",
+                         capsys.readouterr().err)
         assert not list(tmp_path.glob("*.csv*"))
 
     @pytest.mark.parametrize("experiment, key", [

@@ -152,11 +152,12 @@ def lean_logsumexp(x):
 
 
 def reference_mc(model, prior, cfg, logsumexp=lean_logsumexp):
-    """The estimator as a chunk loop over scipy's Poisson quantiles, with the
-    log-masses folded into the likelihood's offset, kept as the oracle."""
+    """The estimator as a chunk loop over scipy's Poisson quantiles (numpy's
+    sampler on the fourth stream for rates above 100), with the log-masses
+    folded into the likelihood's offset, kept as the oracle."""
     rates = np.asarray(model.rate_matrix(prior.nodes), dtype=float)
-    stim_rng, resp_rng, boot_rng = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
+    stim_rng, resp_rng, boot_rng, high = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(4)
     )
     log_masses = np.log(prior.masses)
     stim_idx = np.repeat(np.arange(cfg.m), stim_rng.multinomial(cfg.j_max, prior.masses))
@@ -175,6 +176,8 @@ def reference_mc(model, prior, cfg, logsumexp=lean_logsumexp):
         hi = min(lo + chunk, cfg.j_max)
         idx = stim_idx[lo:hi]
         responses = poisson.ppf(resp_rng.random((hi - lo, len(model.tuning))), rates[idx])
+        routed = rates[idx] > 100.0
+        responses[routed] = high.poisson(rates[idx][routed])
         joint = (responses @ u) @ v - offset
         terms[lo:hi] = joint[np.arange(hi - lo), idx] - log_masses[idx] - logsumexp(joint)
     replicates = np.array([np.mean(terms[boot_rng.integers(0, cfg.j_max, size=cfg.j_max)])
@@ -254,9 +257,17 @@ class TestLogSumExpKernel:
         assert got[~bad].tobytes() == lean_logsumexp(buf[~bad]).tobytes()
 
 
+def high_rate_ring():
+    """Amplitude 1000, width 0.2: rates from about 0.004 to 1000 on
+    ``prior_small``, so every chunk mixes table cells with cells above 100."""
+    return PoissonPopulation([VonMisesTuning(amplitude=1000.0, width=0.2, period=math.pi, center=c)
+                              for c in np.linspace(-0.5, 0.5, 12)])
+
+
 class TestEstimatorMatchesReference:
-    @pytest.mark.parametrize("seed", [3, 17])
-    @pytest.mark.parametrize("make", [lambda: ring_population(12)], ids=["poisson"])
+    @pytest.mark.parametrize("make, seed", [
+        (lambda: ring_population(12), 3), (lambda: ring_population(12), 17), (high_rate_ring, 8),
+    ], ids=["poisson-3", "poisson-17", "poisson-above-100-8"])
     def test_bit_identical_to_scipy_chunk_loop(self, make, seed, prior_small):
         """Bit for bit against the reference loop; within 1e-12 relative of it
         when the loop takes scipy's log-sum-exp instead of the lean one."""
@@ -319,13 +330,46 @@ class TestRateValidation:
         with pytest.raises(ValueError, match=rf"node 7, neuron 1 has rate {rate!r}$"):
             mc_mutual_information(pop, prior_small, MCConfig(j_max=500, i_max=5, m=200))
 
+    def test_rate_numpy_refuses_names_node_and_neuron(self, prior_small):
+        """Amplitude 1e19 is past ``Generator.poisson``'s largest rate: the
+        rate check names the first such cell, not numpy's "lam value too large"."""
+        pop = PoissonPopulation([VonMisesTuning(amplitude=1e19, width=0.5, period=math.pi, center=c)
+                                 for c in (-0.5, 0.5)])
+        rates = pop.rate_matrix(prior_small.nodes)
+        node, neuron = np.argwhere(rates > mc._RATE_LIMIT)[0]
+        with pytest.raises(ValueError, match=r"^Poisson rates must be at most "
+                                             r"9\.223e\+18, numpy's limit: "
+                                             rf"node {node}, neuron {neuron} has rate "):
+            mc_mutual_information(pop, prior_small, MCConfig(j_max=500, i_max=5, m=200))
+
+    def test_rate_limit_is_numpys(self):
+        rng = np.random.default_rng(0)
+        rng.poisson(mc._RATE_LIMIT)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(mc._RATE_LIMIT, np.inf))
+
+
+def high_rng(seed):
+    """The estimator's fourth stream at ``seed``, which draws the cells above 100."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3])
+
 
 def sampler_draws(rates, counts, seed, chunk=4096):
-    """Every response ``mc._poisson_responses`` yields, stacked."""
-    rng = np.random.default_rng(seed)
-    return np.concatenate([block.copy() for block in
-                           mc._poisson_responses(np.asarray(rates, dtype=float),
-                                                 np.asarray(counts), rng, chunk)])
+    """Every response ``mc._poisson_responses`` yields, stacked: uniforms from
+    ``default_rng(seed)``, the counts above 100 from ``high_rng(seed)``."""
+    return np.concatenate([block.copy() for block in mc._poisson_responses(
+        np.asarray(rates, dtype=float), np.asarray(counts), np.random.default_rng(seed),
+        high_rng(seed), chunk)])
+
+
+def oracle_draws(rates, counts, seed):
+    """scipy's quantile at each uniform for rates up to 100, and for rates
+    above it numpy's sampler, in sample-major order over those cells."""
+    lam = np.repeat(rates, counts, axis=0)
+    want = poisson.ppf(np.random.default_rng(seed).random(lam.shape), lam)
+    routed = lam > 100.0
+    want[routed] = high_rng(seed).poisson(lam[routed])
+    return want
 
 
 class TestInverseCDFSampler:
@@ -353,17 +397,16 @@ class TestInverseCDFSampler:
             assert chi2.sf(stat, len(edges)) > 1e-4, (lam, stat, len(edges))
 
     def test_matches_scipy_ppf_on_the_same_uniforms(self):
-        """Sample-major uniforms, node by node: two nodes, one of them empty."""
+        """Sample-major uniforms, node by node: two nodes, one of them empty.
+        Every table cell is scipy's quantile at its uniform; the 1e4 cells
+        are numpy's sampler on the fourth stream."""
         rates = np.array([self.RATES, [3.0] * len(self.RATES), self.RATES[::-1]])
         responses = sampler_draws(rates, [30_000, 0, 20_000], seed=5, chunk=7_000)
-        u = np.random.default_rng(5).random((50_000, len(self.RATES)))
-        lam = np.repeat(rates, [30_000, 0, 20_000], axis=0)
-        assert responses.tobytes() == poisson.ppf(u, lam).tobytes()
+        assert responses.tobytes() == oracle_draws(rates, [30_000, 0, 20_000], seed=5).tobytes()
 
     def test_rate_1e6_in_bounded_memory(self):
-        """256 cells at rate 1e6 would need about 100 MB of tables at once;
-        the sampler builds them in column slices under 16 MB, and every draw
-        is scipy's quantile."""
+        """256 cells at rate 1e6 would need about 100 MB of inverse-CDF tables;
+        numpy's sampler draws them under 16 MB."""
         rates = np.full((1, 256), 1e6)
         tracemalloc.start()
         try:
@@ -372,26 +415,26 @@ class TestInverseCDFSampler:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
-        u = np.random.default_rng(9).random((40, 256))
-        assert responses.tobytes() == poisson.ppf(u, 1e6).tobytes()
+        assert responses.tobytes() == oracle_draws(rates, [40], seed=9).tobytes()
 
     @settings(max_examples=25)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 1 << 17), st.integers(0, 9),
-           st.sampled_from([1, 64, 4096]))
-    def test_block_sizes_move_no_bit(self, seed, sub_draws, table_shift, guide):
+           st.sampled_from([1, 64, 4096]), st.sampled_from([257, 1000, 4096]))
+    def test_block_sizes_move_no_bit(self, seed, sub_draws, table_shift, guide, chunk):
         """Responses are bit-identical when the lookup sub-block, the table
-        budget (down to one cell per table, in column slices) and the least
-        guide size change: batched against looped."""
+        budget (from one node per group to all of them), the least guide size
+        and the chunk change: batched against looped.  About one cell in five
+        is above 100, so numpy's draws cross chunk and group boundaries."""
         rng = np.random.default_rng(seed)
         rates = 10.0 ** rng.uniform(-3.0, 2.0, size=(12, 7))
-        rates[rng.integers(12), rng.integers(7)] = 1e4
+        rates[rng.random(rates.shape) < 0.2] *= 1e3
         counts = rng.multinomial(3_000, np.full(12, 1 / 12))
         counts[rng.integers(12)] = 0
         want = sampler_draws(rates, counts, seed, chunk=1_000)
-        longest = int(mc._windows(rates)[1].max())
+        longest = int(mc._windows(rates[rates <= 100.0])[1].max())
         with mock.patch.multiple(mc, _SUB_DRAWS=sub_draws, _GUIDE=guide,
                                  _TABLE_VALUES=longest << table_shift):
-            got = sampler_draws(rates, counts, seed, chunk=1_000)
+            got = sampler_draws(rates, counts, seed, chunk=chunk)
         assert got.tobytes() == want.tobytes()
 
     def test_estimator_is_block_size_free(self, prior_small):
@@ -399,15 +442,3 @@ class TestInverseCDFSampler:
         want = mc_mutual_information(ring_population(9), prior_small, cfg)
         with mock.patch.multiple(mc, _SUB_DRAWS=50, _TABLE_VALUES=100):
             assert mc_mutual_information(ring_population(9), prior_small, cfg) == want
-
-    def test_rates_beyond_the_table_budget_are_named(self, prior_small):
-        class Huge(PoissonPopulation):
-            def rate_matrix(self, x):
-                rates = super().rate_matrix(x)
-                rates[5, 2] = 2e8
-                return rates
-
-        pop = Huge(ring_population(3).tuning)
-        with pytest.raises(ValueError, match=r"^Poisson rates above 1e\+08 outgrow the sampler's "
-                                             r"tables: node 5, neuron 2 has rate 200000000\.0$"):
-            mc_mutual_information(pop, prior_small, MCConfig(j_max=500, i_max=5, m=200))
