@@ -408,8 +408,8 @@ def _fig2_spectra(cfg: dict) -> dict:
 def _run_fig2(cfg: dict) -> tuple[list, list, dict]:
     spectra = _fig2_spectra(cfg)
     widths, n_list, gaps = list(spectra), cfg["n_list"], {}
-    # Widest (longest) stream first; each width's gaps run on the pool while
-    # the caller sums the next width's blocks.
+    # Widest (longest) stream first.  Its blocks go through pool.map and are summed
+    # here, never in a pool task; its gaps run on the pool during the next width.
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=_worker_count(cfg)) as pool:
         for w, seed in sorted(zip(widths, _child_seeds(cfg, len(widths))), reverse=True):
             grams = random_mixing_gram(w * w, max(n_list), int(seed), pool, n_list)

@@ -15,8 +15,9 @@ prior with a given covariance spectrum and a random wide mixing matrix A,
 the exact MI (= I_G) and the Fisher-only value I_F have closed forms
 whose gap quantifies how badly I_F fails when K is large relative to N.
 A seed's mixing columns are one stream of ``_BLOCK``-column blocks, each
-drawn by its own SFC64 generator, so threads draw blocks in any order;
-every population size N reads its Gram off the stream's running sum, so
+drawn by its own SFC64 generator, so a thread pool's ``map`` may draw them
+in any order while the calling thread sums their products in column
+order; every population size N reads its Gram off that running sum, so
 the sizes share their leading columns (common random numbers).
 
 File ingestion for real image-patch data accepts a small binary format
@@ -27,7 +28,6 @@ M*K little-endian float32, row-major) or a plain CSV matrix.
 from __future__ import annotations
 
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -202,14 +202,18 @@ def random_mixing_gram(k: int, n: int, seed: int, pool: Optional[ThreadPoolExecu
     ``Generator(SFC64(SeedSequence(seed, spawn_key=(b,)))).standard_normal``.
     Returns ``{count: gram}`` for ``n`` and each of ``prefixes`` (in 1..n);
     a block that straddles a count is drawn once and its product split.
-    Products are summed in column order on the calling thread, so ``pool``
-    never changes the bits.  Its threads run at most two blocks each ahead
-    of the sum, and the caller runs a block none has started, so the call
-    may itself be a task of ``pool``.
+    Blocks are submitted through ``pool.map`` and their products summed in
+    column order on the calling thread, so ``pool`` never changes the bits.
+    The caller must not be a task of ``pool``: it waits on blocks queued
+    behind itself.  ``k``, ``n`` and every prefix must be positive integers.
     """
+    _count("k", k)
+    _count("n", n)
     cuts = sorted({n, *prefixes})
     if cuts[0] < 1 or cuts[-1] > n:
         raise ValueError(f"prefix counts must lie in 1..{n}, got {sorted(prefixes)}")
+    for count in prefixes:
+        _count("prefix count", count)
 
     def products(b: int) -> list:
         lo, hi = b * _BLOCK, min((b + 1) * _BLOCK, n)
@@ -219,23 +223,12 @@ def random_mixing_gram(k: int, n: int, seed: int, pool: Optional[ThreadPoolExecu
         parts = np.split(a, [c - lo for c in inside], axis=1)
         return [(end, part @ part.T) for end, part in zip(inside + [hi], parts)]
 
-    n_blocks = -(-n // _BLOCK)
-    depth = 0 if pool is None else 2 * pool._max_workers
-    pending = deque()  # futures of the blocks after the last one summed
     grams, gram = {}, np.zeros((k, k))
-    try:
-        for b in range(n_blocks):
-            while len(pending) < depth and b + len(pending) < n_blocks:
-                pending.append(pool.submit(products, b + len(pending)))
-            future = pending.popleft() if pending else None
-            parts = products(b) if future is None or future.cancel() else future.result()
-            for end, product in parts:
-                gram += product
-                if end in cuts:
-                    grams[end] = gram if end == n else gram.copy()
-    finally:
-        for future in pending:
-            future.cancel()
+    for parts in (pool.map if pool else map)(products, range(-(-n // _BLOCK))):
+        for end, product in parts:
+            gram += product
+            if end in cuts:
+                grams[end] = gram if end == n else gram.copy()
     return grams
 
 

@@ -1,10 +1,9 @@
 """Whitening, information pushforward, spectrum-gap analysis, block reduction."""
 
-import itertools
 import math
 import re
 import struct
-import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -286,7 +285,7 @@ class TestRandomMixingGram:
         """Blocks of ``BLOCK`` columns, so a few hundred columns span several."""
         monkeypatch.setattr(transform, "_BLOCK", self.BLOCK)
 
-    @pytest.mark.parametrize("workers", [None, 1, 2, 4])
+    @pytest.mark.parametrize("workers", [None, 1, 2, 4, 5])
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
     def test_threads_match_the_serial_loop_bit_for_bit(self, n, workers, small_blocks):
         # The prefix (n + 1) // 2 splits a block whenever n > 2.
@@ -326,43 +325,41 @@ class TestRandomMixingGram:
         a /= np.linalg.norm(a, axis=0)
         np.testing.assert_allclose(random_mixing_gram(k, n, 3)[n], a @ a.T, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("workers", [2, 5])
-    def test_cells_sharing_a_pool_neither_deadlock_nor_change_bits(self, workers, small_blocks):
-        # Each call runs as a task of the pool its blocks are queued on; a
-        # deadlock times out instead of hanging the suite.
-        cells = [(5, 3 * self.BLOCK + 17), (3, 5 * self.BLOCK), (6, self.BLOCK + 1), (2, 1)] * 3
-        want = [as_bytes(serial_grams(k, n, i, [n // 2 or 1])) for i, (k, n) in enumerate(cells)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        pool, futures = ThreadPoolExecutor(workers), []
-        try:
-            futures = [pool.submit(random_mixing_gram, k, n, i, pool, [n // 2 or 1])
-                       for i, (k, n) in enumerate(cells)]
-            got = [as_bytes(f.result(timeout=60)) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-            pool.shutdown(wait=all(f.done() for f in futures), cancel_futures=True)
-        assert got == want
+    def test_counts_that_are_not_positive_integers_are_named(self):
+        cases = [((3, 0, 0), r"^n must be an integer of at least 1, got 0$"),
+                 ((0, 10, 0), r"^k must be an integer of at least 1, got 0$"),
+                 ((-1, 10, 0), r"^k must be an integer of at least 1, got -1$"),
+                 ((3, 10, 0, None, [2.5]), r"^prefix count must be an integer of at least 1, got 2\.5$")]
+        for args, message in cases:
+            with pytest.raises(ValueError, match=message):
+                random_mixing_gram(*args)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failed_draw_is_raised_by_the_caller(self, workers, small_blocks, monkeypatch):
-        # With one worker the caller, itself that worker, draws every block;
-        # with two a helper may be the one that fails.
-        calls = itertools.count(1)
+        # Block 2 of seed 0 fails on a pool thread and the caller raises it.
+        # Its later blocks wait until then, so once the stream's unstarted
+        # blocks are cancelled each worker has started at most one of them.
+        raised, drawn = threading.Event(), []
 
-        def generator(bit_generator):
-            if next(calls) == 3:
-                raise FloatingPointError("draw failed")
-            return Generator(bit_generator)
+        def seed_sequence(seed, spawn_key):
+            if seed == 0:
+                drawn.append(spawn_key)
+                if spawn_key == (2,):
+                    raise FloatingPointError("draw failed")
+                if spawn_key > (2,):
+                    raised.wait(timeout=60)
+            return SeedSequence(seed, spawn_key=spawn_key)
 
-        monkeypatch.setattr(transform, "Generator", generator)
-        pool = ThreadPoolExecutor(workers)
-        try:
-            call = pool.submit(random_mixing_gram, 4, 6 * self.BLOCK, 0, pool)
+        monkeypatch.setattr(transform, "SeedSequence", seed_sequence)
+        k, n = 4, 12 * self.BLOCK
+        with ThreadPoolExecutor(workers) as pool:
             with pytest.raises(FloatingPointError, match="draw failed"):
-                call.result(timeout=60)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+                random_mixing_gram(k, n, 0, pool)
+            raised.set()
+            pool.submit(int).result(timeout=60)  # a wedged worker times out here
+            assert len(drawn) <= 3 + workers
+            got = random_mixing_gram(k, n, 1, pool, [n // 2])
+        assert as_bytes(got) == as_bytes(serial_grams(k, n, 1, [n // 2]))
 
 
 class TestPatchIO:
