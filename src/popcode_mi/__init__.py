@@ -9,7 +9,7 @@ tuning parameters as a concave program over the probability simplex.
 
 Submodules
 ----------
-models     von Mises tuning curves, Poisson populations, linear-Gaussian channel
+models     Poisson populations of von Mises tuning curves, linear-Gaussian channel
 fisher     priors: entropy, curvature P(x) and score covariance P+
 mi         the approximation formulas, exact Gaussian MI, gap bounds
 mc         Monte Carlo reference estimator for Poisson populations, with bootstrap bars

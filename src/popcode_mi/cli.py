@@ -44,7 +44,7 @@ from . import __version__
 from .fisher import GridPrior
 from .mc import MCConfig, mc_mutual_information
 from .mi import i_f, i_g, i_g_plus
-from .models import PoissonPopulation, VonMisesTuning
+from .models import PoissonPopulation
 from .optimize import build_problem, capacity_prior, maximize, redundancy
 from .transform import (
     fig2_gap_from_gram,
@@ -283,9 +283,8 @@ def _centers(n: int, span: float) -> np.ndarray:
 
 def _ring_population(cfg: dict, n: int) -> PoissonPopulation:
     """``n`` Poisson neurons with the configured tuning, centers spread by ``_centers``."""
-    return PoissonPopulation(tuple(
-        VonMisesTuning(cfg["amplitude"], cfg["width"], cfg["period"], c)
-        for c in _centers(n, cfg["center_span"])))
+    return PoissonPopulation(cfg["amplitude"], cfg["width"], cfg["period"],
+                             _centers(n, cfg["center_span"]))
 
 
 def _worker_count(cfg: dict) -> int:
@@ -357,7 +356,7 @@ def _run_fig1(cfg: dict) -> tuple[list, list, dict]:
         futures = {t: pool.submit(one_mc, *t) for t in order}
         mc_runs = [futures[t].result() for t in tasks]
 
-    rows, calibration = [], {}
+    rows, calibration, unresolved = [], {}, []
     for i, n in enumerate(n_list):
         j_values = populations[i].fisher_values(prior.nodes)
         v_f = i_f(j_values, prior)
@@ -369,13 +368,16 @@ def _run_fig1(cfg: dict) -> tuple[list, list, dict]:
         # Near 1 when each run's bootstrap bar matches the runs' own scatter.
         calibration[n] = (float(np.std([r.i_mc for r in runs], ddof=1)) / i_std
                           if repeats > 1 and i_std > 0.0 else None)
-        rows.append([
-            n, i_mc, i_std, v_g.value, v_gp.value, v_f.value,
-            (v_g.value - i_mc) / i_mc,
-            (v_gp.value - i_mc) / i_mc,
-            (v_f.value - i_mc) / i_mc,
-            i_std / i_mc,
-        ])
+        if abs(i_mc) > 3.0 * i_std:
+            rel = [(v - i_mc) / i_mc for v in (v_g.value, v_gp.value, v_f.value)] + [i_std / i_mc]
+        else:  # I_MC is not resolved from 0: an error relative to it means nothing
+            rel = [math.nan] * 4
+            unresolved.append(str(n))
+        rows.append([n, i_mc, i_std, v_g.value, v_gp.value, v_f.value, *rel])
+    if unresolved:
+        print(f"popcode-mi fig1: I_MC is within 3 I_std of 0 at N = {', '.join(unresolved)} "
+              f"(width {cfg['width']!r}, amplitude {cfg['amplitude']!r}), so DI_G, DI_G+, DI_F "
+              "and DI_std are nan", file=sys.stderr)
     header = ["N", "I_MC", "I_std", "I_G", "I_G+", "I_F", "DI_G", "DI_G+", "DI_F", "DI_std"]
     return header, rows, {"mc": {"repeat_std_over_i_std": calibration}}
 
@@ -458,6 +460,10 @@ def _run_capacity(cfg: dict) -> tuple[list, list, dict]:
     prior = GridPrior.von_mises(cfg["period"], cfg["prior_width"], cfg["m"])
     j_values = _ring_population(cfg, cfg["n"]).fisher_values(prior.nodes)
     pstar, cap = capacity_prior(j_values, prior.nodes, cfg["period"])
+    if not cap > 0.0:
+        raise ValueError(f"the asymptotic capacity is {cap:.6g} nats, not positive, so the "
+                         f"redundancy is undefined: n = {cfg['n']}, amplitude = {cfg['amplitude']!r} "
+                         f"and width = {cfg['width']!r} give too little Fisher information")
     value = i_g(j_values, prior).value
     rows = [[float(x), float(p), float(j)] for x, p, j in zip(prior.nodes, pstar, j_values)]
     header = ["x", "p_star", "J"]

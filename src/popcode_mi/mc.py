@@ -38,13 +38,9 @@ j_max x M log-likelihood matrix is never materialized; the ``ln r!`` sum,
 which cancels between numerator and marginal, is dropped before the
 subtraction, which leaves every intermediate well-scaled.
 
-Von Mises tuning makes the Poisson log-rates rank 3 in (neuron, stimulus):
-``ln f_n(x) = (ln A_n - k_n) + k_n cos(w c_n) cos(w x) + k_n sin(w c_n) sin(w x)``
-for amplitude ``A_n``, concentration ``k_n``, center ``c_n`` and
-``w = 2 pi / T``.  So ``sum_n r_n ln f_n(x)`` is ``(r @ U) @ V`` with
-``U`` (N x 3) and ``V`` (3 x M) built from the population's stacked tuning,
-and a block costs O(chunk (N + M)) instead of O(chunk N M).  The constant
-row of ``V`` keeps the core equal to ``sum_n r_n ln f_n(x) - f_n(x)``.
+The log-rates come as the population's rank-3 factors
+(``PoissonPopulation.log_rate_factors``), so a block of responses costs
+O(chunk (N + M)) instead of O(chunk N M); this module evaluates no curve.
 
 One (chunk, M) buffer serves every chunk: the likelihood matmul writes the
 log-joint ``ln p(r_j | x_m) + ln p(x_m)`` into it (the prior's log-masses
@@ -149,16 +145,10 @@ def _loglik_terms(pop: PoissonPopulation, rates: np.ndarray, xs: np.ndarray):
     """The x-dependent part of ln p(r | x), ``sum_n [r_n ln f_n(x) - f_n(x)]``.
 
     Returns ``((u, v), offset)``: the core terms of a block of responses are
-    ``(responses @ u) @ v - offset``, with ``(u @ v)[n, m] = ln f_n(x_m)``.
-    The ``-ln r_n!`` sum is x-free and omitted; it cancels in the
-    estimator's log-ratio.
+    ``(responses @ u) @ v - offset``.  The ``-ln r_n!`` sum is x-free and
+    omitted; it cancels in the estimator's log-ratio.
     """
-    amp, conc, centers, period = pop._bank
-    omega = 2.0 * np.pi / period
-    u = np.column_stack([np.log(amp) - conc, conc * np.cos(omega * centers),
-                         conc * np.sin(omega * centers)])
-    v = np.stack([np.ones(len(xs)), np.cos(omega * xs), np.sin(omega * xs)])
-    return (u, v), np.sum(rates, axis=1)
+    return pop.log_rate_factors(xs), np.sum(rates, axis=1)
 
 
 def _log_lik_core(responses: np.ndarray, terms, out: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""Encoding models: von Mises tuning curves and their populations.
+"""Encoding models: Poisson populations of von Mises tuning curves.
 
 The stimulus ``x`` lives on a periodic interval ``[-T/2, T/2)``.  Each
 neuron's mean response is a circular-normal (von Mises) tuning curve, and
 a population's responses are conditionally independent Poisson counts.
-One vectorised kernel evaluates every curve's rate and derivative on a
-stimulus grid; the population and the density optimizer both call it.
+:class:`PoissonPopulation` holds the tuning as arrays and is the one place
+that knows the curve; fig1's ring of neurons and the density optimizer's
+candidate classes are both such populations.
 Response sampling and likelihoods live in :mod:`popcode_mi.mc`.
 
 A linear-Gaussian channel and a uniformly-correlated Gaussian population
@@ -23,7 +24,6 @@ import numpy as np
 from ._linalg import chol_logdet
 
 __all__ = [
-    "VonMisesTuning",
     "PoissonPopulation",
     "LinearGaussianModel",
     "CorrelatedGaussianPopulation",
@@ -62,129 +62,116 @@ def _finite(what: str, a: np.ndarray) -> None:
                          f"at row {row}, column {col}")
 
 
-def _concentration(period, width) -> float:
+def _concentration(period, width, where: str = "") -> float:
     """The von Mises concentration ``(T / (2 pi width))^2``, validated.
 
-    Period and width must be positive and finite, and a width so small
-    that the concentration leaves the float range is an error naming it.
+    Period and width must be positive and finite, and a width so small that
+    the concentration leaves the float range is an error naming it and ``where``.
     """
     ratio = _positive("period", period) / (2.0 * math.pi * _positive("width", width))
     if not ratio < 1e154:  # the square passes 1e308 (and overflows past 1.34e154)
-        raise ValueError(f"width {float(width)!r} is too small for period {float(period)!r}: "
+        raise ValueError(f"width {float(width)!r}{where} is too small for period {float(period)!r}: "
                          "the concentration (T / (2 pi width))^2 exceeds 1e308")
     return ratio ** 2
 
 
-def _tuning_params(amplitude, width, period, centers):
-    """Validated von Mises parameters: ``(amplitude, concentration, centers)``.
-
-    Amplitude, width and period must be positive and finite, and every
-    center finite.  When several centers are given, the error names the
-    index of the first one at fault.
-    """
-    amplitude = _positive("amplitude", amplitude)
-    conc = _concentration(period, width)
-    centers = np.asarray(centers, dtype=float)
-    flat = np.atleast_1d(centers)
-    if not np.all(np.isfinite(flat)):
-        idx = int(np.argmin(np.isfinite(flat)))
-        where = f" at theta index {idx}" if centers.ndim else ""
-        raise ValueError(f"center must be finite, got {float(flat[idx])!r}{where}")
-    return amplitude, conc, centers
+def _at(index, n: int, where: str = "neuron") -> str:
+    """An error's suffix naming entry ``index``, or nothing when ``n`` is 1."""
+    return f" at {where} {index}" if n > 1 else ""
 
 
-def _von_mises(amp, conc, centers, period, xs):
-    """Rates, derivatives and Poisson slopes of von Mises curves on a grid.
-
-    ``amp``, ``conc`` and ``centers`` hold one value per curve (or a
-    scalar shared by all); each result has shape (len(xs), N).  The rate
-    is ``amp exp(-conc (1 - cos phi))`` with ``phi = omega (x - center)``
-    and ``omega = 2 pi / T``, the derivative ``-rate conc omega sin phi``,
-    and the slope ``conc omega sin phi = -f'/f``.  Slope and derivative
-    are formed separately, because ``sum rate slope^2`` and
-    ``sum f'^2 / f`` differ in their last bits.
-    """
-    omega = 2.0 * np.pi / period
-    phase = omega * (np.asarray(xs, dtype=float)[:, None] - centers)
-    rates = amp * np.exp(-conc * (1.0 - np.cos(phase)))
-    sin = np.sin(phase)
-    return rates, -rates * conc * omega * sin, conc * omega * sin
+def _per_neuron(name: str, value, n: int) -> np.ndarray:
+    """``value``, one for all ``n`` neurons or one each, as ``n`` positive finite floats."""
+    values = np.asarray(value, dtype=float)
+    if values.ndim and values.shape != (n,):
+        raise ValueError(f"{name} must be one value or one per center, got shape {values.shape}")
+    bad = np.flatnonzero(~((values > 0.0) & (values < math.inf)))
+    if bad.size:
+        raise ValueError(f"{name} must be positive and finite, "
+                         f"got {float(values.flat[bad[0]])!r}{_at(bad[0], values.size)}")
+    return np.full(n, values)
 
 
-@dataclass(frozen=True)
-class VonMisesTuning:
-    """Circular-normal tuning curve.
-
-    The mean rate is ``f(x) = A exp(-(T/(2 pi sigma_f))^2 (1 - cos(2 pi (x - theta)/T)))``,
-    which is T-periodic, strictly positive, and peaks with value exactly A
-    at ``x = theta``.
-
-    Parameters
-    ----------
-    amplitude : float
-        Peak rate A (spikes per coding window), attained at the center.
-    width : float
-        Tuning width sigma_f, in stimulus units.
-    period : float
-        Stimulus period T.
-    center : float
-        Preferred stimulus theta.
-    """
-
-    amplitude: float
-    width: float
-    period: float
-    center: float
-    #: Exponent scale (T / (2 pi sigma_f))^2 of the tuning curve.
-    concentration: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _, conc, _ = _tuning_params(self.amplitude, self.width, self.period, self.center)
-        object.__setattr__(self, "concentration", conc)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoissonPopulation:
-    """Population of conditionally independent Poisson neurons.
+    """Conditionally independent Poisson neurons with von Mises tuning.
 
-    Each neuron fires a Poisson count with mean ``f(x; theta_n)`` per
-    coding window; all tuning curves must share the stimulus period.
+    Neuron n fires a Poisson count with mean
+    ``f_n(x) = A_n exp(-kappa_n (1 - cos(2 pi (x - theta_n) / T)))`` per coding
+    window, with ``kappa_n = (T / (2 pi sigma_n))^2``: T-periodic, positive,
+    and peaking at exactly ``A_n`` at ``x = theta_n``.  The peak rates
+    ``amplitude`` and the widths ``width`` (sigma, in stimulus units) take one
+    value for all neurons or one per center, and are stored one per neuron;
+    the ``period`` T is shared, and ``centers`` (theta) is a nonempty 1-D
+    array.  Among several neurons, an error names the first one at fault.
     """
 
-    tuning: tuple
-    _bank: tuple = field(init=False, repr=False, compare=False)
+    amplitude: np.ndarray
+    width: np.ndarray
+    period: float
+    centers: np.ndarray
+    #: Exponent scales (T / (2 pi sigma_n))^2, one per neuron.
+    concentration: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        tuning = tuple(self.tuning)
-        if not tuning:
-            raise ValueError("population needs at least one neuron")
-        periods = {c.period for c in tuning}
-        if len(periods) != 1:
-            raise ValueError(f"all tuning curves must share one period, got {sorted(periods)}")
-        object.__setattr__(self, "tuning", tuning)
-        object.__setattr__(self, "_bank", (
-            np.array([c.amplitude for c in tuning]),
-            np.array([c.concentration for c in tuning]),
-            np.array([c.center for c in tuning]),
-            tuning[0].period,
-        ))
+        centers = np.array(self.centers, dtype=float)
+        if centers.ndim != 1 or centers.size == 0:
+            raise ValueError(f"thetas must be a nonempty 1-D array of centers, got shape {centers.shape}")
+        n = centers.size
+        amplitude = _per_neuron("amplitude", self.amplitude, n)
+        period = _positive("period", self.period)
+        width = _per_neuron("width", self.width, n)
+        if np.ndim(self.width):
+            conc = np.array([_concentration(period, w, _at(i, n)) for i, w in enumerate(width)])
+        else:  # one width, one concentration
+            conc = np.full(n, _concentration(period, width[0]))
+        if not np.all(np.isfinite(centers)):
+            idx = int(np.argmin(np.isfinite(centers)))
+            raise ValueError(f"center must be finite, got {float(centers[idx])!r}"
+                             f"{_at(idx, n, 'theta index')}")
+        for name, value in (("amplitude", amplitude), ("width", width), ("period", period),
+                            ("centers", centers), ("concentration", conc)):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
-        return len(self.tuning)
+        return self.centers.size
 
-    @property
-    def period(self) -> float:
-        return self.tuning[0].period
+    def tuning_values(self, xs):
+        """Rates f, derivatives f' and Poisson slopes -f'/f on a stimulus grid, each (len(xs), N).
+
+        ``f' = -f kappa omega sin(omega (x - theta))`` with ``omega = 2 pi / T``; slope and
+        derivative are formed apart, as ``sum f slope^2`` and ``sum f'^2 / f`` differ in last bits.
+        """
+        omega = 2.0 * np.pi / self.period
+        phase = omega * (np.asarray(xs, dtype=float)[:, None] - self.centers)
+        rates = self.amplitude * np.exp(-self.concentration * (1.0 - np.cos(phase)))
+        sin = np.sin(phase)
+        return rates, -rates * self.concentration * omega * sin, self.concentration * omega * sin
 
     def rate_matrix(self, xs) -> np.ndarray:
         """Mean rates on a stimulus grid, shape (len(xs), N)."""
-        return _von_mises(*self._bank, xs)[0]
+        return self.tuning_values(xs)[0]
 
     def fisher_values(self, xs) -> np.ndarray:
         """Scalar population Fisher information J(x) = sum_n f_n'^2 / f_n, shape (len(xs),)."""
-        rates, _, slope = _von_mises(*self._bank, xs)
+        rates, _, slope = self.tuning_values(xs)
         return np.sum(rates * slope**2, axis=1)
+
+    def log_rate_factors(self, xs):
+        """Rank-3 factors ``(u, v)`` of the log-rates: ``(u @ v)[n, m] = ln f_n(x_m)``.
+
+        With ``w = 2 pi / T``, von Mises log-rates are rank 3 in (neuron, stimulus):
+        ``ln f_n(x) = (ln A_n - k_n) + k_n cos(w c_n) cos(w x) + k_n sin(w c_n) sin(w x)``
+        for concentration ``k_n`` and center ``c_n``.  So ``u`` (N x 3) and ``v``
+        (3 x len(xs)) give ``sum_n r_n ln f_n(x)`` as ``(r @ u) @ v``, at
+        O(N + M) per response instead of O(N M).
+        """
+        omega, conc, centers = 2.0 * np.pi / self.period, self.concentration, self.centers
+        wx = omega * np.asarray(xs, dtype=float)
+        u = np.column_stack([np.log(self.amplitude) - conc, conc * np.cos(omega * centers),
+                             conc * np.sin(omega * centers)])
+        return u, np.stack([np.ones(len(wx)), np.cos(wx), np.sin(wx)])
 
 
 @dataclass(frozen=True)

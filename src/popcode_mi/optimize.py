@@ -35,7 +35,7 @@ import numpy as np
 from ._linalg import chol_logdet, inverse_factors, logdet_grid  # noqa: F401
 from .fisher import GridPrior
 from .mi import LOG_2PI_E, _info, _mean_logdet, _node_weights
-from .models import _count, _nonnegative, _positive, _tuning_params, _von_mises
+from .models import PoissonPopulation, _count, _nonnegative, _positive
 
 __all__ = [
     "OptimizationProblem",
@@ -121,22 +121,19 @@ def build_problem(thetas, prior: GridPrior, n: int, *, kind: str = "I_G",
                   avg_power: Optional[float] = None) -> OptimizationProblem:
     """Set up a 1-D tuning-center optimization on a grid prior's nodes.
 
-    Candidate subclasses are Poisson neurons with von Mises curves centered
-    at ``thetas`` and a common amplitude and width, so S = f'^2 / f.  A
-    peak-rate cap is the ``amplitude`` (the optimum always saturates it);
-    an average-power budget bounds c.alpha, with per-class cost
+    Candidate subclasses are the neurons of a :class:`PoissonPopulation`
+    centered at ``thetas``, with a common amplitude and width, so S = f'^2 / f.
+    A peak-rate cap is the ``amplitude`` (the optimum always saturates it); an
+    average-power budget bounds c.alpha, with per-class cost
     c_k = <f(x; theta_k)>, the mean rate.
     """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if thetas.ndim != 1 or thetas.size == 0:
-        raise ValueError(f"thetas must be a nonempty 1-D array of centers, got shape {thetas.shape}")
-    amplitude, conc, thetas = _tuning_params(amplitude, width, prior.period, thetas)
-    rates, derivs, _ = _von_mises(amplitude, conc, thetas, prior.period, prior.nodes)
+    classes = PoissonPopulation(amplitude, width, prior.period, np.atleast_1d(thetas))
+    rates, derivs, _ = classes.tuning_values(prior.nodes)
     power_cost = power_budget = None
     if avg_power is not None:
         power_cost, power_budget = prior.masses @ rates, _positive("average power budget", avg_power)
     return OptimizationProblem(
-        kind=kind, thetas=thetas, n=n, s_values=derivs**2 / rates,
+        kind=kind, thetas=classes.centers, n=n, s_values=derivs**2 / rates,
         p_values=prior.curvature_values(), weights=prior.masses,
         h_x=prior.entropy(), power_cost=power_cost, power_budget=power_budget,
     )

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, settings
 
 from popcode_mi import fisher
 from popcode_mi.fisher import GridPrior
-from popcode_mi.models import PoissonPopulation, VonMisesTuning
+from popcode_mi.models import PoissonPopulation
 
 settings.register_profile(
     "default",
@@ -40,11 +40,7 @@ def ring_population(n: int) -> PoissonPopulation:
         centers = np.array([0.0])
     else:
         centers = np.arange(n) * CENTER_SPAN / (n - 1) - CENTER_SPAN / 2
-    tuning = [
-        VonMisesTuning(amplitude=AMPLITUDE, width=WIDTH, period=PERIOD, center=c)
-        for c in centers
-    ]
-    return PoissonPopulation(tuning)
+    return PoissonPopulation(AMPLITUDE, WIDTH, PERIOD, centers)
 
 
 def tabulated_prior(nodes: np.ndarray, pdf: np.ndarray, period: float) -> GridPrior:

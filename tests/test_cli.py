@@ -201,6 +201,16 @@ class TestExitCodes:
         assert main(["capacity", "--config", cfg, "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_capacity_that_is_not_positive_names_n_amplitude_and_width(self, tmp_path, capsys):
+        """Not redundancy's "capacity must be positive and finite": the keys at fault."""
+        cfg = write_config(tmp_path / "cap.json", dict(TINY_CAPACITY, amplitude=0.01))
+        assert main(["capacity", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"^popcode-mi: numerical failure: the asymptotic capacity is -1\.8796\d* nats, "
+                         r"not positive, so the redundancy is undefined: n = 5, amplitude = 0\.01 "
+                         r"and width = 0\.5 give too little Fisher information$", err.strip())
+        assert not list(tmp_path.glob("c.csv*"))
+
     def test_infeasible_power_budget_is_a_numerical_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "opt.json",
                            {"k1": 3, "n": 8, "m": 80, "avg_power": 1e-4})
@@ -572,6 +582,29 @@ class TestOptimizeAndFig1Runs:
                 (row["I_G"] - row["I_MC"]) / row["I_MC"], rel=1e-12)
             assert row["DI_std"] == pytest.approx(
                 row["I_std"] / row["I_MC"], rel=1e-12)
+
+    def test_fig1_relative_errors_are_nan_when_i_mc_is_not_resolved(self, tmp_path, capsys):
+        """A flat population carries no information: where |I_MC| <= 3 I_std
+        (N = 2 at seed 1) the relative errors are nan, not -1e16, and one
+        stderr line names N, width and amplitude."""
+        cfg = write_config(tmp_path / "fig1.json", dict(TINY_FIG1, width=1e9))
+        out = tmp_path / "f1.csv"
+        assert main(["fig1", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+        header, rows = read_rows(out)
+        unresolved = []
+        for raw in rows:
+            row = {k: float(v) for k, v in zip(header, raw) if k != "config_hash"}
+            nan = [math.isnan(row[k]) for k in ("DI_G", "DI_G+", "DI_F", "DI_std")]
+            assert math.isfinite(row["I_MC"]) and math.isfinite(row["I_std"])
+            if abs(row["I_MC"]) <= 3.0 * row["I_std"]:
+                assert all(nan)
+                unresolved.append(int(row["N"]))
+            else:
+                assert not any(nan)
+        assert unresolved == [2]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["popcode-mi fig1: I_MC is within 3 I_std of 0 at N = 2 "
+                       "(width 1000000000.0, amplitude 20.0), so DI_G, DI_G+, DI_F and DI_std are nan"]
 
     @pytest.mark.parametrize("repeats", [1, 3])
     def test_fig1_sidecar_compares_repeat_scatter_with_the_bar(self, tmp_path, repeats):

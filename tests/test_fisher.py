@@ -13,7 +13,7 @@ from scipy.special import i0
 
 from popcode_mi.fisher import GaussianPrior, GridPrior
 from popcode_mi.mi import LOG_2PI_E, _p_plus_matrix, i_g, i_g_plus, van_trees_bound
-from popcode_mi.models import PoissonPopulation, VonMisesTuning
+from popcode_mi.models import PoissonPopulation
 from popcode_mi.optimize import build_problem
 
 from conftest import NOT_PD_COVARIANCES, tabulated_prior
@@ -228,8 +228,7 @@ def density_fisher(thetas, alpha, prior, n):
 
 def population_fisher(thetas, prior):
     """J(x) of one Poisson neuron per center, each with the default tuning."""
-    tuning = [VonMisesTuning(amplitude=20.0, width=0.5, period=PERIOD, center=t) for t in thetas]
-    return PoissonPopulation(tuning).fisher_values(prior.nodes)
+    return PoissonPopulation(20.0, 0.5, PERIOD, thetas).fisher_values(prior.nodes)
 
 
 class TestFisherMatrix:

@@ -16,7 +16,7 @@ from popcode_mi import mc
 from popcode_mi.fisher import GridPrior
 from popcode_mi.mc import MCConfig, MCResult, mc_mutual_information
 from popcode_mi.mi import i_g
-from popcode_mi.models import LinearGaussianModel, PoissonPopulation, VonMisesTuning
+from popcode_mi.models import LinearGaussianModel, PoissonPopulation
 
 from conftest import ring_population
 
@@ -66,8 +66,7 @@ class TestEstimatorExactCases:
         re-added maximum and the difference), each under eps/2 of ``scale``,
         which bounds every value they touch.  So no term, and no mean of
         terms, is further from 0 than 4 eps scale."""
-        flat = VonMisesTuning(amplitude=5.0, width=1e9, period=math.pi, center=0.0)
-        pop = PoissonPopulation([flat, flat])
+        pop = PoissonPopulation(amplitude=5.0, width=1e9, period=math.pi, centers=[0.0, 0.0])
         prior = GridPrior.von_mises(m=64)
         largest, real_core = [], mc._log_lik_core
 
@@ -86,8 +85,7 @@ class TestEstimatorExactCases:
     def test_two_neurons_match_exact_enumeration(self):
         """Two Poisson neurons on a 64-node grid: the MI summed over every count
         pair up to 39 (tail mass below 1e-15) lies within the bootstrap band."""
-        pop = PoissonPopulation([VonMisesTuning(amplitude=5.0, width=0.5, period=math.pi, center=c)
-                                 for c in (-0.5, 0.5)])
+        pop = PoissonPopulation(amplitude=5.0, width=0.5, period=math.pi, centers=[-0.5, 0.5])
         prior = GridPrior.von_mises(m=64)
         rates = pop.rate_matrix(prior.nodes)
         counts = np.arange(40)
@@ -164,8 +162,7 @@ def reference_mc(model, prior, cfg, logsumexp=lean_logsumexp):
     # ln f_n(x) = (u @ v)[n, x]: u's columns are ln A - k, k cos(w c) and
     # k sin(w c), v's rows 1, cos(w x) and sin(w x).
     omega = 2 * np.pi / model.period
-    amp, conc, centers = (np.array([getattr(c, key) for c in model.tuning])
-                          for key in ("amplitude", "concentration", "center"))
+    amp, conc, centers = model.amplitude, model.concentration, model.centers
     u = np.column_stack([np.log(amp) - conc, conc * np.cos(omega * centers),
                          conc * np.sin(omega * centers)])
     v = np.stack([np.ones(cfg.m), np.cos(omega * prior.nodes), np.sin(omega * prior.nodes)])
@@ -175,7 +172,7 @@ def reference_mc(model, prior, cfg, logsumexp=lean_logsumexp):
     for lo in range(0, cfg.j_max, chunk):
         hi = min(lo + chunk, cfg.j_max)
         idx = stim_idx[lo:hi]
-        responses = poisson.ppf(resp_rng.random((hi - lo, len(model.tuning))), rates[idx])
+        responses = poisson.ppf(resp_rng.random((hi - lo, model.size)), rates[idx])
         routed = rates[idx] > 100.0
         responses[routed] = high.poisson(rates[idx][routed])
         joint = (responses @ u) @ v - offset
@@ -260,8 +257,8 @@ class TestLogSumExpKernel:
 def high_rate_ring():
     """Amplitude 1000, width 0.2: rates from about 0.004 to 1000 on
     ``prior_small``, so every chunk mixes table cells with cells above 100."""
-    return PoissonPopulation([VonMisesTuning(amplitude=1000.0, width=0.2, period=math.pi, center=c)
-                              for c in np.linspace(-0.5, 0.5, 12)])
+    return PoissonPopulation(amplitude=1000.0, width=0.2, period=math.pi,
+                             centers=np.linspace(-0.5, 0.5, 12))
 
 
 class TestEstimatorMatchesReference:
@@ -297,8 +294,7 @@ class TestFactoredPoissonCore:
         widths = rng.uniform(0.05, 1.0, n) * period / math.pi
         widths[0] = 0.05 * period / math.pi
         centers = rng.uniform(-period, period, n)
-        pop = PoissonPopulation([VonMisesTuning(amplitude=a, width=w, period=period, center=c)
-                                 for a, w, c in zip(amplitudes, widths, centers)])
+        pop = PoissonPopulation(amplitudes, widths, period, centers)
         prior = GridPrior.von_mises(period, period / 4, m)
         rates = pop.rate_matrix(prior.nodes)
         blocks, real_core = [], mc._log_lik_core
@@ -326,15 +322,14 @@ class TestRateValidation:
                 rates[7, 1] = rate
                 return rates
 
-        pop = BadRate(ring_population(3).tuning)
+        pop = BadRate(amplitude=20.0, width=0.5, period=math.pi, centers=[-0.5, 0.0, 0.5])
         with pytest.raises(ValueError, match=rf"node 7, neuron 1 has rate {rate!r}$"):
             mc_mutual_information(pop, prior_small, MCConfig(j_max=500, i_max=5, m=200))
 
     def test_rate_numpy_refuses_names_node_and_neuron(self, prior_small):
         """Amplitude 1e19 is past ``Generator.poisson``'s largest rate: the
         rate check names the first such cell, not numpy's "lam value too large"."""
-        pop = PoissonPopulation([VonMisesTuning(amplitude=1e19, width=0.5, period=math.pi, center=c)
-                                 for c in (-0.5, 0.5)])
+        pop = PoissonPopulation(amplitude=1e19, width=0.5, period=math.pi, centers=[-0.5, 0.5])
         rates = pop.rate_matrix(prior_small.nodes)
         node, neuron = np.argwhere(rates > mc._RATE_LIMIT)[0]
         with pytest.raises(ValueError, match=r"^Poisson rates must be at most "

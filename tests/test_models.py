@@ -5,11 +5,12 @@ likelihood lives.
 """
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import poisson as sp_poisson
@@ -21,8 +22,6 @@ from popcode_mi.models import (
     CorrelatedGaussianPopulation,
     LinearGaussianModel,
     PoissonPopulation,
-    VonMisesTuning,
-    _von_mises,
     decorrelation_transform,
 )
 
@@ -32,26 +31,27 @@ GRID = np.linspace(-1.5, 1.5, 7)
 
 
 def bump(center: float = 0.0, amplitude: float = 20.0, width: float = 0.5,
-         period: float = np.pi) -> VonMisesTuning:
-    return VonMisesTuning(amplitude=amplitude, width=width, period=period, center=center)
+         period: float = np.pi) -> PoissonPopulation:
+    """A one-neuron population."""
+    return PoissonPopulation(amplitude=amplitude, width=width, period=period, centers=[center])
 
 
-def rate(curve: VonMisesTuning, x) -> np.ndarray:
-    """One curve's rates at ``x`` through the population kernel."""
-    return PoissonPopulation([curve]).rate_matrix(np.atleast_1d(x))[:, 0]
+def rate(curve: PoissonPopulation, x) -> np.ndarray:
+    """A one-neuron population's rates at ``x``."""
+    return curve.rate_matrix(np.atleast_1d(x))[:, 0]
 
 
-def derivative(curve: VonMisesTuning, x) -> np.ndarray:
-    """One curve's derivative f'(x) through the kernel the optimizer uses."""
-    return _von_mises(*PoissonPopulation([curve])._bank, np.atleast_1d(x))[1][:, 0]
+def derivative(curve: PoissonPopulation, x) -> np.ndarray:
+    """A one-neuron population's derivative f'(x), as the optimizer reads it."""
+    return curve.tuning_values(np.atleast_1d(x))[1][:, 0]
 
 
-def closed_form(curve: VonMisesTuning, x):
-    """Rate and derivative of one curve, written out from the formula."""
-    omega = 2 * np.pi / curve.period
-    phase = omega * (np.asarray(x, dtype=float) - curve.center)
-    f = curve.amplitude * np.exp(-curve.concentration * (1.0 - np.cos(phase)))
-    return f, -f * curve.concentration * omega * np.sin(phase)
+def closed_form(pop: PoissonPopulation, x, j: int = 0):
+    """Rate and derivative of neuron ``j``, written out from the formula."""
+    omega = 2 * np.pi / pop.period
+    phase = omega * (np.asarray(x, dtype=float) - pop.centers[j])
+    f = pop.amplitude[j] * np.exp(-pop.concentration[j] * (1.0 - np.cos(phase)))
+    return f, -f * pop.concentration[j] * omega * np.sin(phase)
 
 
 def core_terms(pop, responses, xs) -> np.ndarray:
@@ -76,8 +76,8 @@ class TestVonMisesTuning:
     def test_concentration_from_width(self):
         """kappa = (T / (2 pi sigma_f))^2."""
         curve = bump()
-        assert curve.concentration == pytest.approx((np.pi / (2 * np.pi * 0.5)) ** 2)
-        assert curve.concentration == pytest.approx(1.0)
+        assert curve.concentration[0] == pytest.approx((np.pi / (2 * np.pi * 0.5)) ** 2)
+        assert curve.concentration[0] == pytest.approx(1.0)
 
     def test_periodicity(self):
         curve = bump(center=0.3)
@@ -92,12 +92,11 @@ class TestVonMisesTuning:
         """The kernel's derivative and fisher_values agree with central
         differences of rate_matrix."""
         curve = bump(center=0.2)
-        poisson = PoissonPopulation([curve])
         xs = np.linspace(-1.5, 1.5, 25)
         h = 1e-6
-        fd = (poisson.rate_matrix(xs + h) - poisson.rate_matrix(xs - h))[:, 0] / (2 * h)
+        fd = (curve.rate_matrix(xs + h) - curve.rate_matrix(xs - h))[:, 0] / (2 * h)
         np.testing.assert_allclose(derivative(curve, xs), fd, rtol=1e-6, atol=1e-8)
-        np.testing.assert_allclose(poisson.fisher_values(xs), fd**2 / rate(curve, xs),
+        np.testing.assert_allclose(curve.fisher_values(xs), fd**2 / rate(curve, xs),
                                    rtol=1e-6, atol=1e-8)
 
     def test_derivative_zero_at_peak(self):
@@ -105,7 +104,7 @@ class TestVonMisesTuning:
 
 
 class TestParameterValidation:
-    BASE = dict(amplitude=20.0, width=0.5, period=np.pi, center=0.0)
+    BASE = dict(amplitude=20.0, width=0.5, period=np.pi, centers=[0.0])
 
     @pytest.mark.parametrize("param, value", [
         ("amplitude", math.nan), ("amplitude", math.inf), ("amplitude", 0.0),
@@ -114,17 +113,29 @@ class TestParameterValidation:
     ])
     def test_tuning_needs_positive_finite(self, param, value):
         with pytest.raises(ValueError, match=rf"^{param} must be positive and finite, got {value!r}$"):
-            VonMisesTuning(**dict(self.BASE, **{param: value}))
+            PoissonPopulation(**dict(self.BASE, **{param: value}))
 
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
     def test_center_must_be_finite(self, value):
         with pytest.raises(ValueError, match=rf"^center must be finite, got {value!r}$"):
-            VonMisesTuning(**dict(self.BASE, center=value))
+            PoissonPopulation(**dict(self.BASE, centers=[value]))
 
     def test_overflowing_concentration_names_the_width(self):
         """(T / (2 pi width))^2 past the float range is a named error, not an OverflowError."""
         with pytest.raises(ValueError, match=r"^width 1e-300 is too small for period "):
-            VonMisesTuning(20.0, 1e-300, math.pi, 0.0)
+            PoissonPopulation(20.0, 1e-300, math.pi, [0.0])
+
+    @pytest.mark.parametrize("param", ["amplitude", "width"])
+    def test_per_neuron_values_need_one_per_center(self, param):
+        with pytest.raises(ValueError, match=rf"^{param} must be one value or one per center, "
+                                             r"got shape \(2,\)$"):
+            PoissonPopulation(**dict(self.BASE, centers=[0.0, 0.1, 0.2], **{param: [1.0, 2.0]}))
+
+    @pytest.mark.parametrize("centers", [np.zeros((2, 2)), np.zeros(0), 0.0], ids=["2x2", "empty", "scalar"])
+    def test_centers_must_be_a_nonempty_vector(self, centers):
+        message = f"thetas must be a nonempty 1-D array of centers, got shape {np.shape(centers)}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            PoissonPopulation(**dict(self.BASE, centers=centers))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_correlated_scale_needs_positive_finite(self, value):
@@ -141,15 +152,15 @@ class TestParameterValidation:
 class TestFisherKernels:
     def test_poisson_kernel_zero_at_peak(self):
         """S = f'^2 / f vanishes where the tuning curve peaks."""
-        assert PoissonPopulation([bump(center=0.1)]).fisher_values([0.1])[0] == 0.0
+        assert bump(center=0.1).fisher_values([0.1])[0] == 0.0
 
     def test_poisson_kernel_value(self):
         """S(x) = f(x) (kappa omega sin(omega(x - theta)))^2 for one bump."""
         curve = bump()
         x = 0.37
         omega = 2 * np.pi / np.pi
-        expected = closed_form(curve, x)[0] * (curve.concentration * omega * np.sin(omega * x)) ** 2
-        assert PoissonPopulation([curve]).fisher_values([x])[0] == pytest.approx(expected, rel=1e-12)
+        expected = closed_form(curve, x)[0] * (curve.concentration[0] * omega * np.sin(omega * x)) ** 2
+        assert curve.fisher_values([x])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_derivative_value(self):
         curve = bump(center=-0.2)
@@ -158,24 +169,22 @@ class TestFisherKernels:
 
     @given(st.floats(-1.5, 1.5), st.floats(-0.5, 0.5))
     def test_kernels_nonnegative(self, x, center):
-        assert PoissonPopulation([bump(center=center)]).fisher_values([x])[0] >= 0.0
+        assert bump(center=center).fisher_values([x])[0] >= 0.0
 
     def test_rate_underflow_raises(self, prior_small):
         """A rate that underflows to exactly zero is an error, not a flooring case."""
         narrow = bump(width=0.01)  # concentration 2500: exp(-5000) underflows
         assert rate(narrow, np.pi / 2)[0] == 0.0
         with pytest.raises(ValueError, match=r"Poisson rates must be positive and finite: node 0, "):
-            mc_mutual_information(PoissonPopulation([narrow]), prior_small,
-                                  MCConfig(j_max=500, i_max=5, m=200))
+            mc_mutual_information(narrow, prior_small, MCConfig(j_max=500, i_max=5, m=200))
 
     def test_tiny_rate_is_accepted_not_raised(self, prior_small):
         """Subnormal-scale but positive rates give finite Fisher and MC values."""
         narrow = bump(width=1.0 / (2.0 * math.sqrt(350.0)))  # exp(-700) ~ 1e-304
         f = rate(narrow, np.pi / 2)[0]
         assert 0.0 < f < 1e-12
-        assert np.isfinite(PoissonPopulation([narrow]).fisher_values([np.pi / 2])[0])
-        out = mc_mutual_information(PoissonPopulation([narrow]), prior_small,
-                                    MCConfig(j_max=500, i_max=5, m=200))
+        assert np.isfinite(narrow.fisher_values([np.pi / 2])[0])
+        out = mc_mutual_information(narrow, prior_small, MCConfig(j_max=500, i_max=5, m=200))
         assert np.isfinite(out.i_mc)
 
 
@@ -184,13 +193,13 @@ class TestPoissonPopulation:
         xs = np.linspace(-np.pi / 2, np.pi / 2, 7)
         rates = pop10.rate_matrix(xs)
         assert rates.shape == (7, 10)
-        for j, curve in enumerate(pop10.tuning):
-            np.testing.assert_allclose(rates[:, j], closed_form(curve, xs)[0], rtol=1e-14)
+        for j in range(pop10.size):
+            np.testing.assert_allclose(rates[:, j], closed_form(pop10, xs, j)[0], rtol=1e-14)
 
     def test_fisher_values_sum_of_kernels(self, pop10):
         xs = np.array([-0.4, 0.0, 0.9])
         total = pop10.fisher_values(xs)
-        manual = sum(PoissonPopulation([c]).fisher_values(xs) for c in pop10.tuning)
+        manual = sum(bump(center=c).fisher_values(xs) for c in pop10.centers)
         np.testing.assert_allclose(total, manual, rtol=1e-12)
 
     def test_log_likelihood_zero_count(self, pop10):
@@ -200,7 +209,7 @@ class TestPoissonPopulation:
 
     def test_log_likelihood_unit_rate_unit_count(self):
         """A single unit-rate cell observing one spike has ln p = -1."""
-        pop = PoissonPopulation([VonMisesTuning(amplitude=1.0, width=0.5, period=np.pi, center=0.0)])
+        pop = bump(amplitude=1.0)
         assert core_terms(pop, [1.0], [0.0])[0, 0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_log_likelihood_elementwise_oracle(self, pop10):
@@ -214,7 +223,7 @@ class TestPoissonPopulation:
     def test_sampling_mean_tracks_rate(self, prior_small):
         """The estimator draws Poisson counts at the tuning rates: with rates
         flat in x, the draws are integers averaging the amplitude."""
-        flat = bump(amplitude=5.0, width=1e9)
+        flat = PoissonPopulation(amplitude=5.0, width=1e9, period=np.pi, centers=[0.0, 0.0])
         drawn, real_core = [], mc._log_lik_core
 
         def spy(responses, terms, out):
@@ -222,15 +231,87 @@ class TestPoissonPopulation:
             return real_core(responses, terms, out)
 
         with mock.patch.object(mc, "_log_lik_core", spy):
-            mc_mutual_information(PoissonPopulation([flat, flat]), prior_small,
+            mc_mutual_information(flat, prior_small,
                                   MCConfig(j_max=4000, i_max=2, m=200, seed=11))
         draws = np.concatenate(drawn)
         assert draws.shape == (4000, 2) and np.all(draws == np.round(draws))
         np.testing.assert_allclose(draws.mean(axis=0), 5.0, rtol=0.05)
 
-    def test_mixed_periods_rejected(self):
-        with pytest.raises(ValueError, match="period"):
-            PoissonPopulation([bump(period=np.pi), bump(period=2 * np.pi)])
+
+@st.composite
+def tunings(draw, min_neurons=1):
+    """Per-neuron amplitudes 0.01-1000, widths down to 0.05 T / pi and centers
+    over two periods, with the period: a population's constructor arguments."""
+    n = draw(st.integers(min_neurons, 12))
+    period = draw(st.floats(0.5, 10.0))
+
+    def per_neuron(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    return (10.0 ** per_neuron(-2.0, 3.0), per_neuron(0.05, 1.0) * period / math.pi,
+            period, per_neuron(-period, period))
+
+
+class TestBatchedMatchesLooped:
+    """A population is its neurons side by side: batched values equal the
+    one-neuron populations' values."""
+
+    @settings(max_examples=60)
+    @given(tunings(), st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=9))
+    def test_columns_and_factor_rows_match_one_neuron_populations_bit_for_bit(self, tuning, xs):
+        amplitudes, widths, period, centers = tuning
+        pop = PoissonPopulation(amplitudes, widths, period, centers)
+        values, (u, v) = pop.tuning_values(xs), pop.log_rate_factors(xs)
+        for j, (a, w, c) in enumerate(zip(amplitudes, widths, centers)):
+            one = PoissonPopulation(a, w, period, [c])
+            for batched, alone in zip(values, one.tuning_values(xs)):
+                assert batched[:, j].tobytes() == alone[:, 0].tobytes()
+            one_u, one_v = one.log_rate_factors(xs)
+            assert u[j].tobytes() == one_u[0].tobytes() and v.tobytes() == one_v.tobytes()
+
+    @settings(max_examples=30)
+    @given(tunings(), st.floats(0.01, 1000.0), st.floats(0.05, 1.0))
+    def test_one_value_for_all_equals_the_value_spelled_out(self, tuning, amplitude, width):
+        _, _, period, centers = tuning
+        xs = np.linspace(-period, period, 11)
+        shared = PoissonPopulation(amplitude, width, period, centers)
+        spelled = PoissonPopulation(np.full(centers.size, amplitude), np.full(centers.size, width),
+                                    period, centers)
+        for name in ("amplitude", "width", "concentration", "centers"):
+            assert getattr(shared, name).tobytes() == getattr(spelled, name).tobytes()
+        for a, b in zip((*shared.tuning_values(xs), *shared.log_rate_factors(xs)),
+                        (*spelled.tuning_values(xs), *spelled.log_rate_factors(xs))):
+            assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=30)
+    @given(tunings())
+    def test_fisher_values_are_the_sum_over_neurons(self, tuning):
+        amplitudes, widths, period, centers = tuning
+        xs = np.linspace(-period / 2, period / 2, 13)
+        total = PoissonPopulation(amplitudes, widths, period, centers).fisher_values(xs)
+        manual = sum(PoissonPopulation(a, w, period, [c]).fisher_values(xs)
+                     for a, w, c in zip(amplitudes, widths, centers))
+        np.testing.assert_allclose(total, manual, rtol=1e-12)
+
+    @given(tunings(min_neurons=2), st.data())
+    def test_a_bad_entry_names_the_first_neuron_at_fault(self, tuning, data):
+        amplitudes, widths, period, centers = tuning
+        params = {"amplitude": amplitudes, "width": widths, "centers": centers}
+        name = data.draw(st.sampled_from(sorted(params)))
+        first = data.draw(st.integers(0, centers.size - 2))
+        bad = data.draw(st.sampled_from({"amplitude": [math.nan, math.inf, 0.0, -1.0],
+                                         "width": [math.nan, math.inf, 0.0, -1.0, 1e-300],
+                                         "centers": [math.nan, math.inf, -math.inf]}[name]))
+        params[name] = params[name].copy()
+        params[name][first] = params[name][-1] = bad
+        if name == "centers":
+            message = rf"^center must be finite, got {bad!r} at theta index {first}$"
+        elif bad == 1e-300:
+            message = rf"^width 1e-300 at neuron {first} is too small for period "
+        else:
+            message = rf"^{name} must be positive and finite, got {bad!r} at neuron {first}$"
+        with pytest.raises(ValueError, match=message):
+            PoissonPopulation(params["amplitude"], params["width"], period, params["centers"])
 
 
 class TestLinearGaussianModel:
@@ -294,8 +375,7 @@ class TestDecorrelationTransform:
 class TestRingPopulationFactory:
     def test_center_grid(self):
         pop = ring_population(5)
-        centers = [c.center for c in pop.tuning]
-        np.testing.assert_allclose(centers, [-0.5, -0.25, 0.0, 0.25, 0.5], atol=1e-15)
+        np.testing.assert_allclose(pop.centers, [-0.5, -0.25, 0.0, 0.25, 0.5], atol=1e-15)
 
     @pytest.mark.parametrize("n", [2, 10, 100])
     def test_size(self, n):
