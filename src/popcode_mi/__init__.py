@@ -12,7 +12,7 @@ Submodules
 models     Poisson populations of von Mises tuning curves, linear-Gaussian channel
 fisher     priors: entropy, curvature P(x) and score covariance P+
 mi         the approximation formulas, exact Gaussian MI, gap bounds
-mc         Monte Carlo reference estimator for Poisson populations, with bootstrap bars
+mc         Monte Carlo reference estimator for Poisson populations, with its standard error
 transform  input transforms, whitening, block dimensionality reduction
 optimize   population-density optimization, KKT certificates, capacity
 cli        the ``popcode-mi`` experiment runner

@@ -1,4 +1,4 @@
-"""Monte Carlo reference estimator of mutual information with bootstrap error.
+"""Monte Carlo reference estimator of mutual information with its standard error.
 
 The estimator takes a population of conditionally independent Poisson
 neurons with von Mises tuning (the paper's Fig. 1 populations) on a grid
@@ -8,12 +8,14 @@ prior.  It draws stimulus/response pairs, evaluates the log-ratio
 * stimuli are drawn from the prior's M-point grid masses, so the response
   marginal ``p(r_j) = sum_m p(r_j | x_m) p(x_m)`` shares the numerator's
   support exactly (log-sum-exp over the grid);
-* the bootstrap resamples the per-pair terms with replacement (a
-  j_max x i_max index matrix) to give a standard deviation for the mean.
+* the error bar is the standard error of the mean, ``std(terms) /
+  sqrt(j_max)`` (ddof 0).  A bootstrap that resamples the per-pair terms
+  with replacement tends to it, and its mean to the mean of the terms, as
+  its resample count grows: this is the paper's bootstrap bar in closed form.
 
 The j_max stimuli come as node counts, ``multinomial(j_max, masses)``, laid
 out node by node: the law of the counts of j_max independent draws, and an
-order the bootstrap's uniform resampling does not see.  Each response count
+order neither the mean nor the standard deviation sees.  Each response count
 is the exact inverse CDF of its Poisson rate at one uniform, drawn in
 sample-major order (Devroye, *Non-Uniform Random Variate Generation*, 1986,
 section III.2).  Only M x N rates exist, so each (node, neuron) cell gets a
@@ -23,7 +25,7 @@ points each uniform's bucket at its first candidate count; a short walk up
 the CDF ends the search.  A table costs O(sqrt(rate)) values against about
 j_max / M draws, so it pays off at low rates only.  A cell above
 ``_TABLE_RATE`` (100) still uses up its uniform, but its count comes from
-``Generator.poisson`` on a fourth stream, in sample-major order over such
+``Generator.poisson`` on a stream of its own, in sample-major order over such
 cells; its PTRS transformed rejection (Hörmann, *Insurance: Math. Econ.*
 1993) costs about the same per draw at any rate up to numpy's limit, about
 9.2e18.  Tables are built for whole nodes, a few at a time, so one build
@@ -72,26 +74,23 @@ __all__ = ["MCConfig", "MCResult", "mc_mutual_information"]
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Sample counts, grid size, and seed for one estimator run."""
+    """Sample count, grid size, and seed for one estimator run."""
 
     j_max: int
-    i_max: int
     m: int
     seed: int = 0
 
     def __post_init__(self):
         _count("j_max", self.j_max)
-        _count("i_max", self.i_max)
         _count("grid size m", self.m, 2)
         _count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
 class MCResult:
-    """Point estimate ``i_mc_star`` and the bootstrap mean ``i_mc`` and
-    standard deviation ``i_std`` of the per-pair log-ratio mean, in nats."""
+    """The mean ``i_mc`` of the per-pair log-ratios and its standard error
+    ``i_std``, in nats."""
 
-    i_mc_star: float
     i_mc: float
     i_std: float
 
@@ -141,21 +140,15 @@ def logsumexp(buf: np.ndarray) -> np.ndarray:
         return np.log(buf.sum(axis=1)) + a_max
 
 
-def _loglik_terms(pop: PoissonPopulation, rates: np.ndarray, xs: np.ndarray):
-    """The x-dependent part of ln p(r | x), ``sum_n [r_n ln f_n(x) - f_n(x)]``.
-
-    Returns ``((u, v), offset)``: the core terms of a block of responses are
-    ``(responses @ u) @ v - offset``.  The ``-ln r_n!`` sum is x-free and
-    omitted; it cancels in the estimator's log-ratio.
-    """
-    return pop.log_rate_factors(xs), np.sum(rates, axis=1)
-
-
 def _log_lik_core(responses: np.ndarray, terms, out: np.ndarray) -> np.ndarray:
     """Core log-likelihood terms of a block of responses, written into ``out``.
 
-    Shape (chunk, M): row j holds the core terms for response j against
-    every grid stimulus; ``terms`` comes from :func:`_loglik_terms`.
+    ``terms`` is ``((u, v), offset)``, with ``(u, v)`` the population's
+    :meth:`~PoissonPopulation.log_rate_factors` at the M grid stimuli.  Row j
+    of the (chunk, M) result holds ``(r_j @ u) @ v - offset``: with the rate
+    sums ``sum_n f_n(x)`` as ``offset``, the x-dependent part ``sum_n [r_n ln
+    f_n(x) - f_n(x)]`` of ln p(r_j | x).  The x-free ``-ln r_n!`` sum is
+    omitted; it cancels in the estimator's log-ratio.
     """
     (u, v), offset = terms
     np.matmul(responses @ u, v, out=out)
@@ -292,9 +285,9 @@ def mc_mutual_information(pop: PoissonPopulation, prior: GridPrior, cfg: MCConfi
 
     The prior must be tabulated on exactly ``cfg.m`` nodes — stimulus
     draws, the marginal mixture, and any companion quadrature then share
-    one discretization.  Four independent RNG streams (stimulus counts,
-    response uniforms, bootstrap indices, counts above ``_TABLE_RATE``) are
-    spawned from ``cfg.seed``, so results are bit-for-bit reproducible.
+    one discretization.  Independent RNG streams for the stimulus counts,
+    the response uniforms and the counts above ``_TABLE_RATE`` are spawned
+    from ``cfg.seed``, so results are bit-for-bit reproducible.
     """
     if not isinstance(pop, PoissonPopulation):
         raise TypeError(f"the estimator takes a PoissonPopulation, got {type(pop).__name__}")
@@ -309,16 +302,17 @@ def mc_mutual_information(pop: PoissonPopulation, prior: GridPrior, cfg: MCConfi
                 else "positive and finite")
         raise ValueError(f"Poisson rates must be {need}: node {node}, neuron {neuron} has rate {rate!r}")
 
-    stim_rng, resp_rng, boot_rng, high_rng = (
-        default_rng(s) for s in SeedSequence(cfg.seed).spawn(4)
-    )
+    # Stream 2 drew the bootstrap's indices, which the closed-form bar replaced;
+    # spawning 4 keeps every other stream's draws.
+    streams = SeedSequence(cfg.seed).spawn(4)
+    stim_rng, resp_rng, high_rng = (default_rng(streams[k]) for k in (0, 1, 3))
     log_masses = np.log(prior.masses)
     counts = stim_rng.multinomial(cfg.j_max, prior.masses)
     stim_idx = np.repeat(np.arange(cfg.m), counts)
 
     chunk = max(256, _CHUNK_VALUES // cfg.m)
-    factors, offset = _loglik_terms(pop, rates, prior.nodes)
-    joint = factors, offset - log_masses  # ln p(r | x_m) + ln p(x_m), less ln r!
+    # ln p(r | x_m) + ln p(x_m), less ln r!
+    joint = pop.log_rate_factors(prior.nodes), np.sum(rates, axis=1) - log_masses
     buf = np.empty((min(chunk, cfg.j_max), cfg.m))
     terms = np.empty(cfg.j_max)
     blocks = _poisson_responses(rates, counts, resp_rng, high_rng, chunk)
@@ -332,11 +326,5 @@ def mc_mutual_information(pop: PoissonPopulation, prior: GridPrior, cfg: MCConfi
             bad = lo + int(np.argmin(np.isfinite(terms[lo:hi])))
             raise ValueError(f"non-finite log-likelihood ratio at sample {bad}")
 
-    i_mc_star = float(np.mean(terms))
-
-    replicates = np.empty(cfg.i_max)
-    for i in range(cfg.i_max):
-        resample = boot_rng.integers(0, cfg.j_max, size=cfg.j_max)
-        replicates[i] = np.mean(terms[resample])
-    return MCResult(i_mc_star=i_mc_star, i_mc=float(np.mean(replicates)),
-                    i_std=float(np.std(replicates)))
+    return MCResult(i_mc=float(np.mean(terms)),
+                    i_std=float(np.std(terms) / math.sqrt(cfg.j_max)))

@@ -44,7 +44,6 @@ def read_rows(path):
 TINY_FIG1 = {
     "n_list": [2, 3],
     "j_max": 300,
-    "i_max": 20,
     "m": 50,
     "repeats": 2,
 }
@@ -137,12 +136,33 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("experiment, key", [
         ("fig2", "amplitude"), ("fig2", "period"), ("optimize", "peak_power"),
-        ("optimize", "center_span"), ("capacity", "paper_scale"),
+        ("optimize", "center_span"), ("capacity", "paper_scale"), ("capacity", "i_max"),
     ])
     def test_key_the_run_does_not_read_is_unknown(self, experiment, key, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", dict(TINY[experiment], **{key: 5}))
         assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
         assert f"unknown config keys for {experiment}: ['{key}']" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv*"))
+
+    def test_retired_fig1_i_max_is_ignored_with_a_note(self, tmp_path, capsys):
+        """fig1's retired bootstrap count: one stderr line, and the CSV, config
+        and hash of the run without it."""
+        plain, retired = tmp_path / "plain.csv", tmp_path / "retired.csv"
+        assert main(["fig1", "--config", write_config(tmp_path / "plain.json", TINY_FIG1),
+                     "--out", str(plain)]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path / "retired.json", dict(TINY_FIG1, i_max=20))
+        assert main(["fig1", "--config", cfg, "--out", str(retired)]) == 0
+        assert capsys.readouterr().err == ("popcode-mi fig1: config key i_max is ignored: "
+                                           "I_std is the bootstrap's closed-form limit\n")
+        assert retired.read_bytes() == plain.read_bytes()
+        configs = [json.loads(Path(f"{path}.json").read_text())["config"] for path in (plain, retired)]
+        assert configs[1] == dict(configs[0], out=str(retired))
+
+    def test_retired_fig1_i_max_is_still_checked(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", dict(TINY_FIG1, i_max=0))
+        assert main(["fig1", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "i_max must be a positive integer, got 0" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv*"))
 
     def test_paper_scale_flag_is_fig1_only(self, capsys):
@@ -276,7 +296,7 @@ class TestReproducibility:
         outputs = set()
         for workers in (1, 3):
             cfg = write_config(tmp_path / f"w{workers}.json",
-                               {"n_list": [2, 5, 3], "j_max": 700, "i_max": 10, "m": 4096,
+                               {"n_list": [2, 5, 3], "j_max": 700, "m": 4096,
                                 "repeats": 2, "workers": workers})
             out = tmp_path / f"w{workers}.csv"
             assert main(["fig1", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
@@ -609,7 +629,7 @@ class TestOptimizeAndFig1Runs:
     @pytest.mark.parametrize("repeats", [1, 3])
     def test_fig1_sidecar_compares_repeat_scatter_with_the_bar(self, tmp_path, repeats):
         """For each N, the std of the repeats' I_MC (ddof 1) over their mean
-        bootstrap I_std, from the runs themselves; null for a single repeat."""
+        I_std, from the runs themselves; null for a single repeat."""
         payload = dict(TINY_FIG1, repeats=repeats)
         out = tmp_path / "f1.csv"
         assert main(["fig1", "--config", write_config(tmp_path / "fig1.json", payload),
@@ -625,8 +645,7 @@ class TestOptimizeAndFig1Runs:
         want = {}
         for n, row_seeds, row in zip(payload["n_list"], seeds, rows, strict=True):
             pop = cli._ring_population(tuning, n)
-            runs = [mc_mutual_information(pop, prior, MCConfig(payload["j_max"], payload["i_max"],
-                                                               payload["m"], int(s)))
+            runs = [mc_mutual_information(pop, prior, MCConfig(payload["j_max"], payload["m"], int(s)))
                     for s in row_seeds]
             i_std = float(np.mean([r.i_std for r in runs]))
             assert float(row[2]) == i_std
@@ -662,7 +681,7 @@ class TestModuleEntryPoints:
 
 class TestBlasThreads:
     @pytest.mark.parametrize("experiment, payload", [
-        ("fig1", {"n_list": [30, 4], "j_max": 3000, "i_max": 10, "m": 500, "repeats": 2}),
+        ("fig1", {"n_list": [30, 4], "j_max": 3000, "m": 500, "repeats": 2}),
         # K = 196: OpenBLAS splits this width's products and Choleskys by thread.
         ("fig2", {"widths": [14, 3], "n_list": [5000, 700]}),
     ])

@@ -125,7 +125,7 @@ def test_import_footprint():
 
 
 TINY_RUNS = {
-    "fig1": {"n_list": [2, 3], "j_max": 300, "i_max": 20, "m": 50, "repeats": 2},
+    "fig1": {"n_list": [2, 3], "j_max": 300, "m": 50, "repeats": 2},
     "fig2": {"widths": [2], "n_list": [100]},
     "optimize": {"k1": 4, "m": 50, "n": 10},
     "capacity": {"n": 5, "m": 50},

@@ -1,4 +1,4 @@
-"""Monte Carlo reference estimator and its bootstrap error bars."""
+"""Monte Carlo reference estimator and its standard error."""
 
 import math
 import tracemalloc
@@ -23,9 +23,8 @@ from conftest import ring_population
 
 class TestMCConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"j_max": 0, "i_max": 10, "m": 100},
-        {"j_max": 10, "i_max": 0, "m": 100},
-        {"j_max": 10, "i_max": 10, "m": 1},
+        {"j_max": 0, "m": 100},
+        {"j_max": 10, "m": 1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -33,27 +32,42 @@ class TestMCConfig:
 
     @pytest.mark.parametrize("key, value, minimum", [
         ("j_max", math.nan, 1), ("j_max", 2.5, 1), ("j_max", True, 1),
-        ("i_max", 10.0, 1), ("m", 2.0, 2), ("m", 1, 2),
+        ("m", 2.0, 2), ("m", 1, 2),
     ])
     def test_counts_must_be_integers(self, key, value, minimum):
         name = "grid size m" if key == "m" else key
         with pytest.raises(ValueError, match=rf"^{name} must be an integer of at least {minimum}, "
                                              rf"got {value!r}$"):
-            MCConfig(**dict({"j_max": 10, "i_max": 10, "m": 100}, **{key: value}))
+            MCConfig(**dict({"j_max": 10, "m": 100}, **{key: value}))
 
     @pytest.mark.parametrize("seed", [None, -1, 1.5, True])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         """Not OS entropy for None, nor an error from inside numpy."""
         with pytest.raises(ValueError, match=rf"^seed must be an integer of at least 0, got {seed!r}$"):
-            MCConfig(j_max=10, i_max=10, m=100, seed=seed)
+            MCConfig(j_max=10, m=100, seed=seed)
 
     def test_numpy_integers_are_counts(self):
-        assert MCConfig(j_max=np.int64(10), i_max=np.int32(3), m=np.uint16(5)).m == 5
+        assert MCConfig(j_max=np.int64(10), m=np.uint16(5)).m == 5
 
     def test_grid_size_must_match_prior(self, prior):
-        cfg = MCConfig(j_max=100, i_max=10, m=60)
+        cfg = MCConfig(j_max=100, m=60)
         with pytest.raises(ValueError, match="nodes but config expects"):
             mc_mutual_information(ring_population(4), prior, cfg)
+
+
+def two_neuron_case():
+    """Two Poisson neurons on a 64-node grid and their MI in nats, summed over
+    every count pair up to 39 (tail mass below 1e-15)."""
+    pop = PoissonPopulation(amplitude=5.0, width=0.5, period=math.pi, centers=[-0.5, 0.5])
+    prior = GridPrior.von_mises(m=64)
+    rates = pop.rate_matrix(prior.nodes)
+    counts = np.arange(40)
+    likelihood = (poisson.pmf(counts[None, :, None], rates[:, None, None, 0])
+                  * poisson.pmf(counts[None, None, :], rates[:, None, None, 1]))
+    assert np.max(1.0 - likelihood.sum(axis=(1, 2))) < 1e-15
+    marginal = np.tensordot(prior.masses, likelihood, axes=1)
+    exact = float(prior.masses @ np.sum(likelihood * np.log(likelihood / marginal), axis=(1, 2)))
+    return pop, prior, exact
 
 
 class TestEstimatorExactCases:
@@ -76,33 +90,38 @@ class TestEstimatorExactCases:
             return core
 
         with mock.patch.object(mc, "_log_lik_core", spy):
-            out = mc_mutual_information(pop, prior, MCConfig(j_max=500, i_max=20, m=64))
+            out = mc_mutual_information(pop, prior, MCConfig(j_max=500, m=64))
         offset = np.sum(pop.rate_matrix(prior.nodes), axis=1) - np.log(prior.masses)
         scale = max(max(largest), np.max(np.abs(offset))) + math.log(64)
         bound = 4 * np.finfo(float).eps * scale
-        assert abs(out.i_mc_star) <= bound and abs(out.i_mc) <= bound
+        assert abs(out.i_mc) <= bound
 
     def test_two_neurons_match_exact_enumeration(self):
         """Two Poisson neurons on a 64-node grid: the MI summed over every count
-        pair up to 39 (tail mass below 1e-15) lies within the bootstrap band."""
-        pop = PoissonPopulation(amplitude=5.0, width=0.5, period=math.pi, centers=[-0.5, 0.5])
-        prior = GridPrior.von_mises(m=64)
-        rates = pop.rate_matrix(prior.nodes)
-        counts = np.arange(40)
-        likelihood = (poisson.pmf(counts[None, :, None], rates[:, None, None, 0])
-                      * poisson.pmf(counts[None, None, :], rates[:, None, None, 1]))
-        assert np.max(1.0 - likelihood.sum(axis=(1, 2))) < 1e-15
-        marginal = np.tensordot(prior.masses, likelihood, axes=1)
-        exact = float(prior.masses @ np.sum(likelihood * np.log(likelihood / marginal), axis=(1, 2)))
+        pair up to 39 (tail mass below 1e-15) lies within 3 standard errors."""
+        pop, prior, exact = two_neuron_case()
         assert exact == pytest.approx(0.63839, abs=1e-5)
         for seed in range(5):
-            out = mc_mutual_information(pop, prior, MCConfig(j_max=40_000, i_max=60, m=64, seed=seed))
+            out = mc_mutual_information(pop, prior, MCConfig(j_max=40_000, m=64, seed=seed))
             assert abs(out.i_mc - exact) < 3 * out.i_std
+
+    def test_standard_error_is_calibrated_against_the_exact_mi(self):
+        """Over seeds 0-39 of the two-neuron case, z = (I_MC - exact) / I_std
+        has mean within 3 / sqrt(40) of 0 and a sample variance inside the
+        chi-square(39) 0.05 % and 99.95 % quantiles over 39: a bar twice or
+        half the true standard error falls outside."""
+        pop, prior, exact = two_neuron_case()
+        runs = [mc_mutual_information(pop, prior, MCConfig(j_max=20_000, m=64, seed=seed))
+                for seed in range(40)]
+        z = np.array([(r.i_mc - exact) / r.i_std for r in runs])
+        assert abs(z.mean()) < 3 / math.sqrt(len(z))
+        low, high = chi2.ppf([0.0005, 0.9995], len(z) - 1) / (len(z) - 1)
+        assert low < np.var(z, ddof=1) < high
 
     def test_ring_population_near_i_g(self, prior):
         pop = ring_population(10)
         out = mc_mutual_information(pop, prior,
-                                    MCConfig(j_max=5_000, i_max=40, m=1000, seed=1))
+                                    MCConfig(j_max=5_000, m=1000, seed=1))
         reference = i_g(pop.fisher_values(prior.nodes), prior).value
         assert abs(out.i_mc - reference) < 5 * out.i_std
 
@@ -110,7 +129,7 @@ class TestEstimatorExactCases:
 class TestBootstrap:
     def test_reproducible_for_fixed_seed(self, prior_small):
         pop = ring_population(6)
-        cfg = MCConfig(j_max=2_000, i_max=30, m=200, seed=12)
+        cfg = MCConfig(j_max=2_000, m=200, seed=12)
         a = mc_mutual_information(pop, prior_small, cfg)
         b = mc_mutual_information(pop, prior_small, cfg)
         assert a == b
@@ -118,18 +137,25 @@ class TestBootstrap:
     def test_seed_changes_the_draw(self, prior_small):
         pop = ring_population(6)
         a = mc_mutual_information(pop, prior_small,
-                                  MCConfig(j_max=2_000, i_max=30, m=200, seed=12))
+                                  MCConfig(j_max=2_000, m=200, seed=12))
         b = mc_mutual_information(pop, prior_small,
-                                  MCConfig(j_max=2_000, i_max=30, m=200, seed=13))
-        assert a.i_mc_star != b.i_mc_star
+                                  MCConfig(j_max=2_000, m=200, seed=13))
+        assert a.i_mc != b.i_mc
 
-    def test_bootstrap_mean_tracks_point_estimate(self, prior_small):
-        """Resampled means scatter around I* with sd ~ I_std / sqrt(i_max)."""
+    def test_closed_form_is_the_bootstrap_limit(self, prior_small):
+        """10^4 bootstrap resamples of the reference loop's per-pair terms, in
+        blocks of 100: their means average to I_MC within 4 of their own
+        standard errors (I_std / 100), and scatter with I_std to 3 %."""
+        cfg = MCConfig(j_max=4_000, m=200, seed=2)
         pop = ring_population(6)
-        out = mc_mutual_information(pop, prior_small,
-                                    MCConfig(j_max=4_000, i_max=100, m=200, seed=2))
+        terms = reference_terms(pop, prior_small, cfg)
+        out = mc_mutual_information(pop, prior_small, cfg)
         assert out.i_std > 0.0
-        assert abs(out.i_mc - out.i_mc_star) < 3 * out.i_std / math.sqrt(100)
+        rng = np.random.default_rng(7)
+        means = np.concatenate([terms[rng.integers(0, cfg.j_max, size=(100, cfg.j_max))].mean(axis=1)
+                                for _ in range(100)])
+        assert abs(means.mean() - out.i_mc) < 4 * out.i_std / 100
+        assert np.std(means) == pytest.approx(out.i_std, rel=0.03)
 
 
 class TestPoissonOnly:
@@ -137,7 +163,7 @@ class TestPoissonOnly:
         model = LinearGaussianModel(np.array([[2.0, -1.0, 0.5]]), np.zeros(1), np.eye(1))
         with pytest.raises(TypeError, match="^the estimator takes a PoissonPopulation, "
                                             "got LinearGaussianModel$"):
-            mc_mutual_information(model, prior_small, MCConfig(j_max=500, i_max=5, m=200))
+            mc_mutual_information(model, prior_small, MCConfig(j_max=500, m=200))
 
 
 def lean_logsumexp(x):
@@ -149,12 +175,12 @@ def lean_logsumexp(x):
         return np.log(np.exp(np.maximum(x - a[:, None], -700.0)).sum(axis=1)) + a
 
 
-def reference_mc(model, prior, cfg, logsumexp=lean_logsumexp):
-    """The estimator as a chunk loop over scipy's Poisson quantiles (numpy's
-    sampler on the fourth stream for rates above 100), with the log-masses
-    folded into the likelihood's offset, kept as the oracle."""
+def reference_terms(model, prior, cfg, logsumexp=lean_logsumexp):
+    """The estimator's per-pair log-ratios from a chunk loop over scipy's
+    Poisson quantiles (numpy's sampler on the fourth stream for rates above
+    100), with the log-masses folded into the likelihood's offset."""
     rates = np.asarray(model.rate_matrix(prior.nodes), dtype=float)
-    stim_rng, resp_rng, boot_rng, high = (
+    stim_rng, resp_rng, _, high = (
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(4)
     )
     log_masses = np.log(prior.masses)
@@ -177,10 +203,13 @@ def reference_mc(model, prior, cfg, logsumexp=lean_logsumexp):
         responses[routed] = high.poisson(rates[idx][routed])
         joint = (responses @ u) @ v - offset
         terms[lo:hi] = joint[np.arange(hi - lo), idx] - log_masses[idx] - logsumexp(joint)
-    replicates = np.array([np.mean(terms[boot_rng.integers(0, cfg.j_max, size=cfg.j_max)])
-                           for _ in range(cfg.i_max)])
-    return MCResult(i_mc_star=float(np.mean(terms)), i_mc=float(np.mean(replicates)),
-                    i_std=float(np.std(replicates)))
+    return terms
+
+
+def reference_mc(model, prior, cfg, logsumexp=lean_logsumexp):
+    """The estimator written out from :func:`reference_terms`, kept as the oracle."""
+    terms = reference_terms(model, prior, cfg, logsumexp)
+    return MCResult(i_mc=float(np.mean(terms)), i_std=float(np.std(terms) / math.sqrt(cfg.j_max)))
 
 
 #: Shifted entries past exp's zero (-745.13), between it and the clamp at -700,
@@ -269,12 +298,12 @@ class TestEstimatorMatchesReference:
         """Bit for bit against the reference loop; within 1e-12 relative of it
         when the loop takes scipy's log-sum-exp instead of the lean one."""
         # j_max spans nine 5,242-row chunks and a partial tenth.
-        cfg = MCConfig(j_max=50_000, i_max=10, m=200, seed=seed)
+        cfg = MCConfig(j_max=50_000, m=200, seed=seed)
         model = make()
         got = mc_mutual_information(model, prior_small, cfg)
         assert got == reference_mc(model, prior_small, cfg)
         scipy_ref = reference_mc(model, prior_small, cfg, lambda x: scipy_logsumexp(x, axis=1))
-        for field in ("i_mc_star", "i_mc", "i_std"):
+        for field in ("i_mc", "i_std"):
             assert getattr(got, field) == pytest.approx(getattr(scipy_ref, field), rel=1e-12, abs=0)
 
 
@@ -305,7 +334,7 @@ class TestFactoredPoissonCore:
             return core
 
         with mock.patch.object(mc, "_log_lik_core", spy):
-            mc_mutual_information(pop, prior, MCConfig(j_max=j_max, i_max=2, m=m, seed=seed))
+            mc_mutual_information(pop, prior, MCConfig(j_max=j_max, m=m, seed=seed))
         assert [len(r) for r, _ in blocks] == [min(chunk, j_max - lo)
                                                for lo in range(0, j_max, chunk)]
         for responses, core in blocks:
@@ -324,7 +353,7 @@ class TestRateValidation:
 
         pop = BadRate(amplitude=20.0, width=0.5, period=math.pi, centers=[-0.5, 0.0, 0.5])
         with pytest.raises(ValueError, match=rf"node 7, neuron 1 has rate {rate!r}$"):
-            mc_mutual_information(pop, prior_small, MCConfig(j_max=500, i_max=5, m=200))
+            mc_mutual_information(pop, prior_small, MCConfig(j_max=500, m=200))
 
     def test_rate_numpy_refuses_names_node_and_neuron(self, prior_small):
         """Amplitude 1e19 is past ``Generator.poisson``'s largest rate: the
@@ -335,7 +364,7 @@ class TestRateValidation:
         with pytest.raises(ValueError, match=r"^Poisson rates must be at most "
                                              r"9\.223e\+18, numpy's limit: "
                                              rf"node {node}, neuron {neuron} has rate "):
-            mc_mutual_information(pop, prior_small, MCConfig(j_max=500, i_max=5, m=200))
+            mc_mutual_information(pop, prior_small, MCConfig(j_max=500, m=200))
 
     def test_rate_limit_is_numpys(self):
         rng = np.random.default_rng(0)
@@ -433,7 +462,7 @@ class TestInverseCDFSampler:
         assert got.tobytes() == want.tobytes()
 
     def test_estimator_is_block_size_free(self, prior_small):
-        cfg = MCConfig(j_max=6_000, i_max=10, m=200, seed=4)
+        cfg = MCConfig(j_max=6_000, m=200, seed=4)
         want = mc_mutual_information(ring_population(9), prior_small, cfg)
         with mock.patch.multiple(mc, _SUB_DRAWS=50, _TABLE_VALUES=100):
             assert mc_mutual_information(ring_population(9), prior_small, cfg) == want

@@ -58,7 +58,7 @@ def core_terms(pop, responses, xs) -> np.ndarray:
     """The estimator's x-dependent log-likelihood terms, shape (len(responses), len(xs))."""
     responses = np.atleast_2d(np.asarray(responses, dtype=float))
     xs = np.asarray(xs, dtype=float)
-    terms = mc._loglik_terms(pop, pop.rate_matrix(xs), xs)
+    terms = pop.log_rate_factors(xs), np.sum(pop.rate_matrix(xs), axis=1)
     return mc._log_lik_core(responses, terms, np.empty((responses.shape[0], len(xs))))
 
 
@@ -176,7 +176,7 @@ class TestFisherKernels:
         narrow = bump(width=0.01)  # concentration 2500: exp(-5000) underflows
         assert rate(narrow, np.pi / 2)[0] == 0.0
         with pytest.raises(ValueError, match=r"Poisson rates must be positive and finite: node 0, "):
-            mc_mutual_information(narrow, prior_small, MCConfig(j_max=500, i_max=5, m=200))
+            mc_mutual_information(narrow, prior_small, MCConfig(j_max=500, m=200))
 
     def test_tiny_rate_is_accepted_not_raised(self, prior_small):
         """Subnormal-scale but positive rates give finite Fisher and MC values."""
@@ -184,7 +184,7 @@ class TestFisherKernels:
         f = rate(narrow, np.pi / 2)[0]
         assert 0.0 < f < 1e-12
         assert np.isfinite(narrow.fisher_values([np.pi / 2])[0])
-        out = mc_mutual_information(narrow, prior_small, MCConfig(j_max=500, i_max=5, m=200))
+        out = mc_mutual_information(narrow, prior_small, MCConfig(j_max=500, m=200))
         assert np.isfinite(out.i_mc)
 
 
@@ -232,7 +232,7 @@ class TestPoissonPopulation:
 
         with mock.patch.object(mc, "_log_lik_core", spy):
             mc_mutual_information(flat, prior_small,
-                                  MCConfig(j_max=4000, i_max=2, m=200, seed=11))
+                                  MCConfig(j_max=4000, m=200, seed=11))
         draws = np.concatenate(drawn)
         assert draws.shape == (4000, 2) and np.all(draws == np.round(draws))
         np.testing.assert_allclose(draws.mean(axis=0), 5.0, rtol=0.05)
