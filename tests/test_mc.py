@@ -24,6 +24,7 @@ from conftest import ring_population
 class TestMCConfig:
     @pytest.mark.parametrize("kwargs", [
         {"j_max": 0, "m": 100},
+        {"j_max": -3, "m": 100},
         {"j_max": 10, "m": 1},
     ])
     def test_validation(self, kwargs):
