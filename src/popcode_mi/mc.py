@@ -12,6 +12,8 @@ prior.  It draws stimulus/response pairs, evaluates the log-ratio
   sqrt(j_max)`` (ddof 0).  A bootstrap that resamples the per-pair terms
   with replacement tends to it, and its mean to the mean of the terms, as
   its resample count grows: this is the paper's bootstrap bar in closed form.
+  Its floor, 4 eps (max |offset| + max |lse| + ln M), is the mean's own
+  rounding, so a zero-information run's noise never reads as resolved.
 
 The j_max stimuli come as node counts, ``multinomial(j_max, masses)``, laid
 out node by node: the law of the counts of j_max independent draws, and an
@@ -28,9 +30,9 @@ j_max / M draws, so it pays off at low rates only.  A cell above
 ``Generator.poisson`` on a stream of its own, in sample-major order over such
 cells; its PTRS transformed rejection (Hörmann, *Insurance: Math. Econ.*
 1993) costs about the same per draw at any rate up to numpy's limit, about
-9.2e18.  Tables are built for whole nodes, a few at a time, so one build
-holds at most about 201 N values (the window at rate 100), and no draw
-depends on how the work is blocked.  The inverse-CDF sampler and the
+9.2e18.  Tables are built for runs of adjacent whole nodes, each run once,
+so one build holds at most about 201 N values (the window at rate 100), and
+no draw depends on how the work is blocked.  The inverse-CDF sampler and the
 multinomial counts replaced numpy's ``Generator.poisson`` and ``choice``
 draws, which changed every Monte Carlo result for a given seed: a declared
 seed-lineage change of fig1.
@@ -38,11 +40,10 @@ seed-lineage change of fig1.
 Likelihood evaluation is chunked into response-by-grid blocks so the full
 j_max x M log-likelihood matrix is never materialized; the ``ln r!`` sum,
 which cancels between numerator and marginal, is dropped before the
-subtraction, which leaves every intermediate well-scaled.
-
-The log-rates come as the population's rank-3 factors
-(``PoissonPopulation.log_rate_factors``), so a block of responses costs
-O(chunk (N + M)) instead of O(chunk N M); this module evaluates no curve.
+subtraction, which leaves every intermediate well-scaled.  The log-rates
+come as the population's rank-3 factors (``PoissonPopulation.log_rate_factors``),
+so a block of responses costs O(chunk (N + M)) instead of O(chunk N M); this
+module evaluates no curve.
 
 One (chunk, M) buffer serves every chunk: the likelihood matmul writes the
 log-joint ``ln p(r_j | x_m) + ln p(x_m)`` into it (the prior's log-masses
@@ -89,7 +90,7 @@ class MCConfig:
 @dataclass(frozen=True)
 class MCResult:
     """The mean ``i_mc`` of the per-pair log-ratios and its standard error
-    ``i_std``, in nats."""
+    ``i_std``, in nats; ``i_std`` is at least the rounding of ``i_mc``."""
 
     i_mc: float
     i_std: float
@@ -120,7 +121,7 @@ _RATE_LIMIT = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 #: Uniforms looked up per sampler step, and CDF values per table build (1 MB;
 #: at M = 500, N = 200 on two threads, 2 MB raised peak memory from 78 to 84
-#: MB).  A group holds whole nodes, so one node's table may pass the budget:
+#: MB).  A run holds whole nodes, so one node's table may pass the budget:
 #: its window is at most 201 counts (rate 100), 1.6 MB of values at N = 1000.
 _SUB_DRAWS = 1 << 16
 _TABLE_VALUES = 1 << 17
@@ -227,57 +228,43 @@ def _quantiles(tables, u: np.ndarray, cell: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _poisson_responses(rates: np.ndarray, counts: np.ndarray, rng, high_rng, chunk: int):
-    """Poisson responses of node-sorted samples, yielded ``chunk`` rows at a time.
+def _poisson_responses(rates: np.ndarray, nodes: np.ndarray, rng, high_rng, chunk: int):
+    """Poisson responses of the samples at sorted ``nodes``, ``chunk`` rows at a time.
 
-    ``counts[m]`` samples sit at node m, in node order.  Sample j's response
-    to neuron n is the inverse CDF of Poisson(``rates[m_j, n]``) at one
-    ``rng.random()`` uniform, drawn in sample-major order a chunk at a time
-    into the buffer that the counts then overwrite (the yielded buffer is
-    reused).  Occupied nodes are taken in groups whose tables fit
-    ``_TABLE_VALUES`` (at least one node each) and each group's tables are
-    built once.  Lookups run ``_SUB_DRAWS`` uniforms at a time; a cell above
-    ``_TABLE_RATE`` has its table built at rate 0, and its count, in
-    sample-major order, comes from ``high_rng.poisson`` instead.
+    Sample j's response to neuron n is the inverse CDF of Poisson(``rates[nodes[j],
+    n]``) at one ``rng.random()`` uniform, drawn in sample-major order a chunk at a
+    time into the buffer that the counts then overwrite (the yielded buffer is
+    reused).  Tables are built for runs of adjacent occupied nodes that fit
+    ``_TABLE_VALUES`` (at least one node each), each run once, though it may span
+    chunks.  Lookups run ``_SUB_DRAWS`` uniforms at a time; a cell above
+    ``_TABLE_RATE`` has its table built at rate 0, and its count comes from one
+    ``high_rng.poisson`` call per chunk, in sample-major order over such cells.
     """
-    n = rates.shape[1]
-    length = _windows(np.where(rates > _TABLE_RATE, 0.0, rates))[1].max(axis=1)
-    occupied = np.flatnonzero(counts)
-    left = int(counts.sum())
-    out = np.empty((min(chunk, left), n))
+    n, hot = rates.shape[1], rates > _TABLE_RATE
+    length = _windows(np.where(hot, 0.0, rates))[1].max(axis=1)
+    out, end = np.empty((min(chunk, len(nodes)), n)), 0
     step, cols = max(1, _SUB_DRAWS // n), np.arange(n)
-
-    def draw():
-        block = out[:min(chunk, left)]
+    for lo in range(0, len(nodes), chunk):
+        block = out[:min(chunk, len(nodes) - lo)]
         rng.random(out=block)
-        return len(block)
-
-    rows, filled, i = draw(), 0, 0
-    while i < len(occupied):
-        size, j = length[occupied[i]], i + 1
-        while j < len(occupied) and (j + 1 - i) * n * max(size, length[occupied[j]]) <= _TABLE_VALUES:
-            size, j = max(size, length[occupied[j]]), j + 1
-        nodes, i, tables = occupied[i:j], j, None  # drop the last group's tables first
-        group_rates = rates[nodes].ravel()
-        group_hot = group_rates > _TABLE_RATE
-        tables = _tables(np.where(group_hot, 0.0, group_rates), size)
-        local = np.repeat(np.arange(len(nodes)), counts[nodes])
-        done = 0
-        while done < len(local):
-            seg = local[done:done + rows - filled]
-            block = out[filled:filled + len(seg)].reshape(-1)  # a view: whole rows
-            for a in range(0, len(seg), step):
-                cell = (seg[a:a + step, None] * n + cols).ravel()
-                u = block[a * n:a * n + cell.size]
-                u[...] = _quantiles(tables, u, cell)
-                if group_hot.any():
-                    k = np.flatnonzero(group_hot[cell])
-                    u[k] = high_rng.poisson(group_rates[cell[k]])
-            filled, done, left = filled + len(seg), done + len(seg), left - len(seg)
-            if filled == rows:
-                yield out[:rows]
-                if left:
-                    rows, filled = draw(), 0
+        a, hi = lo, lo + len(block)
+        while a < hi:
+            if a == end:  # past the built run: drop its tables before the next run's
+                run, size, tables = [], 0, None
+                while end < len(nodes) and (
+                        not run or (len(run) + 1) * n * max(size, length[nodes[end]]) <= _TABLE_VALUES):
+                    run.append(nodes[end])
+                    size, end = max(size, length[run[-1]]), np.searchsorted(nodes, run[-1], "right")
+                tables = _tables(np.where(hot[run], 0.0, rates[run]).ravel(), size)
+            b = min(hi, a + step, end)
+            cell = (np.searchsorted(run, nodes[a:b])[:, None] * n + cols).ravel()
+            u = block[a - lo:b - lo].reshape(-1)  # a view: whole rows
+            u[...] = _quantiles(tables, u, cell)
+            a = b
+        if hot.any():  # one call per chunk, in sample-major order
+            row, col = np.nonzero(hot[nodes[lo:hi]])
+            block[row, col] = high_rng.poisson(rates[nodes[lo + row], col])
+        yield block
 
 
 def mc_mutual_information(pop: PoissonPopulation, prior: GridPrior, cfg: MCConfig) -> MCResult:
@@ -307,24 +294,28 @@ def mc_mutual_information(pop: PoissonPopulation, prior: GridPrior, cfg: MCConfi
     streams = SeedSequence(cfg.seed).spawn(4)
     stim_rng, resp_rng, high_rng = (default_rng(streams[k]) for k in (0, 1, 3))
     log_masses = np.log(prior.masses)
-    counts = stim_rng.multinomial(cfg.j_max, prior.masses)
-    stim_idx = np.repeat(np.arange(cfg.m), counts)
+    stim_idx = np.repeat(np.arange(cfg.m), stim_rng.multinomial(cfg.j_max, prior.masses))
 
     chunk = max(256, _CHUNK_VALUES // cfg.m)
     # ln p(r | x_m) + ln p(x_m), less ln r!
     joint = pop.log_rate_factors(prior.nodes), np.sum(rates, axis=1) - log_masses
     buf = np.empty((min(chunk, cfg.j_max), cfg.m))
-    terms = np.empty(cfg.j_max)
-    blocks = _poisson_responses(rates, counts, resp_rng, high_rng, chunk)
+    terms, lse_max = np.empty(cfg.j_max), 0.0
+    blocks = _poisson_responses(rates, stim_idx, resp_rng, high_rng, chunk)
     for lo, responses in zip(range(0, cfg.j_max, chunk), blocks):
         hi = lo + len(responses)
         idx = stim_idx[lo:hi]
         core = _log_lik_core(responses, joint, buf[: hi - lo])
         numerator = core[np.arange(hi - lo), idx] - log_masses[idx]
-        terms[lo:hi] = numerator - logsumexp(core)
+        lse = logsumexp(core)
+        terms[lo:hi] = numerator - lse
         if not np.all(np.isfinite(terms[lo:hi])):
             bad = lo + int(np.argmin(np.isfinite(terms[lo:hi])))
             raise ValueError(f"non-finite log-likelihood ratio at sample {bad}")
+        lse_max = max(lse_max, float(np.max(np.abs(lse))))
 
+    # A term is about eight roundings, each under eps/2 of |offset| + |lse| + ln M,
+    # so the mean is not known closer than 4 eps times that: the bar's floor.
+    floor = 4 * np.finfo(float).eps * (float(np.max(np.abs(joint[1]))) + lse_max + math.log(cfg.m))
     return MCResult(i_mc=float(np.mean(terms)),
-                    i_std=float(np.std(terms) / math.sqrt(cfg.j_max)))
+                    i_std=max(float(np.std(terms) / math.sqrt(cfg.j_max)), floor))

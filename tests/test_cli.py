@@ -605,8 +605,9 @@ class TestOptimizeAndFig1Runs:
 
     def test_fig1_relative_errors_are_nan_when_i_mc_is_not_resolved(self, tmp_path, capsys):
         """A flat population carries no information: where |I_MC| <= 3 I_std
-        (N = 2 at seed 1) the relative errors are nan, not -1e16, and one
-        stderr line names N, width and amplitude."""
+        (N = 2 and 3 at seed 1, the bar floored at the estimator's rounding)
+        the relative errors are nan, not -1e16, and one stderr line names N,
+        width and amplitude."""
         cfg = write_config(tmp_path / "fig1.json", dict(TINY_FIG1, width=1e9))
         out = tmp_path / "f1.csv"
         assert main(["fig1", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
@@ -621,9 +622,9 @@ class TestOptimizeAndFig1Runs:
                 unresolved.append(int(row["N"]))
             else:
                 assert not any(nan)
-        assert unresolved == [2]
+        assert unresolved == [2, 3]
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["popcode-mi fig1: I_MC is within 3 I_std of 0 at N = 2 "
+        assert err == ["popcode-mi fig1: I_MC is within 3 I_std of 0 at N = 2, 3 "
                        "(width 1000000000.0, amplitude 20.0), so DI_G, DI_G+, DI_F and DI_std are nan"]
 
     @pytest.mark.parametrize("repeats", [1, 3])

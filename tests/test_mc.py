@@ -96,6 +96,7 @@ class TestEstimatorExactCases:
         scale = max(max(largest), np.max(np.abs(offset))) + math.log(64)
         bound = 4 * np.finfo(float).eps * scale
         assert abs(out.i_mc) <= bound
+        assert out.i_std >= abs(out.i_mc)
 
     def test_two_neurons_match_exact_enumeration(self):
         """Two Poisson neurons on a 64-node grid: the MI summed over every count
@@ -383,8 +384,8 @@ def sampler_draws(rates, counts, seed, chunk=4096):
     """Every response ``mc._poisson_responses`` yields, stacked: uniforms from
     ``default_rng(seed)``, the counts above 100 from ``high_rng(seed)``."""
     return np.concatenate([block.copy() for block in mc._poisson_responses(
-        np.asarray(rates, dtype=float), np.asarray(counts), np.random.default_rng(seed),
-        high_rng(seed), chunk)])
+        np.asarray(rates, dtype=float), np.repeat(np.arange(len(counts)), counts),
+        np.random.default_rng(seed), high_rng(seed), chunk)])
 
 
 def oracle_draws(rates, counts, seed):
@@ -461,6 +462,28 @@ class TestInverseCDFSampler:
                                  _TABLE_VALUES=longest << table_shift):
             got = sampler_draws(rates, counts, seed, chunk=chunk)
         assert got.tobytes() == want.tobytes()
+
+    def test_tables_are_built_once_per_run(self):
+        """Each run of adjacent nodes gets its tables once, at any chunk size:
+        a chunk of one row, chunks that split runs, and one chunk for all."""
+        rng = np.random.default_rng(3)
+        rates = 10.0 ** rng.uniform(-3.0, 2.0, size=(12, 7))
+        rates[rng.random(rates.shape) < 0.2] *= 1e3
+        counts = rng.multinomial(3_000, np.full(12, 1 / 12))
+        counts[[0, 5]] = 0
+        longest = int(mc._windows(rates[rates <= 100.0])[1].max())
+        builds, real_tables = [], mc._tables
+
+        def spy(rates, length):
+            builds[-1].append((rates.size, length))
+            return real_tables(rates, length)
+
+        with mock.patch.multiple(mc, _tables=spy, _TABLE_VALUES=longest * 7 * 3):
+            for chunk in (1, 7, 1_000, 3_000):
+                builds.append([])
+                sampler_draws(rates, counts, seed=6, chunk=chunk)
+        assert sum(cells for cells, _ in builds[0]) == 7 * 10  # each occupied node once
+        assert all(sizes == builds[0] for sizes in builds)
 
     def test_estimator_is_block_size_free(self, prior_small):
         cfg = MCConfig(j_max=6_000, m=200, seed=4)
