@@ -370,12 +370,13 @@ def _run_fig1(cfg: dict) -> tuple[list, list, dict]:
         runs = mc_runs[i * repeats:(i + 1) * repeats]
         i_mc = float(np.mean([r.i_mc for r in runs]))
         i_std = float(np.mean([r.i_std for r in runs]))
-        # Near 1 when each run's standard error matches the runs' own scatter.
-        calibration[n] = (float(np.std([r.i_mc for r in runs], ddof=1)) / i_std
-                          if repeats > 1 and i_std > 0.0 else None)
+        calibration[n] = None
         if abs(i_mc) > 3.0 * i_std:
             rel = [(v - i_mc) / i_mc for v in (v_g.value, v_gp.value, v_f.value)] + [i_std / i_mc]
-        else:  # I_MC is not resolved from 0: an error relative to it means nothing
+            if repeats > 1:  # near 1 when each run's standard error matches the runs' scatter
+                calibration[n] = float(np.std([r.i_mc for r in runs], ddof=1)) / i_std
+        else:  # I_MC is not resolved from 0: an error relative to it means nothing,
+            # and I_std is the bar's rounding floor, so neither does the ratio
             rel = [math.nan] * 4
             unresolved.append(str(n))
         rows.append([n, i_mc, i_std, v_g.value, v_gp.value, v_f.value, *rel])

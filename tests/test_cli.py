@@ -579,8 +579,9 @@ class TestOptimizeAndFig1Runs:
         assert 0.0 <= side["power_slack"] <= 1e-6 * 10.33
 
     def test_unconverged_run_says_so_on_stderr(self, tmp_path, capsys):
+        # Ten classes take seven steps, so two leave the solve unconverged.
         cfg = write_config(tmp_path / "opt.json",
-                           {"k1": 3, "n": 8, "m": 80, "max_iters": 2})
+                           {"k1": 10, "n": 8, "m": 80, "max_iters": 2})
         out = tmp_path / "opt.csv"
         assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
         err = capsys.readouterr().err.strip().splitlines()
@@ -626,6 +627,9 @@ class TestOptimizeAndFig1Runs:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["popcode-mi fig1: I_MC is within 3 I_std of 0 at N = 2, 3 "
                        "(width 1000000000.0, amplitude 20.0), so DI_G, DI_G+, DI_F and DI_std are nan"]
+        # There I_std is the bar's rounding floor, so the repeats' scatter over it is null too.
+        with open(str(out) + ".json") as fh:
+            assert json.load(fh)["mc"]["repeat_std_over_i_std"] == {"2": None, "3": None}
 
     @pytest.mark.parametrize("repeats", [1, 3])
     def test_fig1_sidecar_compares_repeat_scatter_with_the_bar(self, tmp_path, repeats):

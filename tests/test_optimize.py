@@ -24,6 +24,7 @@ from popcode_mi.optimize import (
     objective,
     redundancy,
 )
+from stress_problems import COUNT, stress_problem
 
 PERIOD = math.pi
 
@@ -482,6 +483,44 @@ class TestPowerMultiplier:
         assert 1e-8 <= res.gap < math.inf
         assert float(prob.power_cost @ res.alpha) <= budget
         assert res.trace[-1] == objective(res.alpha, prob)
+
+
+class TestNewtonSteps:
+    """Newton steps on the support's affine hull: scalar solves converge in few steps."""
+
+    # Pairwise Frank-Wolfe alone ran each of these to the 10,000-step cap.
+    STALLERS = [11, 15, 25]
+
+    def test_desk_problem_converges_in_few_steps(self):
+        res = maximize(desk_problem(10))
+        assert res.converged and res.gap < 1e-8
+        assert res.iterations <= 40
+
+    @pytest.mark.parametrize("index", STALLERS)
+    def test_staller_converges(self, index):
+        res = maximize(stress_problem(index))
+        assert res.converged and res.gap < 1e-8
+        assert res.iterations <= 1000
+
+    @pytest.mark.parametrize("index", STALLERS)
+    def test_budgeted_staller_is_certified(self, index):
+        """A budget halfway between the cheapest class and the free optimum binds
+        and is met, with a finite certificate."""
+        free = maximize(stress_problem(index))
+        cost = stress_problem(index, avg_power=1e9).power_cost
+        budget = 0.5 * (float(cost.min()) + float(cost @ free.alpha))
+        res = maximize(stress_problem(index, avg_power=budget))
+        assert res.converged and res.gap < 1e-8
+        assert res.report.power_multiplier > 0.0
+        assert budget - float(cost @ res.alpha) >= 0.0
+
+    def test_stress_set_converges(self):
+        """Every problem of the seeded stress set converges, none near the step cap,
+        and no step lowers the information by more than rounding."""
+        for index in range(COUNT):
+            res = maximize(stress_problem(index))
+            assert res.converged and res.iterations <= 1000, index
+            assert np.all(np.diff(res.trace) >= -1e-12 * np.abs(res.trace[1:])), index
 
 
 def domain_edge_problem(above_cheapest):
