@@ -34,8 +34,6 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-# A squared pivot at or below this times K times its diagonal entry is noise.
-_PIVOT_FLOOR = 64.0 * _EPS
 
 
 def cholesky_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,25 +56,6 @@ def cholesky_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return chol, failed
 
 
-def _pivot_rule(mats: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """True per node of a stack where its Cholesky factor passes the pivot rule
-    of :func:`factor_logdets`."""
-    diag = np.diagonal(chol, axis1=1, axis2=2)
-    # An exactly singular matrix can slip through when rounding nudges a
-    # zero pivot positive.  The Schur complement behind pivot i is A_ii
-    # minus a sum that cancels it, so such a pivot is rounding noise on
-    # the scale of K * eps * A_ii (squared pivot), whatever the scale of
-    # the other coordinates.  A pivot from LAPACK is positive (NaN where
-    # the node failed), so the squared test needs no sign check, and from
-    # finite entries it is at most sqrt(A_ii), so it needs no finiteness
-    # check once the entries are known to be finite.
-    tol = _PIVOT_FLOOR * mats.shape[1] * np.diagonal(mats, axis1=1, axis2=2)
-    good = np.all(diag * diag > tol, axis=1)
-    if not np.isfinite(mats).all():  # one pass over the stack; per node only if needed
-        good &= np.all(np.isfinite(mats), axis=(1, 2))
-    return good
-
-
 def factor_logdets(mats: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """Log-determinants of a stack from its Cholesky factors.
 
@@ -92,10 +71,21 @@ def factor_logdets(mats: np.ndarray, chol: np.ndarray) -> np.ndarray:
     units or scaling of the coordinates.  No eigenvalue clipping is
     applied; values are exact or ``-inf``.
     """
-    good = _pivot_rule(mats, chol)
+    diag = np.diagonal(chol, axis1=1, axis2=2)
+    # An exactly singular matrix can slip through when rounding nudges a
+    # zero pivot positive.  The Schur complement behind pivot i is A_ii
+    # minus a sum that cancels it, so such a pivot is rounding noise on
+    # the scale of K * eps * A_ii (squared pivot), whatever the scale of
+    # the other coordinates.  A pivot from LAPACK is positive (NaN where
+    # the node failed), so the squared test needs no sign check, and from
+    # finite entries it is at most sqrt(A_ii), so it needs no finiteness
+    # check once the entries are known to be finite.
+    tol = 64.0 * mats.shape[1] * _EPS * np.diagonal(mats, axis1=1, axis2=2)
+    good = np.all(diag * diag > tol, axis=1)
+    if not np.isfinite(mats).all():  # one pass over the stack; per node only if needed
+        good &= np.all(np.isfinite(mats), axis=(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(good, 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1),
-                        -np.inf)
+        return np.where(good, 2.0 * np.sum(np.log(diag), axis=1), -np.inf)
 
 
 def chol_logdet(a: np.ndarray) -> float:
@@ -160,10 +150,10 @@ def psd_solve(a: np.ndarray, b: np.ndarray):
     in which ``a`` is singular to working precision the smallest curvature the
     rule tells from zero, so the solution is large along it, not undefined.
     """
-    stack = (a + np.diag(_PIVOT_FLOOR * a.shape[0] * np.diagonal(a)))[None]
-    if not _pivot_rule(stack, cholesky_stack(stack)[0])[0]:
+    shifted = (a + np.diag(64.0 * a.shape[0] * _EPS * np.diagonal(a)))[None]
+    if factor_logdets(shifted, cholesky_stack(shifted)[0])[0] == -np.inf:
         return None
-    return np.linalg.solve(stack[0], b)
+    return np.linalg.solve(shifted[0], b)
 
 
 def sym_inv_sqrt(a: np.ndarray) -> np.ndarray:

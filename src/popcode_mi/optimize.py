@@ -341,17 +341,18 @@ def _frank_wolfe(prob: OptimizationProblem, it: _Iterate, mu: float, tol: float,
         if gap < tol:
             return it, gap, t, True
         support = np.flatnonzero(alpha > 0)
-        newton = None
+        gamma = 0.0
         if prob.scalar and alpha[best] > 0 and support.size > 1:
             newton = _newton_direction(it, prob, grad, support)
-        if newton is None:
+            if newton is not None:
+                direction, upper, worst = newton
+                gamma = _line_search(it, direction, upper, prob, mu)
+        if gamma == 0.0:  # no Newton direction, or one whose exact step is 0
             worst = int(support[np.argmin(grad[support])])
             direction = np.zeros(prob.k1)
             direction[best], direction[worst] = 1.0, -1.0
             upper = float(alpha[worst])
-        else:
-            direction, upper, worst = newton
-        gamma = _line_search(it, direction, upper, prob, mu)
+            gamma = _line_search(it, direction, upper, prob, mu)
         alpha = np.clip(alpha + gamma * direction, 0.0, None)
         if gamma == upper:
             alpha[worst] = 0.0  # not the rounding residue of alpha_k + upper d_k
@@ -373,9 +374,10 @@ def maximize(prob: OptimizationProblem, tol: float = 1e-8,
     Each step moves by the exact maximizing step along one direction.  For
     scalar stimuli, when the best subclass (largest gradient) is supported,
     it is Newton's direction on the support's affine hull; a step that
-    empties a subclass ends there, exactly at 0.  Otherwise, and always for
-    matrix stimuli, the step is pairwise: mass moves from the worst
-    supported subclass to the best one, which converges only linearly.
+    empties a subclass ends there, exactly at 0.  Otherwise, or when the
+    Newton step would not move, and always for matrix stimuli, the step is
+    pairwise: mass moves from the worst supported subclass to the best one,
+    which converges only linearly.
     Neither leaves stray support, and a step costs one factorization of G.
     A solve stops once the duality gap ``grad . (s - alpha)`` falls below
     ``tol > 0``; ``iterations`` counts steps of both kinds.
