@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from popcode_mi import fisher
 from popcode_mi.fisher import GridPrior
 from popcode_mi.models import PoissonPopulation
 
@@ -43,13 +42,12 @@ def ring_population(n: int) -> PoissonPopulation:
     return PoissonPopulation(AMPLITUDE, WIDTH, PERIOD, centers)
 
 
-def tabulated_prior(nodes: np.ndarray, pdf: np.ndarray, period: float) -> GridPrior:
-    """Grid prior from a positive density table on a uniform periodic grid:
-    renormalized by the rectangle rule, derivatives by 4th-order differences."""
-    dx = period / nodes.size
-    log_pdf = np.log(pdf / (np.sum(pdf) * dx))
-    return GridPrior(nodes, log_pdf, fisher._central_diff4(log_pdf, dx),
-                     fisher._central_diff4_second(log_pdf, dx), period=period)
+def central_diff4(values: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fourth-order central first and second derivatives on a periodic grid."""
+    vp1, vm1 = np.roll(values, -1), np.roll(values, 1)
+    vp2, vm2 = np.roll(values, -2), np.roll(values, 2)
+    return ((-vp2 + 8.0 * vp1 - 8.0 * vm1 + vm2) / (12.0 * dx),
+            (-vp2 + 16.0 * vp1 - 30.0 * values + 16.0 * vm1 - vm2) / (12.0 * dx**2))
 
 
 @pytest.fixture(scope="session")

@@ -113,6 +113,19 @@ class TestExitCodes:
             assert (f"numerical failure: width {width!r} is too small for period"
                     in capsys.readouterr().err)
 
+    def test_unresolved_prior_names_the_grid_size(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", dict(TINY_CAPACITY, m=4))
+        assert main(["capacity", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 3
+        assert "numerical failure: m = 4 nodes do not resolve the prior" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", [7, 10, 21])
+    def test_coarse_grid_runs(self, m, tmp_path):
+        """Grids of 7 to 21 nodes resolve the default prior and run."""
+        cfg = write_config(tmp_path / "cfg.json", dict(TINY["optimize"], m=m))
+        out = tmp_path / "o.csv"
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + TINY["optimize"]["k1"]
+
     @pytest.mark.parametrize("experiment", ["fig1", "optimize", "capacity"])
     def test_one_node_grid_is_a_config_error(self, experiment, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", dict(TINY[experiment], m=1))

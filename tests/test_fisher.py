@@ -16,7 +16,7 @@ from popcode_mi.mi import LOG_2PI_E, _p_plus_matrix, i_g, i_g_plus, van_trees_bo
 from popcode_mi.models import PoissonPopulation
 from popcode_mi.optimize import build_problem
 
-from conftest import NOT_PD_COVARIANCES, tabulated_prior
+from conftest import NOT_PD_COVARIANCES, central_diff4
 
 PERIOD = math.pi
 PRIOR_WIDTH = math.pi / 4
@@ -77,23 +77,34 @@ class TestGridPriorConstruction:
         assert uni.p_plus() == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(uni.curvature_values(), 0.0, atol=1e-10)
 
-    def test_density_must_integrate_to_one(self, prior):
-        with pytest.raises(ValueError, match="quadrature"):
-            GridPrior(prior.nodes, prior.log_pdf + 0.5,
-                      prior.log_pdf_d1, prior.log_pdf_d2, prior.period)
+    @pytest.mark.parametrize("period, m", [(PERIOD, 500), (2.0, 50), (2.5, 7), (1e-3, 2)])
+    def test_uniform_is_exactly_flat(self, period, m):
+        uni = GridPrior.uniform(period, m)
+        assert uni.log_pdf.tobytes() == np.full(m, -math.log(period)).tobytes()
+        assert np.all(uni.curvature_values() == 0.0)
+        assert uni.p_plus() == 0.0
 
-    def test_derivative_tables_are_validated(self, prior):
-        with pytest.raises(ValueError, match="first log-density derivative"):
-            GridPrior(prior.nodes, prior.log_pdf,
-                      prior.log_pdf_d1 + 1.0, prior.log_pdf_d2, prior.period)
-        with pytest.raises(ValueError, match="second log-density derivative"):
-            GridPrior(prior.nodes, prior.log_pdf,
-                      prior.log_pdf_d1, -prior.log_pdf_d2, prior.period)
+    def test_density_must_integrate_to_one(self):
+        message = (r"^m = 4 nodes do not resolve the prior of concentration 0\.405\d* "
+                   r"\(period 3\.14159\d*\): quadrature 1\.000136")
+        with pytest.raises(ValueError, match=message):
+            GridPrior.von_mises(m=4)
 
     def test_needs_two_nodes(self):
-        with pytest.raises(ValueError, match="at least 2 nodes"):
-            GridPrior(np.array([0.0]), np.array([0.0]),
-                      np.array([0.0]), np.array([0.0]), 1.0)
+        message = r"^grid size m must be an integer of at least 2, got 1$"
+        with pytest.raises(ValueError, match=message):
+            GridPrior(math.pi, 0.4, 1)
+
+    @pytest.mark.parametrize("kappa", [-0.5, math.nan, math.inf])
+    def test_concentration_must_be_nonnegative_and_finite(self, kappa):
+        message = rf"^concentration must be nonnegative and finite, got {kappa!r}$"
+        with pytest.raises(ValueError, match=message):
+            GridPrior(math.pi, kappa, 100)
+
+    def test_direct_overflow_names_kappa(self):
+        with pytest.raises(OverflowError, match=r"^the prior's normalizer I_0\(kappa\) overflows "
+                                                r"at kappa = 2500\.0$"):
+            GridPrior(math.pi, 2500.0, 100)
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(period=math.nan), r"^period must be positive and finite, got nan$"),
@@ -118,16 +129,18 @@ class TestGridPriorConstruction:
         message = rf"^period must be positive and finite, got {period!r}$"
         with pytest.raises(ValueError, match=message):
             GridPrior.uniform(period)
-        table = tabulated_prior(np.linspace(-1.0, 1.0, 50, endpoint=False), np.ones(50), 2.0)
         with pytest.raises(ValueError, match=message):
-            dataclasses.replace(table, period=period)
+            dataclasses.replace(GridPrior.uniform(2.0, 50), period=period)
 
-    def test_from_table_matches_analytic_constructor(self, prior):
-        tabulated = tabulated_prior(prior.nodes, analytic_pdf(prior.nodes), PERIOD)
-        assert tabulated.entropy() == pytest.approx(prior.entropy(), rel=1e-10)
-        np.testing.assert_allclose(tabulated.curvature_values(),
-                                   prior.curvature_values(), rtol=1e-6, atol=1e-8)
-        assert tabulated.p_plus() == pytest.approx(prior.p_plus(), rel=1e-8)
+    @pytest.mark.parametrize("m", [500, 1000])
+    def test_closed_forms_match_finite_differences(self, m):
+        """The curvature and the score that P_plus averages are the 4th-order
+        central differences of ln p, to the differences' own accuracy."""
+        prior = GridPrior.von_mises(PERIOD, PRIOR_WIDTH, m)
+        fd1, fd2 = central_diff4(prior.log_pdf, prior.spacing)
+        np.testing.assert_allclose(prior._score(), fd1, rtol=1e-4, atol=1e-4)
+        np.testing.assert_allclose(prior.curvature_values(), -fd2, rtol=1e-4, atol=1e-4)
+        assert prior.p_plus() == prior.average(prior._score()**2)
 
 
 def closed_form_log_pdf(period, width, m):
@@ -139,6 +152,18 @@ def closed_form_log_pdf(period, width, m):
     return -kappa * (1.0 - np.cos(2.0 * math.pi / period * nodes)) - log_z, kappa
 
 
+def closed_form_prior_terms(period, width, m):
+    """The curvature P(x_m) = kappa omega^2 cos(omega x_m) and
+    P_plus = sum_m p_m (kappa omega sin(omega x_m))^2, with the masses p_m
+    from :func:`closed_form_log_pdf`."""
+    log_pdf, kappa = closed_form_log_pdf(period, width, m)
+    omega = 2.0 * math.pi / period
+    phase = omega * (-period / 2.0 + period / m * np.arange(m))
+    raw = np.exp(log_pdf) * (period / m)
+    p_plus = float(np.dot(raw / np.sum(raw), (kappa * omega * np.sin(phase)) ** 2))
+    return kappa * omega**2 * np.cos(phase), p_plus
+
+
 class TestCephesI0:
     """The von Mises normalizer takes Cephes' I_0 from numpy (``np.i0``);
     ``scipy.special.i0`` is the oracle."""
@@ -147,7 +172,11 @@ class TestCephesI0:
     def test_bit_identical_to_the_scipy_closed_form(self, width):
         """kappa = 0.405 (the bundled prior), 1, 2.78 and 6.25."""
         expected, _ = closed_form_log_pdf(PERIOD, width, 1000)
-        assert GridPrior.von_mises(PERIOD, width, 1000).log_pdf.tobytes() == expected.tobytes()
+        curvature, p_plus = closed_form_prior_terms(PERIOD, width, 1000)
+        prior = GridPrior.von_mises(PERIOD, width, 1000)
+        assert prior.log_pdf.tobytes() == expected.tobytes()
+        assert prior.curvature_values().tobytes() == curvature.tobytes()
+        assert prior.p_plus() == p_plus
 
     def test_scipy_closed_form_within_a_few_ulps_on_both_branches(self):
         """Over kappa from 2.5e-3 to 2500 (both Chebyshev branches), numpy's and
