@@ -71,6 +71,14 @@ def factor_logdets(mats: np.ndarray, chol: np.ndarray) -> np.ndarray:
     units or scaling of the coordinates.  No eigenvalue clipping is
     applied; values are exact or ``-inf``.
     """
+    good, diag = _positive_definite(mats, chol), np.diagonal(chol, axis1=1, axis2=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(good, 2.0 * np.sum(np.log(diag), axis=1), -np.inf)
+
+
+def _positive_definite(mats: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """The pivot rule of :func:`factor_logdets`, per node: True where the
+    node is positive-definite to working precision."""
     diag = np.diagonal(chol, axis1=1, axis2=2)
     # An exactly singular matrix can slip through when rounding nudges a
     # zero pivot positive.  The Schur complement behind pivot i is A_ii
@@ -84,8 +92,7 @@ def factor_logdets(mats: np.ndarray, chol: np.ndarray) -> np.ndarray:
     good = np.all(diag * diag > tol, axis=1)
     if not np.isfinite(mats).all():  # one pass over the stack; per node only if needed
         good &= np.all(np.isfinite(mats), axis=(1, 2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(good, 2.0 * np.sum(np.log(diag), axis=1), -np.inf)
+    return good
 
 
 def chol_logdet(a: np.ndarray) -> float:
@@ -150,10 +157,11 @@ def psd_solve(a: np.ndarray, b: np.ndarray):
     in which ``a`` is singular to working precision the smallest curvature the
     rule tells from zero, so the solution is large along it, not undefined.
     """
-    shifted = (a + np.diag(64.0 * a.shape[0] * _EPS * np.diagonal(a)))[None]
-    if factor_logdets(shifted, cholesky_stack(shifted)[0])[0] == -np.inf:
+    shifted = a.copy()
+    shifted.flat[::a.shape[0] + 1] += 64.0 * a.shape[0] * _EPS * a.diagonal()
+    if not _positive_definite(shifted[None], cholesky_stack(shifted[None])[0])[0]:
         return None
-    return np.linalg.solve(shifted[0], b)
+    return np.linalg.solve(shifted, b)
 
 
 def sym_inv_sqrt(a: np.ndarray) -> np.ndarray:

@@ -450,6 +450,7 @@ def _run_optimize(cfg: dict) -> tuple[list, list, dict]:
         "objective_trace": [float(v) for v in result.trace],
         "duality_gap": result.gap,
         "iterations": result.iterations,
+        "steps": result.steps,
         "converged": result.converged,
         "kkt": {
             "lambda1": result.report.lambda1,

@@ -134,7 +134,7 @@ def _mean_logdet(logdets: np.ndarray, weights: np.ndarray) -> float:
     """``<ln det>`` of per-node log-determinants under :func:`_node_weights`;
     -inf iff a positive-weight node is singular (``-inf``)."""
     singular = logdets == -np.inf
-    if np.any(singular):
+    if singular.any():
         if np.any(singular & (weights > 0)):
             return -math.inf
         logdets = np.where(singular, 0.0, logdets)

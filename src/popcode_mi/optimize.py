@@ -11,15 +11,20 @@ is concave, so Frank-Wolfe on the simplex, each step solved exactly from
 the closed form of I along a line, converges to the global optimum, and
 its duality gap doubles as a stopping certificate.  Pairwise steps alone
 converge linearly; for scalar stimuli, Newton steps on the face of the
-weighted subclasses (Holloway's simplicial decomposition, 1974) take the
-solve to tol in tens of steps.  A step costs one factorization of G: the
-gradient, the exact step and the new value all read its inverse Cholesky
-factors, and the Newton step's Hessian reads G itself.  A peak-rate cap needs no
-constraint: the optimum saturates it, so it is the tuning amplitude
-itself.  An average-power budget c.alpha <= B is priced by its Lagrange
-multiplier mu: each fixed-mu problem max I - mu c.alpha is again a simplex
-problem, mu is found by a secant search on the budget's slack, and
-gap + mu * slack certifies the result.
+weighted subclasses and the best one (Holloway's simplicial decomposition,
+1974) take the solve to tol in tens of steps.  A Newton step whose exact
+step empties a subclass goes on along the projected arc
+clip(alpha + gamma d, 0) / sum (projected Newton, Bertsekas 1982), up to
+the last of its bounds, or the full step, before the objective stops
+rising, so one step can empty many subclasses.  A step costs one
+factorization of G: the gradient, the exact step and the new value all
+read its inverse Cholesky factors, the Newton step's Hessian reads G
+itself, and the arc evaluates G at all its bounds in one matrix product.
+A peak-rate cap needs no constraint: the optimum saturates it, so it is
+the tuning amplitude itself.  An average-power budget c.alpha <= B is
+priced by its Lagrange multiplier mu: each fixed-mu problem
+max I - mu c.alpha is again a simplex problem, mu is found by a secant
+search on the budget's slack, and gap + mu * slack certifies the result.
 
 Channel capacity on a stimulus grid comes from the square-root-
 determinant (Jeffreys-type) prior; the redundancy of any given prior is
@@ -185,7 +190,7 @@ def objective(alpha, prob: OptimizationProblem) -> float:
 def _gradient_at(it: _Iterate, prob: OptimizationProblem, mu: float) -> np.ndarray:
     """:func:`gradient` at a factored iterate, with G^-1 = L^-T L^-1 when K > 1."""
     singular = it.logdets == -np.inf
-    if np.any(singular):
+    if singular.any():
         raise ValueError(f"G is singular at node {int(np.argmax(singular))}; "
                          "gradient undefined on the boundary")
     if prob.scalar:
@@ -242,9 +247,13 @@ class FWResult:
     """Optimizer output: the weights, their certificate, and the path.
 
     ``gap`` bounds ``I* - objective(alpha)``; ``iterations`` counts the
-    Frank-Wolfe steps, Newton and pairwise, of every inner solve.  ``trace`` holds the
-    information at the start and after each step, then that of ``alpha``
-    if the path did not end there, so ``trace[-1]`` is the value at alpha.
+    Frank-Wolfe steps, Newton and pairwise, of every inner solve, and
+    ``steps`` counts them by kind: ``newton``, ``arc`` (the Newton steps
+    that went past their first bound along the projected arc) and
+    ``pairwise``, so ``iterations == steps["newton"] + steps["pairwise"]``.
+    ``trace`` holds the information at the start and after each step, then
+    that of ``alpha`` if the path did not end there, so ``trace[-1]`` is the
+    value at alpha.
     """
 
     alpha: np.ndarray
@@ -253,6 +262,7 @@ class FWResult:
     gap: float
     iterations: int
     converged: bool
+    steps: dict
 
 
 def _line_search(it: _Iterate, direction: np.ndarray, upper: float,
@@ -274,88 +284,145 @@ def _line_search(it: _Iterate, direction: np.ndarray, upper: float,
         w = np.repeat(prob.weights, it.g.shape[1])
     price = mu * float(prob.power_cost @ direction) if mu else 0.0
 
-    def slope(gamma: float) -> tuple[float, float, float]:  # f', -f'', sum of |f' terms|
+    def slope(gamma: float) -> tuple[float, np.ndarray]:  # f' and its terms, before weighting
         r = lam / (1.0 + gamma * lam)
-        return (0.5 * float(w @ r) - price, 0.5 * float(w @ (r * r)),
-                0.5 * float(w @ np.abs(r)) + abs(price))
+        return 0.5 * float(w @ r) - price, r
 
-    edge = float(np.min(-1.0 / lam[lam < 0.0], initial=math.inf))
+    edge = float((-1.0 / lam[lam < 0.0]).min(initial=math.inf))
     if upper < edge and slope(upper)[0] >= 0.0:
         return upper
     lo, hi, gamma = 0.0, min(upper, edge), 0.0
     for _ in range(100):
-        d1, curv, size = slope(gamma)
-        if abs(d1) <= 4.0 * np.finfo(float).eps * size:
+        d1, r = slope(gamma)
+        if abs(d1) <= 4.0 * np.finfo(float).eps * (0.5 * float(w @ np.abs(r)) + abs(price)):
             break  # f' is zero to the rounding of its terms
         lo, hi = (gamma, hi) if d1 > 0.0 else (lo, gamma)
         if hi == 0.0:
             return 0.0  # the bracket is [0, 0]: f'(0) < 0, or no room to move
-        step = gamma + d1 / curv
+        step = gamma + d1 / (0.5 * float(w @ (r * r)))  # Newton's step on f': -f'' below
         gamma = step if lo < step < hi else 0.5 * (lo + hi)
     return gamma
 
 
 def _newton_direction(it: _Iterate, prob: OptimizationProblem, grad: np.ndarray,
-                      support: np.ndarray):
-    """Newton direction of ``I - mu c.alpha`` on the affine hull of the support
-    (scalar stimuli), with its step bound: ``(direction, upper, k)``, where
-    ``alpha_k`` reaches 0 at ``upper``.
+                      face: np.ndarray):
+    """Newton direction of ``I - mu c.alpha`` on the affine hull of the classes
+    ``face`` (scalar stimuli), 0 off it, with its step bounds:
+    ``(direction, falling, bounds)``, where weight ``falling[i]`` reaches 0 at
+    step ``bounds[i]``.
 
-    d = A^-1 (grad - lambda 1) on the support, 0 off it, with A the reduced
-    negative Hessian (N^2/2) <s_k s_l / G^2> and lambda = 1.A^-1 grad / 1.A^-1 1,
-    so that d sums to 0.  A is solved at the pivot rule's resolution
-    (:func:`psd_solve`): along a direction that leaves G unchanged to working
-    precision, as nearly collinear kernels give, d runs to the face's boundary
-    and the step empties a subclass.  None when the shifted A fails the pivot
-    rule or d does not ascend.
+    d = A^-1 (grad - lambda 1) on the face, with A the reduced negative Hessian
+    (N^2/2) <s_k s_l / G^2> and lambda = 1.A^-1 grad / 1.A^-1 1, so that d sums
+    to 0.  A is solved at the pivot rule's resolution (:func:`psd_solve`): along
+    a direction that leaves G unchanged to working precision, as nearly
+    collinear kernels give, d runs to the face's boundary and the step empties
+    classes.  None when the shifted A fails the pivot rule, or when d does not
+    ascend or lowers no weight.
     """
-    x = prob.s_values[:, support] * (np.sqrt(prob.weights) / it.g)[:, None]
-    sol = psd_solve((0.5 * prob.n * prob.n) * (x.T @ x),
-                    np.column_stack([grad[support], np.ones(support.size)]))
+    x = prob.s_values[:, face] * (np.sqrt(prob.weights) / it.g)[:, None]
+    rhs = np.ones((face.size, 2))
+    rhs[:, 0] = grad[face]
+    sol = psd_solve((0.5 * prob.n * prob.n) * (x.T @ x), rhs)
     if sol is None:
         return None
     d = sol[:, 0] - (sol[:, 0].sum() / sol[:, 1].sum()) * sol[:, 1]
     falling = np.flatnonzero(d < 0.0)
-    if not float(grad[support] @ d) > 0.0 or not falling.size:
+    if not float(grad[face] @ d) > 0.0 or not falling.size:
         return None
-    bounds = it.alpha[support[falling]] / -d[falling]
-    k = int(np.argmin(bounds))
     direction = np.zeros(prob.k1)
-    direction[support] = d
-    return direction, float(bounds[k]), int(support[falling[k]])
+    direction[face] = d
+    return direction, face[falling], it.alpha[face[falling]] / -d[falling]
+
+
+def _arc_step(it: _Iterate, direction: np.ndarray, falling: np.ndarray, bounds: np.ndarray,
+              upper: float, prob: OptimizationProblem, mu: float) -> float:
+    """How far to follow the projected arc alpha(gamma) = clip(alpha + gamma d, 0) / sum
+    past ``upper``, the first of the ``bounds`` at which the ``falling`` weights
+    reach 0 (scalar stimuli).
+
+    Between two bounds the arc is a segment, along which ``I - mu c.alpha`` is
+    concave.  If it falls at the start of the first segment, the step stays at
+    ``upper``.  Otherwise the arc is evaluated at ``upper``, at the later bounds
+    below 1 and at the full step 1, all at once, and the result is the last of
+    these points before ``I - mu c.alpha`` stops rising, so one step can empty
+    many classes.
+    """
+    if not upper < 1.0:
+        return upper
+    gone = falling[bounds == upper]
+    point = it.alpha + upper * direction
+    point[gone] = 0.0
+    tangent = direction.copy()
+    tangent[gone] = 0.0
+    tangent -= tangent.sum() * point
+    g = it.g + (upper * prob.n) * (prob.s_values @ direction)  # G at alpha + upper d
+    grad = (0.5 * prob.n) * ((prob.weights / g) @ prob.s_values)
+    if mu:
+        grad -= mu * prob.power_cost
+    if not float(grad @ tangent) > 0.0:
+        return upper
+    gammas = np.append(np.sort(bounds[bounds < 1.0]), 1.0)
+    arc = np.maximum(gammas[:, None] * direction + it.alpha, 0.0)
+    arc /= arc.sum(axis=1, keepdims=True)
+    g = arc @ prob.s_values.T  # in place from here: one (points, M) array
+    g *= prob.n
+    if prob.kind == "I_G":
+        g += prob.p_values
+    # Off the domain a value is -inf or NaN, and the arc stops there.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = 0.5 * (np.log(g, out=g) @ prob.weights)
+    if mu:
+        values -= mu * (arc @ prob.power_cost)
+    values, j = values.tolist(), 0
+    while j + 1 < len(values) and values[j + 1] >= values[j]:
+        j += 1
+    return float(gammas[j])
 
 
 def _frank_wolfe(prob: OptimizationProblem, it: _Iterate, mu: float, tol: float,
-                 max_iters: int, trace: list):
+                 max_iters: int, trace: list, kinds: dict):
     """Maximize ``I - mu c.alpha`` over the simplex from the iterate ``it``
-    (see ``maximize``), appending each new iterate's information to ``trace``.
+    (see ``maximize``), appending each new iterate's information to ``trace``
+    and counting each step's kind in ``kinds``.
     Returns ``(it, gap, steps, converged)``, with the gap of the last gradient."""
     gap = math.inf
     for t in range(max_iters):
         alpha = it.alpha
         grad = _gradient_at(it, prob, mu)
         s = np.zeros(prob.k1)
-        best = int(np.argmax(grad))
+        best = int(grad.argmax())
         s[best] = 1.0
         gap = float(grad @ (s - alpha))
         if gap < tol:
             return it, gap, t, True
-        support = np.flatnonzero(alpha > 0)
         gamma = 0.0
-        if prob.scalar and alpha[best] > 0 and support.size > 1:
-            newton = _newton_direction(it, prob, grad, support)
+        if prob.scalar:
+            face = alpha > 0
+            face[best] = True
+            newton = _newton_direction(it, prob, grad, face.nonzero()[0])
             if newton is not None:
-                direction, upper, worst = newton
+                direction, falling, bounds = newton
+                upper = float(bounds.min())
                 gamma = _line_search(it, direction, upper, prob, mu)
+                if gamma == upper:
+                    gamma = _arc_step(it, direction, falling, bounds, upper, prob, mu)
         if gamma == 0.0:  # no Newton direction, or one whose exact step is 0
+            support = np.flatnonzero(alpha > 0)
             worst = int(support[np.argmin(grad[support])])
             direction = np.zeros(prob.k1)
             direction[best], direction[worst] = 1.0, -1.0
+            falling, bounds = np.array([worst]), alpha[[worst]]
             upper = float(alpha[worst])
             gamma = _line_search(it, direction, upper, prob, mu)
-        alpha = np.clip(alpha + gamma * direction, 0.0, None)
-        if gamma == upper:
-            alpha[worst] = 0.0  # not the rounding residue of alpha_k + upper d_k
+            kinds["pairwise"] += 1
+        else:
+            kinds["newton"] += 1
+            kinds["arc"] += gamma > upper
+        alpha = np.maximum(alpha + gamma * direction, 0.0)
+        # Weights whose bound the step reached are 0, not the rounding residue of
+        # alpha_k + gamma d_k.
+        if gamma >= upper:
+            alpha[falling[bounds <= gamma]] = 0.0
         alpha /= alpha.sum()
         # Rebuilt from the renormalised alpha, not updated as G + gamma D,
         # so the value is objective(alpha) to the bit.
@@ -372,13 +439,17 @@ def maximize(prob: OptimizationProblem, tol: float = 1e-8,
     starting from uniform weights.
 
     Each step moves by the exact maximizing step along one direction.  For
-    scalar stimuli, when the best subclass (largest gradient) is supported,
-    it is Newton's direction on the support's affine hull; a step that
-    empties a subclass ends there, exactly at 0.  Otherwise, or when the
-    Newton step would not move, and always for matrix stimuli, the step is
-    pairwise: mass moves from the worst supported subclass to the best one,
-    which converges only linearly.
-    Neither leaves stray support, and a step costs one factorization of G.
+    scalar stimuli it is Newton's direction on the affine hull of the
+    supported subclasses and the best one (largest gradient).  When the
+    exact step along it reaches the first weight to empty, the step goes on
+    along the projected arc ``clip(alpha + gamma d, 0) / sum`` while
+    ``I - mu c.alpha`` rises at the arc's bounds (each of them empties one
+    more subclass) and at the full step gamma = 1, so one step can empty
+    many subclasses.  When there is no Newton direction or the Newton step
+    would not move, and always for matrix stimuli, the step is pairwise:
+    mass moves from the worst supported subclass to the best one, which
+    converges only linearly.  Emptied weights are exactly 0, and a step
+    costs one factorization of G.
     A solve stops once the duality gap ``grad . (s - alpha)`` falls below
     ``tol > 0``; ``iterations`` counts steps of both kinds.
 
@@ -401,8 +472,8 @@ def maximize(prob: OptimizationProblem, tol: float = 1e-8,
         raise ValueError(f"infeasible power constraint: min cost {float(cost.min())!r} "
                          f"exceeds budget {budget!r}")
     it = _iterate(np.full(prob.k1, 1.0 / prob.k1), prob)
-    trace = [it.value]
-    it, gap, steps, converged = _frank_wolfe(prob, it, 0.0, tol, max_iters, trace)
+    trace, kinds = [it.value], dict.fromkeys(("newton", "arc", "pairwise"), 0)
+    it, gap, steps, converged = _frank_wolfe(prob, it, 0.0, tol, max_iters, trace, kinds)
     alpha, mu, eps = it.alpha, 0.0, np.finfo(float).eps
     # c carries rounding of order eps c, so a smaller overshoot is within budget.
     if cost is not None and float(cost @ alpha) - budget > 4.0 * prob.k1 * eps * budget:
@@ -419,7 +490,7 @@ def maximize(prob: OptimizationProblem, tol: float = 1e-8,
                 raise ValueError(f"power multiplier search failed at mu = {mu!r}: the budget sits "
                                  "within rounding of the cheapest cost or at the domain's edge")
             it, gap, taken, converged = _frank_wolfe(
-                prob, it, mu, 0.5 * tol, max_iters - steps, trace)
+                prob, it, mu, 0.5 * tol, max_iters - steps, trace, kinds)
             alpha = it.alpha
             steps += taken
             slack = budget - float(cost @ alpha)
@@ -464,7 +535,7 @@ def maximize(prob: OptimizationProblem, tol: float = 1e-8,
             mu, it, _, gap = hi
     report = _kkt_report(it, prob, mu)
     return FWResult(alpha=it.alpha, report=report, trace=np.array(trace),
-                    gap=gap, iterations=steps, converged=converged)
+                    gap=gap, iterations=steps, converged=converged, steps=kinds)
 
 
 def capacity_prior(j, nodes, support_length: float):

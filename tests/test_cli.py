@@ -590,9 +590,13 @@ class TestOptimizeAndFig1Runs:
         assert side["kkt"]["power_multiplier"] > 0.0
         assert side["kkt"]["equality_violation"] < 1e-6
         assert 0.0 <= side["power_slack"] <= 1e-6 * 10.33
+        steps = side["steps"]
+        assert set(steps) == {"newton", "arc", "pairwise"}
+        assert steps["newton"] + steps["pairwise"] == side["iterations"]
+        assert 0 < steps["arc"] <= steps["newton"]
 
     def test_unconverged_run_says_so_on_stderr(self, tmp_path, capsys):
-        # Ten classes take seven steps, so two leave the solve unconverged.
+        # Ten classes take six steps, so two leave the solve unconverged.
         cfg = write_config(tmp_path / "opt.json",
                            {"k1": 10, "n": 8, "m": 80, "max_iters": 2})
         out = tmp_path / "opt.csv"

@@ -132,15 +132,21 @@ TINY_RUNS = {
 }
 
 
-def test_runs_need_no_scipy(tmp_path):
-    """Every experiment runs through ``cli.main`` with every ``scipy`` import
-    refused, and leaves no scipy module loaded."""
+def _tiny_argvs(tmp_path) -> list:
+    """``cli.main`` argument lists that run every experiment on its TINY_RUNS config."""
     argvs = []
     for experiment, config in TINY_RUNS.items():
         path = tmp_path / f"{experiment}.json"
         path.write_text(json.dumps(config))
         argvs.append([experiment, "--config", str(path), "--seed", "1",
                       "--out", str(tmp_path / f"{experiment}.csv")])
+    return argvs
+
+
+def test_runs_need_no_scipy(tmp_path):
+    """Every experiment runs through ``cli.main`` with every ``scipy`` import
+    refused, and leaves no scipy module loaded."""
+    argvs = _tiny_argvs(tmp_path)
     loaded = _modules_after(textwrap.dedent(f"""\
         import contextlib, importlib.abc
 
@@ -161,3 +167,17 @@ def test_runs_need_no_scipy(tmp_path):
             codes = [main(argv) for argv in {argvs!r}]
         assert codes == [0] * {len(argvs)}, codes"""))
     assert {name for name in loaded if name.split(".")[0] == "scipy"} == set()
+
+
+def test_runs_load_no_numpy_ma(tmp_path):
+    """No experiment loads ``numpy.ma``: the first ``np.unique`` or ``np.union1d``
+    call imports it, which takes about 20 ms in a fresh process, and a
+    one-process run pays that on every start."""
+    argvs = _tiny_argvs(tmp_path)
+    loaded = _modules_after(textwrap.dedent(f"""\
+        import contextlib
+        from popcode_mi.cli import main
+        with contextlib.redirect_stdout(sys.stderr):  # stdout lists the modules
+            codes = [main(argv) for argv in {argvs!r}]
+        assert codes == [0] * {len(argvs)}, codes"""))
+    assert "numpy.ma" not in loaded

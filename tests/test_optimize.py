@@ -15,6 +15,7 @@ from popcode_mi.mi import exact_gaussian_mi, i_g
 from popcode_mi.models import LinearGaussianModel
 from popcode_mi.optimize import (
     OptimizationProblem,
+    _arc_step,
     _iterate,
     _kkt_report,
     _line_search,
@@ -487,23 +488,88 @@ class TestPowerMultiplier:
 
 
 class TestNewtonSteps:
-    """Newton steps on the support's affine hull: scalar solves converge in few steps."""
+    """Newton steps on the affine hull of the support and the best class, going on
+    along the projected arc: scalar solves converge in few steps."""
 
     # Pairwise Frank-Wolfe alone ran each of these to the 10,000-step cap.
     STALLERS = [11, 15, 25]
+    # Steps the stallers took when a Newton step ended at the first class it emptied
+    # and a best class off the support took a pairwise step.
+    CAPPED_NEWTON_STEPS = {11: 37, 15: 11, 25: 37}
+    # KKT violations (equality, inequality) of that solver on the desk problems.
+    CAPPED_NEWTON_KKT = {
+        (10, None): (1.866947152429077e-10, 0.0),
+        (10, 10.33): (2.086630868092243e-11, 0.0),
+        (50, None): (1.4694245820123797e-10, 0.0),
+        (50, 10.33): (1.8665735623812907e-11, 0.0),
+    }
 
     def test_desk_problem_converges_in_few_steps(self):
         res = maximize(desk_problem(10))
         assert res.converged and res.gap < 1e-8
         assert res.iterations <= 40
 
+    @pytest.mark.parametrize("avg_power, max_steps", [(None, 40), (10.33, 45)])
+    def test_fifty_classes_converge_in_few_steps(self, avg_power, max_steps):
+        """68 steps free and 73 at the binding budget when each Newton step ended at
+        the first class it emptied."""
+        prob = desk_problem(50, avg_power)
+        res = maximize(prob)
+        assert res.converged and res.gap < 1e-8
+        assert res.iterations <= max_steps
+        assert res.iterations == res.steps["newton"] + res.steps["pairwise"]
+        if avg_power is not None:
+            assert res.report.power_multiplier > 0.0
+            assert avg_power - float(prob.power_cost @ res.alpha) >= 0.0
+
+    def test_first_step_empties_many_classes(self):
+        res = maximize(desk_problem(50), max_iters=1)
+        assert res.steps == {"newton": 1, "arc": 1, "pairwise": 0}
+        assert np.count_nonzero(res.alpha == 0.0) > 1
+
+    @pytest.mark.parametrize("k1, avg_power", list(CAPPED_NEWTON_KKT))
+    def test_kkt_violations_do_not_grow(self, k1, avg_power):
+        report = maximize(desk_problem(k1, avg_power)).report
+        equality, inequality = self.CAPPED_NEWTON_KKT[k1, avg_power]
+        assert report.equality_violation <= equality
+        assert report.inequality_violation <= inequality
+
+    @pytest.mark.parametrize("problem", ["desk", "desk_budget", 11, 53])
+    def test_arc_step_is_the_last_rising_point_of_the_arc(self, monkeypatch, problem):
+        """Every arc step of a solve ends at the point of the arc (its bounds past
+        ``upper``, then 1) after which I - mu c.alpha first falls, with the values
+        taken one point at a time from ``objective``; ties within rounding may go
+        either way."""
+        prob = {"desk": lambda: desk_problem(50), "desk_budget": lambda: desk_problem(50, 10.33)
+                }.get(problem, lambda: stress_problem(problem))()
+        calls = []
+
+        def recorded(it, direction, falling, bounds, upper, prob, mu):
+            gamma = _arc_step(it, direction, falling, bounds, upper, prob, mu)
+            calls.append((it.alpha, direction, bounds, upper, mu, gamma))
+            return gamma
+
+        monkeypatch.setattr(optimize, "_arc_step", recorded)
+        assert maximize(prob).converged
+        assert any(gamma > upper for *_, upper, mu, gamma in calls)
+        for alpha, direction, bounds, upper, mu, gamma in calls:
+            gammas = [upper, *sorted(b for b in bounds if upper < b < 1.0), 1.0]
+            points = [p / p.sum() for p in (np.clip(alpha + g * direction, 0.0, None)
+                                            for g in gammas)]
+            values = [objective(p, prob) - (mu * float(prob.power_cost @ p) if mu else 0.0)
+                      for p in points]
+            tol = 1e-13 * abs(values[0])
+            j = gammas.index(gamma)
+            assert all(values[i + 1] >= values[i] - tol for i in range(j))
+            assert j == len(gammas) - 1 or values[j + 1] <= values[j] + tol
+
     @pytest.mark.parametrize("index", STALLERS)
     def test_staller_converges(self, index):
-        """Converges far below the step cap, and no step lowers the information
-        by more than rounding."""
+        """Converges in no more steps than with capped Newton steps, and no step
+        lowers the information by more than rounding."""
         res = maximize(stress_problem(index))
         assert res.converged and res.gap < 1e-8
-        assert res.iterations <= 1000
+        assert res.iterations <= self.CAPPED_NEWTON_STEPS[index]
         assert np.all(np.diff(res.trace) >= -1e-12 * np.abs(res.trace[1:]))
 
     @pytest.mark.parametrize("index", STALLERS)
